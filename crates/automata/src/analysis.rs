@@ -14,12 +14,12 @@
 //! (`&Analysis`) across the whole classification stack:
 //!
 //! * [`Analysis::sccs`] — SCC decompositions keyed by the allowed-set
-//!   restriction. The color-lattice points of [`ChainAnalysis`], the
-//!   per-disjunct restrictions of the emptiness check, and the liveness
-//!   computation all hit the *same* keys (a DNF disjunct's `Fin` set is a
-//!   union of acceptance atoms, so `reachable − fin` *is* a lattice
-//!   point), which is what makes the single-walk classification below
-//!   possible.
+//!   restriction. The color-lattice points of [`ChainAnalysis`] and the
+//!   refinements of the accepting-cycle kernel (emptiness, liveness) hit
+//!   the *same* keys: the kernel only restricts to `reachable − avoid −
+//!   (union of bad sets)`, and those sets are unions of acceptance atoms,
+//!   so every restriction it asks for *is* a lattice point. That is what
+//!   makes the single-walk classification below possible.
 //! * [`Analysis::condensation`] — the reachable condensation DAG with
 //!   per-component acceptance status, reused by the obligation-index DP
 //!   and available to the topology layer.
@@ -33,8 +33,9 @@
 //!   automaton build the product once.
 //!
 //! The free functions in [`crate::classify`], [`crate::emptiness`], etc.
-//! remain as thin uncached wrappers (and as independent oracles for the
-//! cross-validation tests); [`Analysis`] is the engine underneath
+//! remain as thin uncached entry points; the emptiness and liveness ones
+//! run the very kernel functions used here, with a per-query SCC memo in
+//! place of this context's. [`Analysis`] is the engine underneath
 //! `hierarchy_core::Property`.
 //!
 //! All caches use `OnceLock`/`Mutex` interior mutability, so `Analysis`
@@ -525,32 +526,18 @@ impl Analysis {
     /// With `acc = self.automaton().acceptance()` this agrees with
     /// [`crate::emptiness::live_states`] on all reachable states (the free
     /// version also reports unreachable live states, which no language
-    /// question can observe). Each DNF disjunct's restriction
-    /// `reachable − fin` is a color-lattice point, so the SCC passes here
+    /// question can observe). It is the same kernel function with this
+    /// context's memo as the SCC source, and every restriction the
+    /// kernel asks for is a color-lattice point, so the SCC passes here
     /// are shared with [`Self::chains`].
     pub fn live_reachable(&self, acc: &Acceptance) -> Arc<BitSet> {
         if let Some(hit) = lock_recover(&self.live_for).get(acc) {
             return Arc::clone(hit);
         }
         let reachable = self.reachable();
-        let mut good = BitSet::with_capacity(self.aut.num_states());
-        for pair in acc.dnf() {
-            let mut allowed = reachable.clone();
-            allowed.difference_with(&pair.fin);
-            if allowed.is_empty() {
-                continue;
-            }
-            let sccs = self.sccs(Some(&allowed));
-            for c in 0..sccs.len() {
-                if !sccs.has_cycle[c] {
-                    continue;
-                }
-                let members = sccs.member_set(c);
-                if pair.infs.iter().all(|s| members.intersects(s)) {
-                    good.union_with(&members);
-                }
-            }
-        }
+        let good = emptiness::cycle_states(acc, self.aut.num_states(), reachable, |x| {
+            self.sccs(Some(x))
+        });
         let mut live = emptiness::backward_closure(&self.aut, good);
         live.intersect_with(reachable);
         let live = Arc::new(live);
@@ -731,27 +718,11 @@ impl Analysis {
         !self.live().contains(self.aut.initial() as usize)
     }
 
-    /// An accepted lasso, or `None` when the language is empty; the SCC
-    /// passes are shared with everything else in the context.
+    /// An accepted lasso, or `None` when the language is empty: the
+    /// kernel's targeted tour of the first accepting region, with the SCC
+    /// passes shared with everything else in the context.
     pub fn accepted_lasso(&self) -> Option<Lasso> {
-        for pair in self.aut.acceptance().dnf() {
-            let mut allowed = self.reachable().clone();
-            allowed.difference_with(&pair.fin);
-            if allowed.is_empty() {
-                continue;
-            }
-            let sccs = self.sccs(Some(&allowed));
-            for c in 0..sccs.len() {
-                if !sccs.has_cycle[c] {
-                    continue;
-                }
-                let members = sccs.member_set(c);
-                if pair.infs.iter().all(|s| members.intersects(s)) {
-                    return Some(emptiness::build_witness(&self.aut, &members, &pair));
-                }
-            }
-        }
-        None
+        emptiness::lasso_within(&self.aut, self.reachable(), |x| self.sccs(Some(x)))
     }
 
     /// The counter-freedom verdict (memoized; uses the default monoid
@@ -923,6 +894,8 @@ impl Analysis {
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
+    use crate::random::random_streett;
+    use crate::random::rng::{SeedableRng, StdRng};
 
     fn ab() -> Alphabet {
         Alphabet::new(["a", "b"]).unwrap()
@@ -950,6 +923,29 @@ mod tests {
         }
     }
 
+    /// `aut` twice over: the first copy drops into the second on the
+    /// last symbol from its even states, so the reachable graph has
+    /// regions strictly inside the reachable set.
+    fn two_layers(aut: &OmegaAutomaton) -> OmegaAutomaton {
+        let n = aut.num_states();
+        let last = aut.alphabet().symbols().last().unwrap();
+        let acc = aut
+            .acceptance()
+            .map_sets(&|s| s.iter().flat_map(|q| [q, q + n]).collect());
+        OmegaAutomaton::build(
+            aut.alphabet(),
+            2 * n,
+            aut.initial(),
+            |q, s| {
+                let (copy, q) = (q as usize / n, q as usize % n);
+                let t = aut.step(q as StateId, s) as usize;
+                let drop = copy == 0 && s == last && q % 2 == 0;
+                (t + n * usize::from(copy == 1 || drop)) as StateId
+            },
+            acc,
+        )
+    }
+
     #[test]
     fn scc_passes_are_shared_across_queries() {
         let sigma = ab();
@@ -963,6 +959,36 @@ mod tests {
         let _ = ctx.rabin_index();
         assert_eq!(ctx.stats().scc_passes, passes_after_classify);
         assert!(ctx.stats().scc_hits > 0);
+
+        // Multi-pair Streett and Rabin conditions: every restriction the
+        // accepting-cycle kernel asks for is `reachable − (union of
+        // atoms)`, a point of the color lattice, so once the lattice is
+        // walked neither the classification (whose safety and guarantee
+        // checks run the kernel) nor any query after it adds a pass. The
+        // two-layer automata have regions strictly inside the reachable
+        // set, where refining a region on its own would leave the lattice.
+        let mut rng = StdRng::seed_from_u64(120);
+        for i in 0..120usize {
+            let n = 4 + i % 21;
+            let k = 2 + i % 3;
+            let (streett, _) = random_streett(&mut rng, &sigma, n, k, 0.25);
+            let aut = if i % 2 == 0 {
+                streett
+            } else {
+                streett.complement()
+            };
+            let ctx = Analysis::new_raw(two_layers(&aut));
+            let _ = ctx.chains();
+            let passes = ctx.stats().scc_passes;
+            let _ = ctx.classification();
+            let _ = ctx.live();
+            let _ = ctx.is_empty();
+            let _ = ctx.is_universal();
+            let _ = ctx.accepted_lasso();
+            let _ = ctx.safety_closure();
+            let _ = ctx.rabin_index();
+            assert_eq!(ctx.stats().scc_passes, passes, "case {i}: n={n}, k={k}");
+        }
     }
 
     #[test]

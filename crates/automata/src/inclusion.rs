@@ -1,14 +1,12 @@
 //! Direct polynomial-time inclusion and equivalence for deterministic
 //! ω-acceptors (Angluin & Fisman, arXiv:2002.03191).
 //!
-//! The classical oracle used everywhere in this workspace decides
-//! `L(A) ⊆ L(B)` by building the complement of `B`, the product
-//! `A × ¬B`, and running the generic emptiness check — which converts
-//! the combined acceptance `acc_A ∧ ¬acc_B` to DNF, an operation
-//! exponential in the number of conjuncts (a `k`-pair Streett condition
-//! on the left multiplies out to `2^k` generalized Rabin disjuncts).
-//! This module decides the same question *directly on the product
-//! graph*, without ever materializing a complement automaton or a DNF:
+//! The classical oracle (`*_via_complement`) decides `L(A) ⊆ L(B)` by
+//! building the complement of `B`, the product automaton `A × ¬B`, and
+//! asking it for emptiness. This module decides the same question
+//! *directly on the product graph*, without materializing a complement
+//! or a product automaton; both run on the accepting-cycle kernel of
+//! [`crate::emptiness`]:
 //!
 //! * **Parity fast path** — when both acceptance conditions admit a
 //!   same-structure [`ParityView`] (Büchi, co-Büchi, one-pair Streett,
@@ -17,38 +15,38 @@
 //!   of `B` the product restricted to `{(q, r) : π_A(q) ≥ pa ∧ π_B(r) ≥
 //!   pb}` has an SCC with a cycle containing both a `pa`-state and a
 //!   `pb`-state. That is the literal Angluin–Fisman argument:
-//!   `O(d_A · d_B)` plain SCC passes over the product.
+//!   `O(d_A · d_B)` plain SCC passes over the product. No region ever
+//!   needs refining, so this is a plain scan; its witness is the kernel
+//!   disjunct "hit a `pa`-state and a `pb`-state".
 //! * **Rabin-decomposition path** — any other boolean condition is
-//!   decomposed into a *disjunction* of [`RabinDisjunct`]s (an avoid-set
-//!   plus a list of Streett-style cycle constraints), crucially keeping
-//!   each Streett pair `Inf(R) ∨ Fin(S)` as one pair instead of
-//!   distributing it. For every pair of disjuncts of `acc_A` and
-//!   `¬acc_B`, a counterexample cycle is sought by the classical
-//!   iterated-SCC Streett refinement on the product graph — polynomial
-//!   in the pair count. A `k_A`-pair Streett `A` against a `k_B`-pair
-//!   Streett `B` costs `k_B` refinements instead of `2^{k_A} · k_B`
-//!   Tarjan passes. Conditions whose decomposition genuinely needs
-//!   distribution (nested `And` of non-pair `Or`s) degrade to the same
-//!   disjunct count the DNF would have — never worse than the old path.
+//!   [`decompose`]d into a *disjunction* of [`RabinDisjunct`]s, keeping
+//!   each Streett pair `Inf(R) ∨ Fin(S)` whole instead of distributing
+//!   it. For every pair of disjuncts of `acc_A` and `¬acc_B`, lifted
+//!   into the product, a counterexample cycle is sought by the kernel's
+//!   iterated-SCC [`refine`](crate::emptiness::refine) — polynomial in
+//!   the pair count. A `k_A`-pair Streett `A` against a `k_B`-pair
+//!   Streett `B` costs `k_B` refinements instead of the `2^{k_A} · k_B`
+//!   Tarjan passes of a DNF.
 //!
-//! On failure a counterexample [`Lasso`] is extracted by touring the
-//! witness region of the product, so
-//! [`OmegaAutomaton::distinguishing_lasso`] keeps producing concrete
-//! separating words. `OmegaAutomaton::{is_subset_of, equivalent}` and
+//! On failure a counterexample [`Lasso`] is extracted by the kernel's
+//! targeted tour of the witness region: one waypoint per pair the
+//! region satisfies by hitting (one `pa`- and one `pb`-state on the
+//! parity path), so the cycle is at most `(waypoints + 1) · |region|`
+//! symbols long. `OmegaAutomaton::{is_subset_of, equivalent}` and
 //! `Analysis::{is_subset_of, equivalent}` route through this module by
-//! default, with the old complement+product construction preserved as
-//! `*_via_complement` and cross-checked by a debug-mode differential
-//! tripwire on every query (see DESIGN.md §11).
+//! default, cross-checked against the complement oracle by a debug-mode
+//! differential tripwire on every query (see DESIGN.md §11).
 
 use crate::acceptance::Acceptance;
 use crate::alphabet::Symbol;
 use crate::bitset::BitSet;
+use crate::emptiness::{decompose, first_witness, CyclePair, RabinDisjunct, Witness};
 use crate::flat::FlatGraph;
 use crate::lasso::Lasso;
 use crate::omega::OmegaAutomaton;
-use crate::scc::tarjan_scc;
+use crate::scc::{tarjan_scc, SccCache};
 use crate::StateId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// A per-state min-even parity priority assignment equivalent to a
 /// boolean acceptance condition on the *same* transition structure: a
@@ -160,154 +158,13 @@ fn priorities_of(acc: &Acceptance, n: usize) -> Option<Vec<u32>> {
     }
 }
 
-/// One cycle constraint of a [`RabinDisjunct`]: a cycle `C` satisfies
-/// the pair iff `C ∩ hit ≠ ∅` or `C ∩ bad = ∅`. This is a Streett pair
-/// `(R, P)` with `hit = R` and `bad = Q ∖ P`, phrased so no set
-/// complements are needed when lifting into a product.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CyclePair {
-    /// The "recurrent" side: intersecting this set satisfies the pair.
-    pub hit: BitSet,
-    /// The "forbidden" side: a cycle missing `hit` must avoid this set.
-    pub bad: BitSet,
-}
-
-/// One disjunct of the cycle-level decomposition of an acceptance
-/// condition: a cycle `C` satisfies the disjunct iff `C ∩ avoid = ∅`
-/// and every [`CyclePair`] holds. Unlike the generalized-Rabin DNF of
-/// [`Acceptance::dnf`], Streett pairs are *not* distributed — a `k`-pair
-/// Streett condition stays a single disjunct with `k` pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RabinDisjunct {
-    /// States the cycle must not touch at all.
-    pub avoid: BitSet,
-    /// Streett-style constraints the cycle must satisfy.
-    pub pairs: Vec<CyclePair>,
-}
-
-impl RabinDisjunct {
-    fn trivial() -> RabinDisjunct {
-        RabinDisjunct {
-            avoid: BitSet::new(),
-            pairs: Vec::new(),
-        }
-    }
-
-    /// Conjunction of two disjuncts.
-    fn merge(&mut self, other: &RabinDisjunct) {
-        self.avoid.union_with(&other.avoid);
-        self.pairs.extend(other.pairs.iter().cloned());
-    }
-
-    /// Whether a (non-empty) cycle satisfies this disjunct.
-    pub fn accepts_cycle(&self, cycle: &BitSet) -> bool {
-        cycle.is_disjoint(&self.avoid)
-            && self
-                .pairs
-                .iter()
-                .all(|p| cycle.intersects(&p.hit) || cycle.is_disjoint(&p.bad))
-    }
-}
-
-/// Recognizes an `Or` of `Inf`/`Fin` atoms with at most one `Fin` as a
-/// single [`CyclePair`]: `Inf(R₁) ∨ … ∨ Inf(Rₘ) ∨ Fin(S)` becomes
-/// `(hit = ⋃ Rᵢ, bad = S)`. With no `Fin` child the pair has no escape
-/// — `bad` is the full state set `Q`, so a (non-empty) cycle satisfies
-/// it only by hitting `⋃ Rᵢ`. This is what keeps Streett conditions
-/// from being distributed.
-fn or_as_cycle_pair(xs: &[Acceptance], n: usize) -> Option<CyclePair> {
-    let mut hit = BitSet::new();
-    let mut bad: Option<BitSet> = None;
-    for x in xs {
-        match x {
-            Acceptance::Inf(r) => hit.union_with(r),
-            Acceptance::Fin(s) => {
-                if bad.is_some() {
-                    return None; // Fin(S₁) ∨ Fin(S₂) is not one pair
-                }
-                bad = Some(s.clone());
-            }
-            _ => return None,
-        }
-    }
-    Some(CyclePair {
-        hit,
-        bad: bad.unwrap_or_else(|| BitSet::all(n)),
-    })
-}
-
-/// Decomposes an acceptance condition over `n` states into a
-/// disjunction of [`RabinDisjunct`]s: a non-empty cycle satisfies `acc`
-/// iff it satisfies some disjunct. Streett-pair-shaped `Or`s are kept
-/// as single [`CyclePair`]s, so Streett conditions produce *one*
-/// disjunct and Rabin conditions one per pair; only genuinely non-pair
-/// `Or`s under an `And` distribute (matching the DNF disjunct count
-/// there — the decomposition is never larger than the DNF).
-pub fn decompose(acc: &Acceptance, n: usize) -> Vec<RabinDisjunct> {
-    match acc {
-        Acceptance::True => vec![RabinDisjunct::trivial()],
-        Acceptance::False => vec![],
-        Acceptance::Inf(r) => vec![RabinDisjunct {
-            avoid: BitSet::new(),
-            pairs: vec![CyclePair {
-                hit: r.clone(),
-                bad: BitSet::all(n),
-            }],
-        }],
-        Acceptance::Fin(s) => vec![RabinDisjunct {
-            avoid: s.clone(),
-            pairs: Vec::new(),
-        }],
-        Acceptance::Or(xs) => {
-            if xs.is_empty() {
-                return vec![]; // empty disjunction = False
-            }
-            if let Some(pair) = or_as_cycle_pair(xs, n) {
-                return vec![RabinDisjunct {
-                    avoid: BitSet::new(),
-                    pairs: vec![pair],
-                }];
-            }
-            xs.iter().flat_map(|x| decompose(x, n)).collect()
-        }
-        Acceptance::And(xs) => {
-            let mut out = vec![RabinDisjunct::trivial()];
-            for x in xs {
-                let d = decompose(x, n);
-                match d.len() {
-                    0 => return vec![], // a False conjunct sinks everything
-                    1 => {
-                        for a in &mut out {
-                            a.merge(&d[0]);
-                        }
-                    }
-                    _ => {
-                        let mut next = Vec::with_capacity(out.len() * d.len());
-                        for a in &out {
-                            for b in &d {
-                                let mut m = a.clone();
-                                m.merge(b);
-                                next.push(m);
-                            }
-                        }
-                        out = next;
-                    }
-                }
-            }
-            out
-        }
-    }
-}
-
 /// The reachable product of two deterministic automata over one
-/// alphabet: pair states, a flat `delta[id·k + s]` table, and the
-/// deduplicated CSR successor graph every SCC pass below walks.
+/// alphabet: pair states and a flat `delta[id·k + s]` table.
 struct Product {
     k: usize,
     /// `pairs[id] = (a_state, b_state)`; id `0` is the initial pair.
     pairs: Vec<(StateId, StateId)>,
     delta: Vec<StateId>,
-    graph: FlatGraph,
 }
 
 impl Product {
@@ -338,13 +195,7 @@ impl Product {
             }
             frontier += 1;
         }
-        let graph = FlatGraph::from_delta(pairs.len(), k, &delta);
-        Product {
-            k,
-            pairs,
-            delta,
-            graph,
-        }
+        Product { k, pairs, delta }
     }
 
     fn num_states(&self) -> usize {
@@ -382,22 +233,23 @@ impl Product {
 
 /// Which side of the product must accept while the other rejects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
+pub(crate) enum Side {
     /// A word in `L(A) ∖ L(B)`.
     Left,
     /// A word in `L(B) ∖ L(A)`.
     Right,
 }
 
-/// A counterexample *region*: a strongly connected, cycle-supporting
-/// set of product states whose full tour is accepted by the `side`
-/// automaton and rejected by the other. `None` means inclusion holds.
+/// The first counterexample region of the product for `side`, or `None`
+/// when that direction's inclusion holds: a region whose targeted tour
+/// the `side` automaton accepts and the other rejects.
 fn counterexample_region(
     product: &Product,
     a: &OmegaAutomaton,
     b: &OmegaAutomaton,
     side: Side,
-) -> Option<BitSet> {
+    sccs: &mut SccCache<&FlatGraph>,
+) -> Option<Witness> {
     let (pos, neg) = match side {
         Side::Left => (a, b),
         Side::Right => (b, a),
@@ -408,10 +260,10 @@ fn counterexample_region(
         ParityView::try_of(pos.acceptance(), pos.num_states()),
         ParityView::try_of(neg.acceptance(), neg.num_states()),
     ) {
-        return parity_region(product, &va, &vb, side);
+        return parity_region(product, &va, &vb, side, sccs.graph());
     }
     // General path: Rabin decomposition of "pos accepts" and "neg
-    // rejects", each combination checked by Streett refinement.
+    // rejects", every combination lifted into the product.
     let lift_pos = |s: &BitSet| match side {
         Side::Left => product.lift_left(s),
         Side::Right => product.lift_right(s),
@@ -420,80 +272,68 @@ fn counterexample_region(
         Side::Left => product.lift_right(s),
         Side::Right => product.lift_left(s),
     };
-    let all = BitSet::all(product.num_states());
-    for da in decompose(pos.acceptance(), pos.num_states()) {
-        for db in decompose(&neg.acceptance().negated(), neg.num_states()) {
-            let mut allowed = all.clone();
-            allowed.difference_with(&lift_pos(&da.avoid));
-            allowed.difference_with(&lift_neg(&db.avoid));
-            if allowed.is_empty() {
-                continue;
-            }
-            let mut pairs: Vec<CyclePair> = da
-                .pairs
-                .iter()
-                .map(|p| CyclePair {
-                    hit: lift_pos(&p.hit),
-                    bad: lift_pos(&p.bad),
-                })
-                .collect();
-            pairs.extend(db.pairs.iter().map(|p| CyclePair {
-                hit: lift_neg(&p.hit),
-                bad: lift_neg(&p.bad),
-            }));
-            if let Some(region) = refine(&product.graph, allowed, &pairs) {
-                return Some(region);
-            }
-        }
-    }
-    None
+    let rejecting = decompose(&neg.acceptance().negated(), neg.num_states());
+    let disjuncts = decompose(pos.acceptance(), pos.num_states())
+        .into_iter()
+        .flat_map(|da| {
+            let da = da.map_sets(lift_pos);
+            rejecting.iter().map(move |db| {
+                let mut d = da.clone();
+                d.merge(&db.map_sets(lift_neg));
+                d
+            })
+        });
+    first_witness(disjuncts, &BitSet::all(product.num_states()), |x| {
+        sccs.sccs(Some(x))
+    })
 }
 
-/// The parity × parity product argument: enumerate an even priority of
-/// the accepting side and an odd priority of the rejecting side,
-/// restrict the product to states at least that high on both, and look
-/// for an SCC whose cycle realizes both minima exactly.
+/// The parity × parity product argument: enumerate an even priority
+/// `pa` of the accepting side and an odd priority `pb` of the rejecting
+/// side, restrict the product to states at least that high on both, and
+/// look for an SCC whose cycle realizes both minima exactly — `pa`
+/// (even, accepted) on one side and `pb` (odd, rejected) on the other.
+/// No region ever needs refining, so this is a plain scan; its witness
+/// must hit a `pa`-state and a `pb`-state, the tour's two waypoints.
 fn parity_region(
     product: &Product,
     view_pos: &ParityView,
     view_neg: &ParityView,
     side: Side,
-) -> Option<BitSet> {
+    graph: &FlatGraph,
+) -> Option<Witness> {
     let n = product.num_states();
-    // Per-product-state priorities of the accepting and rejecting side.
-    let component = |id: usize| -> (StateId, StateId) {
-        let (p, q) = product.pairs[id];
-        match side {
-            Side::Left => (p, q),
-            Side::Right => (q, p),
-        }
-    };
-    let prio_pos: Vec<u32> = (0..n)
-        .map(|id| view_pos.priority(component(id).0))
-        .collect();
-    let prio_neg: Vec<u32> = (0..n)
-        .map(|id| view_neg.priority(component(id).1))
-        .collect();
-    for pa in (0..=view_pos.max_priority()).filter(|p| p % 2 == 0) {
-        for pb in (0..=view_neg.max_priority()).filter(|p| p % 2 == 1) {
+    let (prio_pos, prio_neg): (Vec<u32>, Vec<u32>) = product
+        .pairs
+        .iter()
+        .map(|&(p, q)| match side {
+            Side::Left => (view_pos.priority(p), view_neg.priority(q)),
+            Side::Right => (view_pos.priority(q), view_neg.priority(p)),
+        })
+        .unzip();
+    for pa in (0..=view_pos.max_priority()).step_by(2) {
+        for pb in (1..=view_neg.max_priority()).step_by(2) {
             let allowed: BitSet = (0..n)
                 .filter(|&id| prio_pos[id] >= pa && prio_neg[id] >= pb)
                 .collect();
             if allowed.is_empty() {
                 continue;
             }
-            let sccs = tarjan_scc(&product.graph, Some(&allowed));
-            for c in 0..sccs.len() {
-                if !sccs.has_cycle[c] {
-                    continue;
-                }
-                let hits_pa = sccs.members[c].iter().any(|&q| prio_pos[q as usize] == pa);
-                let hits_pb = sccs.members[c].iter().any(|&q| prio_neg[q as usize] == pb);
-                if hits_pa && hits_pb {
-                    // Touring the whole SCC realizes min priority `pa`
-                    // (even → accepted) on one side and `pb` (odd →
-                    // rejected) on the other.
-                    return Some(sccs.member_set(c));
+            let dec = tarjan_scc(graph, Some(&allowed));
+            for c in (0..dec.len()).filter(|&c| dec.has_cycle[c]) {
+                let members = &dec.members[c];
+                let hits = |prio: &[u32], p: u32| members.iter().any(|&q| prio[q as usize] == p);
+                if hits(&prio_pos, pa) && hits(&prio_neg, pb) {
+                    let must_hit = |prio: &[u32], p: u32| CyclePair {
+                        hit: (0..n).filter(|&id| prio[id] == p).collect(),
+                        bad: BitSet::all(n),
+                    };
+                    let disjunct = RabinDisjunct {
+                        avoid: allowed.complement(n),
+                        pairs: vec![must_hit(&prio_pos, pa), must_hit(&prio_neg, pb)],
+                    };
+                    let region = dec.member_set(c);
+                    return Some(Witness { region, disjunct });
                 }
             }
         }
@@ -501,118 +341,22 @@ fn parity_region(
     None
 }
 
-/// The classical iterated-SCC Streett refinement, on an arbitrary
-/// graph restriction: finds a cycle-supporting SCC subset satisfying
-/// every [`CyclePair`], or `None`. Mirrors
-/// [`crate::emptiness::streett_nonempty_cycle`] but over lifted product
-/// constraints.
-fn refine(graph: &FlatGraph, allowed: BitSet, pairs: &[CyclePair]) -> Option<BitSet> {
-    let sccs = tarjan_scc(graph, Some(&allowed));
-    let mut stack: Vec<BitSet> = (0..sccs.len())
-        .filter(|&c| sccs.has_cycle[c])
-        .map(|c| sccs.member_set(c))
-        .collect();
-    while let Some(region) = stack.pop() {
-        let mut refined = region.clone();
-        let mut violated = false;
-        for p in pairs {
-            if !region.intersects(&p.hit) && region.intersects(&p.bad) {
-                refined.difference_with(&p.bad);
-                violated = true;
-            }
-        }
-        if !violated {
-            return Some(region);
-        }
-        let inner = tarjan_scc(graph, Some(&refined));
-        for c in 0..inner.len() {
-            if inner.has_cycle[c] {
-                stack.push(inner.member_set(c));
-            }
-        }
-    }
-    None
-}
-
-/// Shortest symbol path in the product from `from` into `targets`,
-/// restricted to `within` when given (the start may be outside).
-fn product_path(
+/// The first counterexample region over `sides`, all on the product's
+/// deduplicated CSR successor graph. The decomposition path's SCC passes
+/// share one memo: sibling regions, and often the two sides, ask for the
+/// same restrictions. (The parity scan never repeats one, so it skips
+/// the memo, which costs more than it saves on small products.)
+fn witness(
     product: &Product,
-    from: StateId,
-    targets: &BitSet,
-    within: Option<&BitSet>,
-) -> Option<Vec<Symbol>> {
-    if targets.contains(from as usize) {
-        return Some(Vec::new());
-    }
-    let n = product.num_states();
-    let mut prev: Vec<Option<(StateId, Symbol)>> = vec![None; n];
-    let mut seen = BitSet::with_capacity(n);
-    seen.insert(from as usize);
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    while let Some(q) = queue.pop_front() {
-        for s in 0..product.k {
-            let t = product.step(q, s);
-            if let Some(w) = within {
-                if !w.contains(t as usize) {
-                    continue;
-                }
-            }
-            if seen.insert(t as usize) {
-                prev[t as usize] = Some((q, Symbol(s as u8)));
-                if targets.contains(t as usize) {
-                    let mut path = Vec::new();
-                    let mut cur = t;
-                    while cur != from {
-                        let (p, sym) = prev[cur as usize].expect("BFS predecessor exists");
-                        path.push(sym);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(t);
-            }
-        }
-    }
-    None
-}
-
-/// Builds a lasso whose product run has infinity set exactly `region`:
-/// BFS spoke from the initial product state to an anchor, then a cycle
-/// touring *every* region state and returning to the anchor.
-fn region_lasso(product: &Product, region: &BitSet) -> Lasso {
-    let anchor = region.first().expect("witness region is non-empty") as StateId;
-    let spoke = product_path(product, 0, &BitSet::from_iter([anchor as usize]), None)
-        .expect("witness region is reachable");
-    let mut cycle: Vec<Symbol> = Vec::new();
-    let mut at = anchor;
-    for target in region.iter() {
-        let leg = product_path(product, at, &BitSet::from_iter([target]), Some(region))
-            .expect("witness region is strongly connected");
-        for &sym in &leg {
-            at = product.step(at, sym.index());
-        }
-        cycle.extend(leg);
-    }
-    let back = product_path(
-        product,
-        at,
-        &BitSet::from_iter([anchor as usize]),
-        Some(region),
-    )
-    .expect("witness region is strongly connected");
-    cycle.extend(back);
-    if cycle.is_empty() {
-        // Single-state region: use its self-loop symbol.
-        let sym = (0..product.k)
-            .map(|s| Symbol(s as u8))
-            .find(|&s| product.step(anchor, s.index()) == anchor)
-            .expect("single-state witness region has a self-loop");
-        cycle.push(sym);
-    }
-    Lasso::new(spoke, cycle)
+    a: &OmegaAutomaton,
+    b: &OmegaAutomaton,
+    sides: &[Side],
+) -> Option<Witness> {
+    let graph = FlatGraph::from_delta(product.num_states(), product.k, &product.delta);
+    let mut sccs = SccCache::new(&graph);
+    sides
+        .iter()
+        .find_map(|&side| counterexample_region(product, a, b, side, &mut sccs))
 }
 
 /// Whether `L(a) ⊆ L(b)`, decided directly on the product graph.
@@ -622,19 +366,7 @@ fn region_lasso(product: &Product, region: &BitSet) -> Lasso {
 /// Panics if the alphabets differ.
 pub fn included(a: &OmegaAutomaton, b: &OmegaAutomaton) -> bool {
     let product = Product::build(a, b);
-    counterexample_region(&product, a, b, Side::Left).is_none()
-}
-
-/// A lasso in `L(a) ∖ L(b)`, or `None` when `L(a) ⊆ L(b)`.
-pub fn inclusion_counterexample(a: &OmegaAutomaton, b: &OmegaAutomaton) -> Option<Lasso> {
-    let product = Product::build(a, b);
-    let region = counterexample_region(&product, a, b, Side::Left)?;
-    let lasso = region_lasso(&product, &region);
-    debug_assert!(
-        a.accepts(&lasso) && !b.accepts(&lasso),
-        "inclusion counterexample must separate the languages"
-    );
-    Some(lasso)
+    witness(&product, a, b, &[Side::Left]).is_none()
 }
 
 /// Whether `L(a) = L(b)`. Both directions share one product graph —
@@ -642,18 +374,41 @@ pub fn inclusion_counterexample(a: &OmegaAutomaton, b: &OmegaAutomaton) -> Optio
 /// acceptance constraints differ.
 pub fn equivalent(a: &OmegaAutomaton, b: &OmegaAutomaton) -> bool {
     let product = Product::build(a, b);
-    counterexample_region(&product, a, b, Side::Left).is_none()
-        && counterexample_region(&product, a, b, Side::Right).is_none()
+    witness(&product, a, b, &[Side::Left, Side::Right]).is_none()
+}
+
+/// A lasso that one of `sides` accepts and the other automaton rejects,
+/// with the product region its targeted tour runs through.
+pub(crate) fn separating_lasso(
+    a: &OmegaAutomaton,
+    b: &OmegaAutomaton,
+    sides: &[Side],
+) -> Option<(Lasso, Witness)> {
+    let product = Product::build(a, b);
+    let w = witness(&product, a, b, sides)?;
+    let lasso = w.tour(product.num_states(), 0, |q, f| {
+        for s in 0..product.k {
+            f(Symbol(s as u8), product.step(q, s));
+        }
+    });
+    Some((lasso, w))
+}
+
+/// A lasso in `L(a) ∖ L(b)`, or `None` when `L(a) ⊆ L(b)`.
+pub fn inclusion_counterexample(a: &OmegaAutomaton, b: &OmegaAutomaton) -> Option<Lasso> {
+    let (lasso, _) = separating_lasso(a, b, &[Side::Left])?;
+    debug_assert!(
+        a.accepts(&lasso) && !b.accepts(&lasso),
+        "inclusion counterexample must separate the languages"
+    );
+    Some(lasso)
 }
 
 /// A lasso accepted by exactly one of the two automata, or `None` when
 /// the languages are equal. Shares one product graph across both
 /// directions.
 pub fn distinguishing_lasso(a: &OmegaAutomaton, b: &OmegaAutomaton) -> Option<Lasso> {
-    let product = Product::build(a, b);
-    let region = counterexample_region(&product, a, b, Side::Left)
-        .or_else(|| counterexample_region(&product, a, b, Side::Right))?;
-    let lasso = region_lasso(&product, &region);
+    let (lasso, _) = separating_lasso(a, b, &[Side::Left, Side::Right])?;
     debug_assert!(
         a.accepts(&lasso) != b.accepts(&lasso),
         "distinguishing lasso must separate the languages"
@@ -665,8 +420,8 @@ pub fn distinguishing_lasso(a: &OmegaAutomaton, b: &OmegaAutomaton) -> Option<La
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
-    use crate::random::rng::{Rng, SeedableRng, StdRng};
-    use crate::random::{random_streett, random_structure};
+    use crate::random::rng::{SeedableRng, StdRng};
+    use crate::random::{random_acceptance, random_streett, random_structure};
     use crate::streett::{rabin, StreettPair};
 
     fn ab() -> Alphabet {
@@ -676,29 +431,6 @@ mod tests {
     fn last_sym(sigma: &Alphabet, acc: Acceptance) -> OmegaAutomaton {
         let b = sigma.symbol("b").unwrap();
         OmegaAutomaton::build(sigma, 2, 0, |_, s| if s == b { 1 } else { 0 }, acc)
-    }
-
-    /// Evaluates a decomposition on an infinity set.
-    fn decomposition_accepts(d: &[RabinDisjunct], inf: &BitSet) -> bool {
-        d.iter().any(|x| x.accepts_cycle(inf))
-    }
-
-    /// A random boolean acceptance condition over `n` states.
-    fn random_acceptance(rng: &mut StdRng, n: usize, depth: usize) -> Acceptance {
-        let set = |rng: &mut StdRng| -> BitSet { (0..n).filter(|_| rng.gen_bool(0.4)).collect() };
-        if depth == 0 {
-            return if rng.gen_bool(0.5) {
-                Acceptance::Inf(set(rng))
-            } else {
-                Acceptance::Fin(set(rng))
-            };
-        }
-        match rng.gen_range(0..4usize) {
-            0 => Acceptance::Inf(set(rng)),
-            1 => Acceptance::Fin(set(rng)),
-            2 => random_acceptance(rng, n, depth - 1).and(random_acceptance(rng, n, depth - 1)),
-            _ => random_acceptance(rng, n, depth - 1).or(random_acceptance(rng, n, depth - 1)),
-        }
     }
 
     #[test]
@@ -761,42 +493,6 @@ mod tests {
             }
         }
         assert!(found > 20, "the sweep should exercise the parity rules");
-    }
-
-    #[test]
-    fn decomposition_agrees_with_direct_eval() {
-        let mut rng = StdRng::seed_from_u64(3191);
-        let n = 5;
-        for _ in 0..200 {
-            let acc = random_acceptance(&mut rng, n, 2);
-            let d = decompose(&acc, n);
-            for bits in 1u8..32 {
-                let inf: BitSet = (0..n).filter(|i| bits & (1 << i) != 0).collect();
-                assert_eq!(
-                    decomposition_accepts(&d, &inf),
-                    acc.accepts_infinity_set(&inf),
-                    "decomposition of {acc} disagrees on {inf:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streett_decomposition_stays_single_disjunct() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let sigma = ab();
-        let (aut, pairs) = random_streett(&mut rng, &sigma, 6, 4, 0.4);
-        let d = decompose(aut.acceptance(), 6);
-        assert_eq!(
-            d.len(),
-            1,
-            "a Streett condition must not distribute (got {} disjuncts)",
-            d.len()
-        );
-        assert_eq!(d[0].pairs.len(), pairs.len());
-        // …while its negation (a Rabin condition) is one disjunct per pair.
-        let neg = decompose(&aut.acceptance().negated(), 6);
-        assert_eq!(neg.len(), pairs.len());
     }
 
     #[test]

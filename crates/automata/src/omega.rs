@@ -370,8 +370,11 @@ impl OmegaAutomaton {
 
     /// Whether `L(self) ⊆ L(other)` via the classical construction:
     /// `L(self) ∖ L(other)` is built as a complement + product and tested
-    /// for emptiness. Kept as the independent differential oracle for
-    /// [`Self::is_subset_of`].
+    /// for emptiness. Kept as the differential oracle for
+    /// [`Self::is_subset_of`]: it shares the accepting-cycle kernel of
+    /// [`crate::emptiness`] with it, but not the product-graph lifting or
+    /// the parity fast path (the kernel's own reference is the cycle
+    /// enumeration of `tests/bruteforce_oracle.rs`).
     pub fn is_subset_of_via_complement(&self, other: &OmegaAutomaton) -> bool {
         self.difference(other).is_empty()
     }
@@ -391,8 +394,8 @@ impl OmegaAutomaton {
     }
 
     /// Equivalence via the classical complement+product+emptiness
-    /// construction, kept as the independent differential oracle for
-    /// [`Self::equivalent`].
+    /// construction, kept as the differential oracle for
+    /// [`Self::equivalent`] (see [`Self::is_subset_of_via_complement`]).
     pub fn equivalent_via_complement(&self, other: &OmegaAutomaton) -> bool {
         self.is_subset_of_via_complement(other) && other.is_subset_of_via_complement(self)
     }

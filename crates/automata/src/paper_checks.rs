@@ -27,6 +27,7 @@ use crate::acceptance::Acceptance;
 use crate::alphabet::Symbol;
 use crate::bitset::BitSet;
 use crate::classify;
+use crate::emptiness;
 use crate::omega::OmegaAutomaton;
 use crate::scc::tarjan_scc;
 use crate::streett::StreettPairs;
@@ -341,52 +342,8 @@ pub fn states_on_accepting_cycles_avoiding(
     acc: &Acceptance,
     avoid: &BitSet,
 ) -> BitSet {
-    let reachable = aut.reachable_states();
-    accepting_cycle_states(aut, &reachable, acc, avoid, |allowed| {
-        std::sync::Arc::new(tarjan_scc(aut, Some(allowed)))
-    })
-}
-
-/// [`states_on_accepting_cycles_avoiding`] through a shared
-/// [`crate::analysis::Analysis`] context, so its restricted SCC passes
-/// land in (and are served from) the context's memo table.
-pub fn states_on_accepting_cycles_avoiding_ctx(
-    ctx: &crate::analysis::Analysis,
-    acc: &Acceptance,
-    avoid: &BitSet,
-) -> BitSet {
-    accepting_cycle_states(ctx.automaton(), ctx.reachable(), acc, avoid, |allowed| {
-        ctx.sccs(Some(allowed))
-    })
-}
-
-fn accepting_cycle_states(
-    aut: &OmegaAutomaton,
-    reachable: &BitSet,
-    acc: &Acceptance,
-    avoid: &BitSet,
-    mut scc_of: impl FnMut(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
-) -> BitSet {
-    let mut out = BitSet::with_capacity(aut.num_states());
-    for pair in acc.dnf() {
-        let mut allowed = reachable.clone();
-        allowed.difference_with(&pair.fin);
-        allowed.difference_with(avoid);
-        if allowed.is_empty() {
-            continue;
-        }
-        let sccs = scc_of(&allowed);
-        for c in 0..sccs.len() {
-            if !sccs.has_cycle[c] {
-                continue;
-            }
-            let members = sccs.member_set(c);
-            if pair.infs.iter().all(|s| members.intersects(s)) {
-                out.union_with(&members);
-            }
-        }
-    }
-    out
+    let allowed = aut.reachable_states().difference(avoid);
+    emptiness::cycle_states(acc, aut.num_states(), &allowed, emptiness::scc_memo(aut))
 }
 
 /// Prop 5.1 (recurrence direction): given a Streett automaton whose

@@ -3,6 +3,7 @@
 //! plus the vendored PRNG ([`rng`]) that drives them without any external
 //! dependency.
 
+use crate::acceptance::Acceptance;
 use crate::alphabet::Alphabet;
 use crate::bitset::BitSet;
 use crate::dfa::Dfa;
@@ -301,7 +302,28 @@ pub fn random_parity<R: Rng>(
         .map(|_| rng.gen_range(0..=max_priority as usize) as u32)
         .collect();
     let structure = random_structure(rng, alphabet, num_states);
-    structure.with_acceptance(crate::acceptance::Acceptance::parity_min_even(&priorities))
+    structure.with_acceptance(Acceptance::parity_min_even(&priorities))
+}
+
+/// A random boolean acceptance condition over `num_states` states: an
+/// `And`/`Or` tree of depth at most `depth` over `Inf`/`Fin` atoms that
+/// hold each state with probability 0.4.
+pub fn random_acceptance<R: Rng>(rng: &mut R, num_states: usize, depth: usize) -> Acceptance {
+    let set = |rng: &mut R| -> BitSet { (0..num_states).filter(|_| rng.gen_bool(0.4)).collect() };
+    if depth == 0 {
+        return if rng.gen_bool(0.5) {
+            Acceptance::Inf(set(rng))
+        } else {
+            Acceptance::Fin(set(rng))
+        };
+    }
+    let sub = |rng: &mut R| random_acceptance(rng, num_states, depth - 1);
+    match rng.gen_range(0..4usize) {
+        0 => Acceptance::Inf(set(rng)),
+        1 => Acceptance::Fin(set(rng)),
+        2 => sub(rng).and(sub(rng)),
+        _ => sub(rng).or(sub(rng)),
+    }
 }
 
 /// A random lasso with spoke length up to `max_spoke` and loop length in

@@ -17,6 +17,17 @@ pub trait Successors {
     fn for_each_successor(&self, q: StateId, f: &mut dyn FnMut(StateId));
 }
 
+/// A borrowed graph is a graph, so an [`SccCache`] can wrap one it does
+/// not own.
+impl<G: Successors + ?Sized> Successors for &G {
+    fn num_states(&self) -> usize {
+        (**self).num_states()
+    }
+    fn for_each_successor(&self, q: StateId, f: &mut dyn FnMut(StateId)) {
+        (**self).for_each_successor(q, f);
+    }
+}
+
 /// An explicit adjacency-list graph (used for products and tests).
 #[derive(Debug, Clone)]
 pub struct AdjGraph {
@@ -195,19 +206,17 @@ pub fn tarjan_scc<G: Successors>(graph: &G, allowed: Option<&BitSet>) -> SccDeco
 }
 
 /// A memoizing wrapper around [`tarjan_scc`] for one fixed graph: repeated
-/// decompositions under the same restriction are served from cache, and
-/// pass/hit counters record how much work was saved.
+/// decompositions under the same restriction are served from cache.
 ///
 /// This is the graph-level sibling of [`crate::analysis::Analysis`] (which
-/// caches at the automaton level); the model checker uses it directly on
-/// product graphs, where the same restriction recurs across DNF disjuncts
-/// and fairness-refinement rounds.
+/// caches at the automaton level): the SCC source of the accepting-cycle
+/// kernel ([`crate::emptiness::refine`]) for the uncached entry points,
+/// the inclusion product and the model checker's product, where sibling
+/// regions ask for the same restriction.
 #[derive(Debug)]
 pub struct SccCache<G: Successors> {
     graph: G,
     memo: std::collections::HashMap<Option<BitSet>, std::sync::Arc<SccDecomposition>>,
-    passes: u64,
-    hits: u64,
 }
 
 impl<G: Successors> SccCache<G> {
@@ -216,8 +225,6 @@ impl<G: Successors> SccCache<G> {
         SccCache {
             graph,
             memo: std::collections::HashMap::new(),
-            passes: 0,
-            hits: 0,
         }
     }
 
@@ -229,20 +236,12 @@ impl<G: Successors> SccCache<G> {
     /// The SCC decomposition under `allowed`, computed at most once per
     /// distinct restriction.
     pub fn sccs(&mut self, allowed: Option<&BitSet>) -> std::sync::Arc<SccDecomposition> {
-        let key = allowed.cloned();
-        if let Some(hit) = self.memo.get(&key) {
-            self.hits += 1;
-            return std::sync::Arc::clone(hit);
-        }
-        self.passes += 1;
-        let dec = std::sync::Arc::new(tarjan_scc(&self.graph, allowed));
-        self.memo.insert(key, std::sync::Arc::clone(&dec));
-        dec
-    }
-
-    /// `(tarjan passes run, cache hits served)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.passes, self.hits)
+        let graph = &self.graph;
+        let dec = self
+            .memo
+            .entry(allowed.cloned())
+            .or_insert_with(|| std::sync::Arc::new(tarjan_scc(graph, allowed)));
+        std::sync::Arc::clone(dec)
     }
 }
 
@@ -342,12 +341,12 @@ mod tests {
         let mut cache = SccCache::new(g);
         let full1 = cache.sccs(None);
         let full2 = cache.sccs(None);
-        assert_eq!(full1.len(), full2.len());
+        assert!(std::sync::Arc::ptr_eq(&full1, &full2), "served from cache");
         let allowed: BitSet = [0usize, 1].into_iter().collect();
         let cut1 = cache.sccs(Some(&allowed));
         let cut2 = cache.sccs(Some(&allowed));
         assert_eq!(cut1.len(), 1);
-        assert_eq!(cut2.len(), 1);
-        assert_eq!(cache.stats(), (2, 2));
+        assert!(std::sync::Arc::ptr_eq(&cut1, &cut2), "served from cache");
+        assert!(!std::sync::Arc::ptr_eq(&full1, &cut1));
     }
 }

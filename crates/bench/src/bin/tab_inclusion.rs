@@ -4,13 +4,15 @@
 //! random Streett suites.
 //!
 //! The old oracle decides `L(A) ⊆ L(B)` by materializing `A × ¬B` and
-//! converting its combined acceptance to DNF — exponential in the
-//! number of Streett pairs (`k` conjoined pairs distribute into `2^k`
-//! generalized Rabin disjuncts). The direct oracle works on the same
-//! product graph but keeps each Streett pair whole and answers with
-//! iterated-SCC refinement (plus the parity fast path when both sides
-//! admit a [`ParityView`](hierarchy_core::automata::inclusion::ParityView)),
-//! so its cost is polynomial in `k`. This table measures both oracles
+//! asking it for emptiness. The direct oracle works on the product graph
+//! without materializing a complement or a product automaton (plus the
+//! parity fast path when both sides admit a
+//! [`ParityView`](hierarchy_core::automata::inclusion::ParityView)).
+//! Both run on the accepting-cycle kernel of
+//! `hierarchy_core::automata::emptiness`, which keeps each Streett pair
+//! whole; the old oracle used to distribute `k` conjoined pairs into
+//! `2^k` DNF disjuncts, which is what the ≥2× claim below measured
+//! (EXPERIMENTS.md records how the ratio moved). This table measures both oracles
 //! on identical equivalence queries, asserts the verdicts are identical
 //! on **every** seeded case (the release-mode counterpart of the
 //! debug-mode differential tripwire), and asserts the headline claim:
@@ -86,9 +88,8 @@ fn main() {
         for _ in 0..batch {
             // Timed workload: equivalence against the language-preserving
             // quotient. The verdict is *true*, so neither oracle can bail
-            // out on the first counterexample — the old one must prove
-            // all `2^k · k` DNF disjuncts empty, the worst case the
-            // direct oracle is built to avoid.
+            // out on the first counterexample: both must prove every
+            // disjunct empty, in both directions.
             let (a, _) = random_streett(&mut rng, &ab, n, k, p);
             let b = minimize(&a).quotient;
             let (old_eq, old_ms) = timed(|| a.equivalent_via_complement(&b));
@@ -138,8 +139,9 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"note\": \"equivalence queries on seeded random Streett pairs; old = \
-         complement+product+DNF emptiness, new = direct product-graph Streett \
-         refinement (inclusion module). Medians over the per-suite batch.\","
+         complement+product emptiness, new = direct product-graph Streett \
+         refinement (inclusion module); both on the accepting-cycle kernel. \
+         Medians over the per-suite batch.\","
     );
     json.push_str("  \"seeded_streett\": [\n");
     for (i, s) in suites.iter().enumerate() {

@@ -547,6 +547,36 @@ mod report_display_tests {
         assert!(text.contains("proof principle:"));
     }
 
+    /// `X` over a body that is not a past formula cannot be shifted into
+    /// the canonical fragment; it used to panic the rewriter, and must be
+    /// the typed compile error the same bodies get without the `X`.
+    #[test]
+    fn next_over_a_non_past_body_is_a_compile_error() {
+        use hierarchy_automata::random::rng::{SeedableRng, StdRng};
+        use hierarchy_logic::random_formula::{random_formula, FormulaShape};
+        let sigma = Alphabet::of_propositions(["p", "q"]).unwrap();
+        for src in ["X (!q S (p W q))", "X Z (false U q)", "X (O p U G q)"] {
+            assert!(
+                matches!(Property::parse(&sigma, src), Err(PropertyError::Compile(_))),
+                "{src}"
+            );
+            let body = src.strip_prefix("X ").unwrap();
+            assert!(matches!(
+                Property::parse(&sigma, body),
+                Err(PropertyError::Compile(_))
+            ));
+        }
+        // The seeded sweep that used to panic on 19 of these formulas.
+        let shape = FormulaShape {
+            max_depth: 3,
+            ..FormulaShape::default()
+        };
+        for seed in 0..3000 {
+            let f = random_formula(&mut StdRng::seed_from_u64(seed), &sigma, shape);
+            let _ = Property::from_formula(&sigma, &f);
+        }
+    }
+
     #[test]
     fn hoa_and_distinguishing() {
         let sigma = Alphabet::new(["a", "b"]).unwrap();

@@ -4,18 +4,21 @@
 //! The check searches the product of the system with the property
 //! automaton for a *fair counterexample cycle*: a reachable cycle that is
 //! accepted by the **complement** acceptance condition and satisfies every
-//! fairness requirement. The search is an iterated SCC refinement — the
-//! same algorithm family as Streett emptiness, since weak and strong
-//! fairness are exactly Streett-shaped conditions over states and edges:
+//! fairness requirement. The search is the iterated SCC refinement of the
+//! accepting-cycle kernel ([`hierarchy_automata::emptiness`]) over the
+//! complement's decomposition, since weak and strong fairness are exactly
+//! Streett-shaped conditions over states and edges:
 //!
 //! * weak fairness of τ: the cycle contains a τ-edge or a state where τ is
 //!   disabled (otherwise τ would be continuously enabled but never taken);
 //! * strong fairness of τ: the cycle contains a τ-edge or no state where τ
 //!   is enabled.
 //!
-//! A surviving SCC always admits a single witness cycle — the tour of the
-//! whole SCC through the required edges — from which a lasso-shaped
-//! counterexample is extracted.
+//! The fairness check rides along as part of each region's cut. A
+//! surviving region admits a targeted tour — the kernel's waypoints, the
+//! region's edge of each fair transition and a disabling state for each
+//! weakly fair one it cannot take — from which a lasso-shaped
+//! counterexample is extracted, built on the kernel's path search.
 //!
 //! ## Invariant-first checking
 //!
@@ -42,6 +45,7 @@ use crate::system::{Fairness, TransitionSystem};
 use hierarchy_automata::alphabet::{Alphabet, Symbol};
 use hierarchy_automata::bitset::BitSet;
 use hierarchy_automata::classify;
+use hierarchy_automata::emptiness::{decompose, refine, shortest_path};
 use hierarchy_automata::flat::FlatGraph;
 use hierarchy_automata::lasso::Lasso;
 use hierarchy_automata::minimize::minimize;
@@ -148,94 +152,273 @@ fn verify_product(
     // property.
     let bad = minimize(&property.complement()).quotient;
     let mut stats = CheckStats::default();
-
-    // Build the reachable product: node = (system state, automaton state
-    // *before* reading the system state's observation).
-    let mut ids: HashMap<(usize, StateId), usize> = HashMap::new();
-    let mut nodes: Vec<(usize, StateId)> = Vec::new();
-    // Edges annotated with the transition index that produced them.
-    let mut succs: Vec<Vec<(usize, usize)>> = Vec::new(); // (target node, transition)
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for &s0 in ts.initial_states() {
-        let key = (s0, bad.initial());
-        if let std::collections::hash_map::Entry::Vacant(e) = ids.entry(key) {
-            e.insert(nodes.len());
-            nodes.push(key);
-            succs.push(Vec::new());
-            queue.push_back(nodes.len() - 1);
-        }
-    }
-    while let Some(n) = queue.pop_front() {
-        let (s, q) = nodes[n];
-        let q_after = bad.step(q, ts.observation(s));
-        for (t_idx, t) in ts.transitions().iter().enumerate() {
-            for &(from, to) in &t.edges {
-                if from != s {
-                    continue;
-                }
-                let key = (to, q_after);
-                let m = match ids.get(&key) {
-                    Some(&m) => m,
-                    None => {
-                        if let Some(p) = prune {
-                            if !p.allowed.contains(&(p.loc_of[to], q_after)) {
-                                stats.pruned_product_states += 1;
-                                continue;
-                            }
-                        }
-                        let m = nodes.len();
-                        ids.insert(key, m);
-                        nodes.push(key);
-                        succs.push(Vec::new());
-                        queue.push_back(m);
-                        m
-                    }
-                };
-                succs[n].push((m, t_idx));
-            }
-        }
-    }
-    stats.product_states = nodes.len();
+    let product = Product::build(ts, &bad, prune, &mut stats);
+    stats.product_states = product.nodes.len();
     // Soundness: the abstract pair set over-approximates the concrete
     // one, so the filter must never fire — callers and the benchmark
     // observe `pruned_product_states` as a release-mode tripwire.
-
-    // Acceptance of the complement as DNF over *automaton* state sets,
-    // lifted to product nodes. Note the automaton state relevant to node
-    // (s, q) is the state after reading obs(s) — the infinity set of the
-    // automaton run is the set of q_after values along the cycle.
-    let lift = |set: &BitSet| -> BitSet {
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, &(s, q))| set.contains(bad.step(q, ts.observation(s)) as usize))
-            .map(|(i, _)| i)
-            .collect()
+    let Some((region, legs)) = product.fair_cycle(ts, &bad) else {
+        return Ok((Verdict::Holds, stats));
     };
-    // One memoized SCC substrate over the product graph, shared across the
-    // DNF disjuncts and the fairness-refinement rounds: the same
-    // restriction recurs whenever disjuncts share a `fin` set, and every
-    // pass/hit is counted for the stats-minded caller.
-    let mut sccs = SccCache::new(FlatGraph::from_fn(nodes.len(), |v| {
-        succs[v as usize]
-            .iter()
-            .map(|&(m, _)| m as StateId)
-            .collect::<Vec<_>>()
-    }));
-    for disjunct in bad.acceptance().dnf() {
-        let avoid = lift(&disjunct.fin);
-        let infs: Vec<BitSet> = disjunct.infs.iter().map(&lift).collect();
-        let allowed: BitSet = (0..nodes.len()).filter(|n| !avoid.contains(*n)).collect();
-        if let Some(cex) = fair_cycle_search(ts, &nodes, &succs, &mut sccs, &allowed, &infs) {
-            debug_assert!(
-                validate_violation(ts, property, &cex).is_ok(),
-                "checker produced an invalid counterexample: {:?}",
-                validate_violation(ts, property, &cex)
-            );
-            return Ok((Verdict::Violated(cex), stats));
+    let cex = product.counterexample(&region, &legs);
+    debug_assert!(
+        validate_violation(ts, property, &cex).is_ok(),
+        "checker produced an invalid counterexample: {:?}",
+        validate_violation(ts, property, &cex)
+    );
+    Ok((Verdict::Violated(cex), stats))
+}
+
+/// One leg of a fair tour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// Reach this product node: a kernel waypoint, or a node disabling a
+    /// weakly fair transition the region cannot take.
+    Visit(usize),
+    /// Take this product edge, the region's edge of a fair transition.
+    Take(usize, usize),
+}
+
+/// The reachable product of a system with the complement automaton.
+struct Product {
+    /// `(system state, automaton state *before* reading the system
+    /// state's observation)`; the first `initial` nodes are the initial
+    /// ones.
+    nodes: Vec<(usize, StateId)>,
+    initial: usize,
+    /// Edges annotated with the transition index that produced them:
+    /// `(target node, transition)`.
+    succs: Vec<Vec<(usize, usize)>>,
+}
+
+impl Product {
+    fn build(
+        ts: &TransitionSystem,
+        bad: &OmegaAutomaton,
+        prune: Option<&Prune<'_>>,
+        stats: &mut CheckStats,
+    ) -> Product {
+        let mut ids: HashMap<(usize, StateId), usize> = HashMap::new();
+        let mut nodes: Vec<(usize, StateId)> = Vec::new();
+        let mut succs: Vec<Vec<(usize, usize)>> = Vec::new();
+        let mut queue: VecDeque<usize> = VecDeque::new();
+        for &s0 in ts.initial_states() {
+            let key = (s0, bad.initial());
+            if let std::collections::hash_map::Entry::Vacant(e) = ids.entry(key) {
+                e.insert(nodes.len());
+                nodes.push(key);
+                succs.push(Vec::new());
+                queue.push_back(nodes.len() - 1);
+            }
+        }
+        let initial = nodes.len();
+        while let Some(n) = queue.pop_front() {
+            let (s, q) = nodes[n];
+            let q_after = bad.step(q, ts.observation(s));
+            for (t_idx, t) in ts.transitions().iter().enumerate() {
+                for &(from, to) in &t.edges {
+                    if from != s {
+                        continue;
+                    }
+                    let key = (to, q_after);
+                    let m = match ids.get(&key) {
+                        Some(&m) => m,
+                        None => {
+                            if let Some(p) = prune {
+                                if !p.allowed.contains(&(p.loc_of[to], q_after)) {
+                                    stats.pruned_product_states += 1;
+                                    continue;
+                                }
+                            }
+                            let m = nodes.len();
+                            ids.insert(key, m);
+                            nodes.push(key);
+                            succs.push(Vec::new());
+                            queue.push_back(m);
+                            m
+                        }
+                    };
+                    succs[n].push((m, t_idx));
+                }
+            }
+        }
+        Product {
+            nodes,
+            initial,
+            succs,
         }
     }
-    Ok((Verdict::Holds, stats))
+
+    /// A reachable fair cycle accepted by `bad`, as a region of the
+    /// product plus the legs of its tour: the kernel waypoints, then the
+    /// fairness legs.
+    ///
+    /// `bad`'s acceptance is decomposed over *automaton* states and lifted
+    /// to product nodes: the automaton state relevant to node `(s, q)` is
+    /// the one after reading `obs(s)`, since the infinity set of the
+    /// automaton run is the set of those along the cycle. The kernel's
+    /// refinement takes the fairness requirements as part of each
+    /// region's cut (see [`Self::fairness`]).
+    fn fair_cycle(
+        &self,
+        ts: &TransitionSystem,
+        bad: &OmegaAutomaton,
+    ) -> Option<(BitSet, Vec<Leg>)> {
+        let n = self.nodes.len();
+        let states = |keep: &dyn Fn(usize, StateId) -> bool| -> BitSet {
+            (0..n)
+                .filter(|&v| keep(self.nodes[v].0, self.nodes[v].1))
+                .collect()
+        };
+        let lift =
+            |set: &BitSet| states(&|s, q| set.contains(bad.step(q, ts.observation(s)) as usize));
+        // Where each transition is enabled, over product nodes.
+        let enabled: Vec<BitSet> = ts
+            .transitions()
+            .iter()
+            .map(|t| {
+                let from: BitSet = t.edges.iter().map(|&(from, _)| from).collect();
+                states(&|s, _| from.contains(s))
+            })
+            .collect();
+        // One memoized SCC substrate over the product graph, shared by
+        // every disjunct and refinement round.
+        let mut sccs = SccCache::new(FlatGraph::from_fn(n, |v| {
+            self.succs[v as usize]
+                .iter()
+                .map(|&(m, _)| m as StateId)
+                .collect::<Vec<_>>()
+        }));
+        let all = BitSet::all(n);
+        decompose(bad.acceptance(), bad.num_states())
+            .iter()
+            .find_map(|d| {
+                let d = d.map_sets(lift);
+                refine(
+                    all.difference(&d.avoid),
+                    |x| sccs.sccs(Some(x)),
+                    |r| {
+                        let mut cut = d.violations(r);
+                        if let Err(unfair) = self.fairness(ts, &enabled, r) {
+                            cut.union_with(&unfair);
+                        }
+                        cut
+                    },
+                    |r| {
+                        let mut legs: Vec<Leg> = d
+                            .waypoints(&r)
+                            .into_iter()
+                            .map(|v| Leg::Visit(v as usize))
+                            .collect();
+                        legs.extend(self.fairness(ts, &enabled, &r).expect("the region is fair"));
+                        Some((r, legs))
+                    },
+                )
+            })
+    }
+
+    /// The fairness requirements of a region: `Ok` with the legs a fair
+    /// tour must add — the region's edge of each fair transition it can
+    /// take, and a node disabling each weakly fair transition it cannot —
+    /// or `Err` with the nodes no fair cycle inside the region visits.
+    ///
+    /// * weak fairness of τ: the cycle contains a τ-edge or a node where
+    ///   τ is disabled; a region with neither holds no fair cycle at all;
+    /// * strong fairness of τ: the cycle contains a τ-edge or no node
+    ///   where τ is enabled; without a τ-edge, the enabled nodes go.
+    fn fairness(
+        &self,
+        ts: &TransitionSystem,
+        enabled: &[BitSet],
+        region: &BitSet,
+    ) -> Result<Vec<Leg>, BitSet> {
+        let mut legs = Vec::new();
+        let mut cut = BitSet::new();
+        for (t_idx, t) in ts.transitions().iter().enumerate() {
+            if t.fairness == Fairness::None {
+                continue;
+            }
+            let edge = region.iter().find_map(|v| {
+                self.succs[v]
+                    .iter()
+                    .find(|&&(m, tt)| tt == t_idx && region.contains(m))
+                    .map(|&(m, _)| Leg::Take(v, m))
+            });
+            if let Some(edge) = edge {
+                legs.push(edge);
+                continue;
+            }
+            match t.fairness {
+                Fairness::Weak => match region.iter().find(|&v| !enabled[t_idx].contains(v)) {
+                    Some(v) => legs.push(Leg::Visit(v)),
+                    None => return Err(region.clone()),
+                },
+                Fairness::Strong => {
+                    if region.intersects(&enabled[t_idx]) {
+                        cut.union_with(&enabled[t_idx]);
+                    }
+                }
+                Fairness::None => unreachable!(),
+            }
+        }
+        if cut.is_empty() {
+            Ok(legs)
+        } else {
+            Err(cut)
+        }
+    }
+
+    /// The counterexample of a fair region: a shortest stem from the
+    /// initial nodes into the region, then a cycle inside it through
+    /// every leg and back to the entry node. Each leg is a shortest path
+    /// inside the strongly connected region (plus one edge for a
+    /// [`Leg::Take`]), so the cycle has at most `(legs + 1) · |region|`
+    /// states.
+    fn counterexample(&self, region: &BitSet, legs: &[Leg]) -> Counterexample {
+        let n = self.nodes.len();
+        let edges = |v: StateId, f: &mut dyn FnMut((), StateId)| {
+            for &(m, _) in &self.succs[v as usize] {
+                f((), m as StateId);
+            }
+        };
+        let nodes = |steps: Vec<((), StateId)>| steps.into_iter().map(|(_, m)| m as usize);
+        let path = |from: usize, to: usize| {
+            let to = BitSet::from_iter([to]);
+            let (_, steps) = shortest_path(n, [from as StateId], &to, Some(region), edges)
+                .expect("the region is strongly connected");
+            nodes(steps)
+        };
+        let (start, stem) = shortest_path(n, 0..self.initial as StateId, region, None, edges)
+            .expect("the region is reachable");
+        let stem: Vec<usize> = std::iter::once(start as usize).chain(nodes(stem)).collect();
+        let entry = *stem.last().expect("the stem holds its start");
+        let mut cycle: Vec<usize> = Vec::new();
+        for &leg in legs {
+            let at = *cycle.last().unwrap_or(&entry);
+            match leg {
+                Leg::Visit(v) => cycle.extend(path(at, v)),
+                Leg::Take(u, v) => {
+                    cycle.extend(path(at, u));
+                    cycle.push(v);
+                }
+            }
+        }
+        if cycle.is_empty() {
+            // The tour never left the entry: take any edge of the region.
+            let next = self.succs[entry]
+                .iter()
+                .map(|&(m, _)| m)
+                .find(|&m| region.contains(m))
+                .expect("the region has a cycle");
+            cycle.push(next);
+        }
+        let at = *cycle.last().expect("the cycle is non-empty");
+        cycle.extend(path(at, entry));
+        Counterexample {
+            stem: stem.iter().map(|&v| self.nodes[v].0).collect(),
+            cycle: cycle.iter().map(|&v| self.nodes[v].0).collect(),
+        }
+    }
 }
 
 /// Replays a counterexample against the system: the stem starts in an
@@ -534,210 +717,6 @@ pub fn check_with_invariants(
     }
 }
 
-/// Searches for a reachable fair cycle within `allowed` hitting every set
-/// in `infs`. Returns a counterexample if found.
-fn fair_cycle_search(
-    ts: &TransitionSystem,
-    nodes: &[(usize, StateId)],
-    succs: &[Vec<(usize, usize)>],
-    scc_cache: &mut SccCache<FlatGraph>,
-    allowed: &BitSet,
-    infs: &[BitSet],
-) -> Option<Counterexample> {
-    let mut stack: Vec<BitSet> = {
-        let sccs = scc_cache.sccs(Some(allowed));
-        (0..sccs.len())
-            .filter(|&c| sccs.has_cycle[c])
-            .map(|c| sccs.member_set(c))
-            .collect()
-    };
-    'regions: while let Some(region) = stack.pop() {
-        // Inf sets must all intersect the region; subsets only shrink, so
-        // a miss discards the region.
-        if infs.iter().any(|s| !region.intersects(s)) {
-            continue;
-        }
-        // Per-transition analysis within the region.
-        let mut required_edges: Vec<(usize, usize)> = Vec::new(); // product edge
-        let mut refined = region.clone();
-        let mut must_refine = false;
-        for (t_idx, t) in ts.transitions().iter().enumerate() {
-            if t.fairness == Fairness::None {
-                continue;
-            }
-            let has_edge = region.iter().find_map(|n| {
-                succs[n]
-                    .iter()
-                    .find(|&&(m, tt)| tt == t_idx && region.contains(m))
-                    .map(|&(m, _)| (n, m))
-            });
-            let enabled_nodes: Vec<usize> = region
-                .iter()
-                .filter(|&n| ts.enabled(t_idx, nodes[n].0))
-                .collect();
-            match t.fairness {
-                Fairness::Weak => {
-                    let disabled_exists = enabled_nodes.len() < region.len();
-                    match has_edge {
-                        Some(e) => required_edges.push(e),
-                        None if disabled_exists => {} // a disabled node is toured anyway
-                        None => continue 'regions,    // every cycle here is unfair
-                    }
-                }
-                Fairness::Strong => {
-                    if let Some(e) = has_edge {
-                        required_edges.push(e);
-                    } else if !enabled_nodes.is_empty() {
-                        // Refine away the enabled nodes and retry.
-                        for n in enabled_nodes {
-                            refined.remove(n);
-                        }
-                        must_refine = true;
-                    }
-                }
-                Fairness::None => unreachable!(),
-            }
-        }
-        if must_refine {
-            let inner = scc_cache.sccs(Some(&refined));
-            for c in 0..inner.len() {
-                if inner.has_cycle[c] {
-                    stack.push(inner.member_set(c));
-                }
-            }
-            continue;
-        }
-        // The region survives: the full tour through the required edges is
-        // a fair accepted cycle.
-        return Some(build_counterexample(nodes, succs, &region, &required_edges));
-    }
-    None
-}
-
-/// Builds a lasso: BFS stem from an initial node (node 0 side: any node
-/// without predecessors isn't necessarily initial, so the stem BFS starts
-/// from the recorded initial nodes — they are exactly the nodes created
-/// first, i.e. those whose automaton part is the property initial state;
-/// we simply BFS from node indices stored first) and a cycle touring every
-/// node of the region plus the required edges.
-fn build_counterexample(
-    nodes: &[(usize, StateId)],
-    succs: &[Vec<(usize, usize)>],
-    region: &BitSet,
-    required_edges: &[(usize, usize)],
-) -> Counterexample {
-    // Stem: BFS from node 0..k where k = number of initial nodes — the
-    // construction in `verify` inserts all initial nodes before anything
-    // else, and they are precisely the nodes with the property's initial
-    // automaton state; BFS over everything reaching the region.
-    let start_targets = region;
-    let mut prev: Vec<Option<usize>> = vec![None; nodes.len()];
-    let mut seen = vec![false; nodes.len()];
-    let mut queue = VecDeque::new();
-    // All initial product nodes were created before any successor; node 0
-    // is always initial. Seed every node that has the same automaton state
-    // as node 0 and appears in the initial list — conservatively, seed
-    // node 0 and any node never produced as a successor.
-    let mut is_succ = vec![false; nodes.len()];
-    for row in succs {
-        for &(m, _) in row {
-            is_succ[m] = true;
-        }
-    }
-    for n in 0..nodes.len() {
-        if !is_succ[n] || n == 0 {
-            seen[n] = true;
-            queue.push_back(n);
-        }
-    }
-    let mut entry = None;
-    'bfs: while let Some(n) = queue.pop_front() {
-        if start_targets.contains(n) {
-            entry = Some(n);
-            break 'bfs;
-        }
-        for &(m, _) in &succs[n] {
-            if !seen[m] {
-                seen[m] = true;
-                prev[m] = Some(n);
-                queue.push_back(m);
-            }
-        }
-    }
-    let entry = entry.expect("region is reachable");
-    let mut stem_nodes = vec![entry];
-    let mut cur = entry;
-    while let Some(p) = prev[cur] {
-        stem_nodes.push(p);
-        cur = p;
-    }
-    stem_nodes.reverse();
-
-    // Cycle: tour all region nodes and required edges, starting and ending
-    // at `entry`.
-    let path_within = |from: usize, to: usize| -> Vec<usize> {
-        // BFS within region; returns intermediate+target nodes (empty if
-        // from == to).
-        if from == to {
-            return Vec::new();
-        }
-        let mut prev: Vec<Option<usize>> = vec![None; nodes.len()];
-        let mut seen = vec![false; nodes.len()];
-        let mut queue = VecDeque::new();
-        seen[from] = true;
-        queue.push_back(from);
-        while let Some(n) = queue.pop_front() {
-            for &(m, _) in &succs[n] {
-                if region.contains(m) && !seen[m] {
-                    seen[m] = true;
-                    prev[m] = Some(n);
-                    if m == to {
-                        let mut path = vec![to];
-                        let mut c = to;
-                        while let Some(p) = prev[c] {
-                            if p == from {
-                                break;
-                            }
-                            path.push(p);
-                            c = p;
-                        }
-                        path.reverse();
-                        return path;
-                    }
-                    queue.push_back(m);
-                }
-            }
-        }
-        unreachable!("region is strongly connected");
-    };
-    let mut cycle_nodes: Vec<usize> = Vec::new();
-    let mut at = entry;
-    // Visit every node of the region.
-    for target in region.iter() {
-        let leg = path_within(at, target);
-        at = *leg.last().unwrap_or(&at);
-        cycle_nodes.extend(leg);
-    }
-    // Traverse every required edge.
-    for &(u, v) in required_edges {
-        let leg = path_within(at, u);
-        cycle_nodes.extend(leg);
-        cycle_nodes.push(v);
-        at = v;
-    }
-    // Close the loop.
-    let leg = path_within(at, entry);
-    cycle_nodes.extend(leg);
-    if cycle_nodes.is_empty() {
-        // Single-node region with a self-loop.
-        cycle_nodes.push(entry);
-    }
-    Counterexample {
-        stem: stem_nodes.iter().map(|&n| nodes[n].0).collect(),
-        cycle: cycle_nodes.iter().map(|&n| nodes[n].0).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,6 +997,61 @@ mod tests {
             check_with_invariants(&empty, &sigma, &prop, DomainKind::ValueSets),
             Err(CheckError::InvalidProgram(_))
         ));
+    }
+
+    /// Every counterexample replays, and its cycle stays within the
+    /// targeted tour's bound of `(legs + 1) · |region|` states.
+    #[test]
+    fn counterexamples_replay_within_the_tour_bound() {
+        use hierarchy_automata::random::rng::{SeedableRng, StdRng};
+        let mut cases: Vec<(TransitionSystem, Alphabet, &str)> = Vec::new();
+        for weak_entry in [false, true] {
+            for src in ["G (t -> F c)", "G !c", "F G n", "G F t"] {
+                let (ts, sigma) = simple_loop(weak_entry);
+                cases.push((ts, sigma, src));
+            }
+        }
+        for fairness in [Fairness::Weak, Fairness::Strong] {
+            for src in ["G (t2 -> F c2)", "G F c1", "F G !c2", "G !(c1 & c2)"] {
+                let (ts, sigma) = crate::programs::mux_sem(fairness);
+                cases.push((ts, sigma, src));
+            }
+        }
+        for fair_pass in [false, true] {
+            let (ts, sigma) = crate::programs::token_ring(fair_pass);
+            cases.push((ts, sigma, "G (t1 -> F c1)"));
+        }
+        let psigma = Alphabet::of_propositions(["p0", "p1"]).unwrap();
+        for seed in 0..30 {
+            let prog = crate::absint::random_program(&mut StdRng::seed_from_u64(seed));
+            for src in ["G p0", "F p1", "G (p0 -> F p1)", "G F p1", "F G p0"] {
+                let ts = prog
+                    .to_builder(&psigma)
+                    .build()
+                    .expect("random programs build");
+                cases.push((ts, psigma.clone(), src));
+            }
+        }
+        let mut violations = 0;
+        for (ts, sigma, src) in &cases {
+            let prop = spec(sigma, src);
+            let bad = minimize(&prop.complement()).quotient;
+            let product = Product::build(ts, &bad, None, &mut CheckStats::default());
+            let found = product.fair_cycle(ts, &bad);
+            assert_eq!(found.is_none(), verify(ts, &prop).expect("check").holds());
+            if let Some((region, legs)) = found {
+                let cex = product.counterexample(&region, &legs);
+                validate_violation(ts, &prop, &cex).unwrap_or_else(|e| panic!("{src}: {e}"));
+                let bound = (legs.len() + 1) * region.len();
+                assert!(
+                    cex.cycle.len() <= bound,
+                    "{src}: {} > {bound}",
+                    cex.cycle.len()
+                );
+                violations += 1;
+            }
+        }
+        assert!(violations >= 20, "only {violations} violations exercised");
     }
 
     #[test]

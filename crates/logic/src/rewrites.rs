@@ -340,6 +340,8 @@ fn canon_response(r: &Formula, rest: &Formula) -> Option<Formula> {
 
 /// Replaces remaining `Next^d(p)` leaves on the boolean spine by their
 /// origin form `◇(⊖ᵈfirst ∧ p)` (the spine is evaluated at position 0).
+/// A leaf whose body is not a past formula (`X (p U q)`, say) stays as
+/// it is, for the caller to reject as outside the fragment.
 fn materialize_origin(f: &Formula) -> Formula {
     if f.is_past() {
         return f.clone();
@@ -347,10 +349,10 @@ fn materialize_origin(f: &Formula) -> Formula {
     match f {
         Formula::And(x, y) => materialize_origin(x).and(materialize_origin(y)),
         Formula::Or(x, y) => materialize_origin(x).or(materialize_origin(y)),
-        Formula::Next(_) => {
-            let (d, body) = unshift(f).expect("Next leaves are shifted past formulas");
-            exactly(d).and(body).eventually()
-        }
+        Formula::Next(_) => match unshift(f) {
+            Some((d, body)) => exactly(d).and(body).eventually(),
+            None => f.clone(),
+        },
         other => other.clone(),
     }
 }

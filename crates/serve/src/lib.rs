@@ -52,9 +52,9 @@
 //! `include` is verdict-only by default (the verdict rides the
 //! `Analysis` inclusion memo, so repeats are cache hits); pass
 //! `"witness":true` to also extract a counterexample lasso on failure.
-//! The extractor's witness tours *every* state of the violating product
-//! region — exact, but quadratic in the region and enormous on large
-//! random automata — so a service must only pay it on request.
+//! The witness is the kernel's targeted tour, linear in the violating
+//! product region, but extracting it rebuilds the product outside the
+//! memo, so a service only pays it on request.
 
 use hierarchy_core::automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_core::automata::canonical::ArtifactHash;
@@ -333,9 +333,8 @@ impl Service {
             .unwrap_or(false);
         let included = a.is_subset_of(b.automaton());
         let equivalent = included && b.is_subset_of(a.automaton());
-        // The every-region-state witness tour is quadratic in the
-        // violating product region, so it is opt-in: the default
-        // response is the memoized verdict alone.
+        // The witness rebuilds the product outside the memo, so it is
+        // opt-in: the default response is the memoized verdict alone.
         let counterexample = if included || !witness {
             Json::Null
         } else {

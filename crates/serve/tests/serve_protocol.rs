@@ -772,6 +772,17 @@ fn golden_error_shapes() {
         "{\"id\":22,\"error\":{\"code\":-32003,\"message\":\"lhs and rhs observe different alphabets\"}}"
     );
 
+    // -32002: `X` over a body that is not a past formula gets the same
+    // typed error as the bare body (it used to panic the rewriter and
+    // end the daemon), and the next request is answered as usual.
+    let got = daemon.request(&ingest_formula_request(23, "X (O p U G q)", &["p", "q"]));
+    assert_eq!(
+        got,
+        "{\"id\":23,\"error\":{\"code\":-32002,\"message\":\"formula is outside the canonicalizable hierarchy fragment: X (O p U G q)\"}}"
+    );
+    let got = daemon.request(&ingest_formula_request(24, "G p", &["p", "q"]));
+    assert_eq!(got, golden_ingest(24, &compile("G p", &["p", "q"]), false));
+
     daemon.shutdown();
 }
 

@@ -71,7 +71,16 @@ HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-lint \
 # its expect() lines.
 HIERARCHY_THREADS=2 cargo run --release --offline -p hierarchy-bench \
   --bin tab_audit -- --smoke > /dev/null
+# The brute-force oracle suite is the accepting-cycle kernel's independent
+# reference (emptiness, liveness, persistent-cycle sets, lasso replay);
+# re-run it with the worker pool forced on, since the Analysis live path
+# shares SCC passes with the parallel lattice walk.
+HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
+  --test bruteforce_oracle --quiet
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
+
+# For information only: non-test Rust lines per crate.
+scripts/loc.sh
 
 echo "tier1: OK"

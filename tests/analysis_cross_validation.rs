@@ -198,36 +198,6 @@ fn topology_ctx_variants_agree() {
     }
 }
 
-/// Streett-refinement emptiness through the context agrees with the free
-/// version and reuses cached SCC passes across repeated queries.
-#[test]
-fn streett_refinement_ctx_agrees_and_caches() {
-    let mut rng = StdRng::seed_from_u64(2026);
-    for _ in 0..30 {
-        let n = rng.gen_range(3..=10usize);
-        let aut = rand_streett(&mut rng, n, 1);
-        let rand_set = |rng: &mut StdRng| -> Vec<usize> {
-            let len = rng.gen_range(0..=n);
-            (0..len).map(|_| rng.gen_range(0..n)).collect()
-        };
-        let r = rand_set(&mut rng);
-        let p = rand_set(&mut rng);
-        let pairs = StreettPairs(vec![StreettPair::new(r, p)]);
-        let ctx = Analysis::new(aut.clone());
-        let free = emptiness::streett_nonempty_cycle(&aut, &pairs);
-        let via_ctx = emptiness::streett_nonempty_cycle_ctx(&ctx, &pairs);
-        assert_eq!(free.is_some(), via_ctx.is_some());
-        let passes = ctx.stats().scc_passes;
-        let again = emptiness::streett_nonempty_cycle_ctx(&ctx, &pairs);
-        assert_eq!(via_ctx, again);
-        assert_eq!(
-            ctx.stats().scc_passes,
-            passes,
-            "repeat query must be fully cached"
-        );
-    }
-}
-
 /// The full verdict runs strictly fewer SCC passes than the sum of the
 /// individual queries' passes on fresh contexts — the point of sharing
 /// the color-lattice walk.

@@ -1,19 +1,25 @@
-//! Brute-force oracle for the classification procedures.
+//! Brute-force oracle for the classification procedures and the
+//! accepting-cycle kernel.
 //!
-//! The color-lattice construction in `hierarchy_automata::classify` avoids
+//! The color-lattice construction in `hierarchy_automata::classify` and
+//! the iterated-SCC refinement in `hierarchy_automata::emptiness` avoid
 //! enumerating the (exponentially many) accessible cycles. This suite
 //! *does* enumerate them — every subset of every reachable SCC that
 //! induces a strongly connected subgraph with at least one edge — builds
 //! the paper's accepting family `F` explicitly, evaluates the
-//! Wagner/Landweber chain conditions literally, and compares against the
-//! production classifier on hundreds of random automata.
+//! Wagner/Landweber chain conditions, emptiness, liveness and the
+//! persistent-cycle sets literally, and compares against the production
+//! code on hundreds of random automata. It shares no code with the
+//! kernel, which the `*_via_complement` oracles now run on too.
 
 use temporal_properties::automata::bitset::BitSet;
 use temporal_properties::automata::classify;
 use temporal_properties::automata::omega::OmegaAutomaton;
-use temporal_properties::automata::random::random_streett;
-use temporal_properties::automata::random::rng::SeedableRng;
-use temporal_properties::automata::random::rng::StdRng;
+use temporal_properties::automata::paper_checks::states_on_accepting_cycles_avoiding;
+use temporal_properties::automata::random::rng::{Rng, SeedableRng, StdRng};
+use temporal_properties::automata::random::{
+    random_acceptance, random_parity, random_rabin, random_streett, random_structure,
+};
 use temporal_properties::prelude::*;
 
 /// All accessible cycles (as state sets) of the automaton, by subset
@@ -161,6 +167,94 @@ fn classifier_matches_bruteforce_oracle() {
             "reactivity index, case {i}"
         );
     }
+}
+
+/// The union of the accessible cycles that avoid `avoid` and satisfy
+/// `acc`: the states on accepting cycles.
+fn accepting_cycle_states(cycles: &[BitSet], acc: &Acceptance, avoid: &BitSet) -> BitSet {
+    let mut out = BitSet::new();
+    for c in cycles {
+        if c.is_disjoint(avoid) && acc.accepts_infinity_set(c) {
+            out.union_with(c);
+        }
+    }
+    out
+}
+
+/// The reachable states from which some state of `targets` is
+/// reachable, by fixpoint over the transition relation.
+fn reaching(aut: &OmegaAutomaton, targets: &BitSet) -> BitSet {
+    let mut out = targets.clone();
+    loop {
+        let before = out.len();
+        for q in 0..aut.num_states() {
+            if aut
+                .alphabet()
+                .symbols()
+                .any(|s| out.contains(aut.step(q as u32, s) as usize))
+            {
+                out.insert(q);
+            }
+        }
+        if out.len() == before {
+            break;
+        }
+    }
+    out.intersect_with(&aut.reachable_states());
+    out
+}
+
+/// Emptiness, the reachable live set, the persistent-cycle sets and
+/// accepted-lasso replay against the literal cycle family, through the
+/// free entry points and an `Analysis` context alike, on Streett, Rabin,
+/// parity and random boolean conditions.
+#[test]
+fn accepting_cycle_kernel_matches_bruteforce_oracle() {
+    let sigma = Alphabet::new(["a", "b"]).unwrap();
+    let mut rng = StdRng::seed_from_u64(20261017);
+    let mut nonempty = 0;
+    for i in 0..400usize {
+        let n = 3 + i % 4;
+        let k = 1 + i % 3;
+        let aut = match i % 4 {
+            0 => random_streett(&mut rng, &sigma, n, k, 0.35).0,
+            1 => random_rabin(&mut rng, &sigma, n, k, 0.35),
+            2 => random_parity(&mut rng, &sigma, n, 3),
+            _ => random_structure(&mut rng, &sigma, n)
+                .with_acceptance(random_acceptance(&mut rng, n, 2)),
+        };
+        let cycles = accessible_cycles(&aut);
+        let good = accepting_cycle_states(&cycles, aut.acceptance(), &BitSet::new());
+        let empty = good.is_empty();
+        let live = reaching(&aut, &good);
+        let ctx = Analysis::new(aut.clone());
+
+        assert_eq!(aut.is_empty(), empty, "case {i}: emptiness");
+        assert_eq!(ctx.is_empty(), empty, "case {i}: emptiness (context)");
+        let mut free_live = aut.live_states();
+        free_live.intersect_with(&aut.reachable_states());
+        assert_eq!(free_live, live, "case {i}: live states");
+        assert_eq!(*ctx.live(), live, "case {i}: live states (context)");
+        for lasso in [aut.accepted_lasso(), ctx.accepted_lasso()] {
+            match lasso {
+                Some(w) => assert!(!empty && aut.accepts(&w), "case {i}: lasso replay"),
+                None => assert!(empty, "case {i}: missing lasso"),
+            }
+        }
+        nonempty += usize::from(!empty);
+
+        let avoid: BitSet = (0..n).filter(|_| rng.gen_bool(0.3)).collect();
+        let acc = random_acceptance(&mut rng, n, 2);
+        assert_eq!(
+            states_on_accepting_cycles_avoiding(&aut, &acc, &avoid),
+            accepting_cycle_states(&cycles, &acc, &avoid),
+            "case {i}: states on accepting cycles avoiding {avoid:?} under {acc}"
+        );
+    }
+    assert!(
+        (100..=300).contains(&nonempty),
+        "{nonempty} non-empty cases"
+    );
 }
 
 #[test]
