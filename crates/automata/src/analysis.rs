@@ -6,8 +6,7 @@
 //! restricted subgraphs, the condensation DAG, and boolean products with
 //! other automata. Before this module each consumer recomputed them from
 //! scratch, so asking for a full classification cost several independent
-//! color-lattice traversals (`is_safety` built a product, `is_recurrence`
-//! and `is_persistence` each ran their own `ChainAnalysis`, …).
+//! color-lattice traversals.
 //!
 //! [`Analysis`] owns one automaton and memoizes all of those intermediates
 //! behind interior mutability, so the context can be shared by reference
@@ -23,20 +22,26 @@
 //! * [`Analysis::condensation`] — the reachable condensation DAG with
 //!   per-component acceptance status, reused by the obligation-index DP
 //!   and available to the topology layer.
+//! * [`Analysis::is_safety`] / [`Analysis::is_guarantee`] — one
+//!   accepting-cycle-kernel query each: no rejecting (accepting) cycle in
+//!   the live (co-live) set. The cycle sets are memoized beside the live
+//!   sets, so the queries share every SCC pass with liveness and
+//!   universality and take any number of acceptance atoms.
 //! * [`Analysis::classification`] — the **full verdict**: all six class
 //!   memberships plus the obligation and reactivity indices from one
-//!   shared color-lattice traversal. Safety and guarantee membership are
-//!   read off the per-anchor canonical-cycle statuses instead of building
-//!   closure products (see `classification` for the argument).
+//!   shared color-lattice traversal, reading safety and guarantee from
+//!   the two queries above. [`Analysis::classifiable`] says whether the
+//!   walk can run ([`crate::classify::MAX_LATTICE_ATOMS`]).
 //! * [`Analysis::product_with`] — pairwise products keyed by the other
 //!   operand, so repeated inclusion/equivalence queries against the same
 //!   automaton build the product once.
 //!
-//! The free functions in [`crate::classify`], [`crate::emptiness`], etc.
-//! remain as thin uncached entry points; the emptiness and liveness ones
-//! run the very kernel functions used here, with a per-query SCC memo in
-//! place of this context's. [`Analysis`] is the engine underneath
-//! `hierarchy_core::Property`.
+//! Each question has one entry point here; the free functions that remain
+//! elsewhere ([`crate::classify::classify`], the topology predicates, the
+//! Prop 5.1 constructions) are one `Analysis` call each, and the
+//! automaton's own emptiness and liveness methods run the same kernel
+//! functions with a per-query SCC memo. [`Analysis`] is the engine
+//! underneath `hierarchy_core::Property`.
 //!
 //! All caches use `OnceLock`/`Mutex` interior mutability, so `Analysis`
 //! is `Send + Sync` and can back a shared `Property` value; the
@@ -77,6 +82,12 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Whether the color-lattice walk can run on `aut`'s acceptance condition
+/// (at most [`classify::MAX_LATTICE_ATOMS`] distinct atoms).
+fn fits_lattice(aut: &OmegaAutomaton) -> bool {
+    aut.acceptance().atom_sets().len() <= classify::MAX_LATTICE_ATOMS
 }
 
 /// Snapshot of the cache instrumentation counters of an [`Analysis`].
@@ -277,6 +288,10 @@ pub struct Condensation {
     pub status: Vec<Option<bool>>,
 }
 
+/// A memo entry of [`Analysis::live_reachable`]: `(cycles, live)`, the
+/// reachable states on an accepting cycle and those that reach one.
+type LiveSets = (Arc<BitSet>, Arc<BitSet>);
+
 /// One claimable slot of the per-restriction SCC memo: whoever inserts
 /// the cell computes the decomposition; same-key racers block on it.
 type SccCell = Arc<OnceLock<Arc<SccDecomposition>>>;
@@ -312,7 +327,9 @@ pub struct Analysis {
     sccs: Mutex<HashMap<Option<BitSet>, SccCell>>,
     condensation: OnceLock<Arc<Condensation>>,
     chains: OnceLock<Arc<ChainAnalysis>>,
-    live_for: Mutex<HashMap<Acceptance, Arc<BitSet>>>,
+    /// Per acceptance condition: the reachable states on an accepting
+    /// cycle, and the reachable states that reach one (the live set).
+    live_for: Mutex<HashMap<Acceptance, LiveSets>>,
     classification: OnceLock<Classification>,
     counter_freedom: OnceLock<CounterFreedom>,
     products: Mutex<HashMap<ProductKey, Arc<OmegaAutomaton>>>,
@@ -524,25 +541,46 @@ impl Analysis {
     /// reachable part) from which an `acc`-accepting run can still start.
     ///
     /// With `acc = self.automaton().acceptance()` this agrees with
-    /// [`crate::emptiness::live_states`] on all reachable states (the free
-    /// version also reports unreachable live states, which no language
-    /// question can observe). It is the same kernel function with this
-    /// context's memo as the SCC source, and every restriction the
-    /// kernel asks for is a color-lattice point, so the SCC passes here
-    /// are shared with [`Self::chains`].
+    /// [`OmegaAutomaton::live_states`] on all reachable states (the
+    /// automaton method also reports unreachable live states, which no
+    /// language question can observe). It is the same kernel function
+    /// with this context's memo as the SCC source, and every restriction
+    /// the kernel asks for is a color-lattice point, so the SCC passes
+    /// here are shared with [`Self::chains`].
     pub fn live_reachable(&self, acc: &Acceptance) -> Arc<BitSet> {
+        self.live_sets(acc).1
+    }
+
+    /// The memo entry behind [`Self::live_reachable`]: the accepting-cycle
+    /// states are kept beside the live set they close over, so the safety
+    /// and guarantee queries read both without another kernel run.
+    fn live_sets(&self, acc: &Acceptance) -> LiveSets {
         if let Some(hit) = lock_recover(&self.live_for).get(acc) {
-            return Arc::clone(hit);
+            return hit.clone();
         }
         let reachable = self.reachable();
-        let good = emptiness::cycle_states(acc, self.aut.num_states(), reachable, |x| {
+        let cycles = emptiness::cycle_states(acc, self.aut.num_states(), reachable, |x| {
             self.sccs(Some(x))
         });
-        let mut live = emptiness::backward_closure(&self.aut, good);
+        let mut live = emptiness::backward_closure(&self.aut, cycles.clone());
         live.intersect_with(reachable);
-        let live = Arc::new(live);
-        lock_recover(&self.live_for).insert(acc.clone(), Arc::clone(&live));
-        live
+        let sets = (Arc::new(cycles), Arc::new(live));
+        lock_recover(&self.live_for).insert(acc.clone(), sets.clone());
+        sets
+    }
+
+    /// Whether the language of this structure under `acc` is closed, the
+    /// one safety query: no state on a reachable `acc`-rejecting cycle is
+    /// live. Dead states are successor-closed, so a run of the safety
+    /// closure `A(Pref Π)` is accepted iff it stays live forever, and such
+    /// a run escapes `Π` exactly when it settles into a rejecting cycle of
+    /// live states (a cycle meeting the live set lies inside it). Both
+    /// sets are kernel queries whose restrictions are color-lattice
+    /// points, so no acceptance-atom limit applies.
+    fn is_closed_under(&self, acc: &Acceptance) -> bool {
+        let (_, live) = self.live_sets(acc);
+        let (rejecting, _) = self.live_sets(&acc.negated());
+        !live.intersects(&rejecting)
     }
 
     /// Reachable live states under the automaton's own acceptance.
@@ -556,21 +594,9 @@ impl Analysis {
     ///
     /// Recurrence, persistence, obligation, simple reactivity, and the
     /// reactivity index are Wagner-style chain queries on
-    /// [`Self::chains`], exactly as in [`crate::classify`]. Safety and
-    /// guarantee, which the free path decides with closure products, are
-    /// read off the same per-anchor statuses:
-    ///
-    /// * **safety** — `Π` equals its closure `A(Pref Π)` iff no *live*
-    ///   reachable state lies on a rejecting cycle: dead states are
-    ///   successor-closed, so a run of the closure automaton is accepted
-    ///   iff it stays live forever, and such a run escapes `Π` exactly
-    ///   when it can settle into a rejecting cycle of live states. The
-    ///   canonical per-anchor cycles cover all cycles' statuses, so this
-    ///   is "every anchor in [`Self::live`] has only accepting entries".
-    /// * **guarantee** — safety of the complement. The complement has the
-    ///   same atoms, hence the same canonical SCCs with negated statuses,
-    ///   and its live set is `live_reachable(acc.negated())`; so the
-    ///   check is "every co-live anchor has only rejecting entries".
+    /// [`Self::chains`]. Safety and guarantee are the kernel queries of
+    /// [`Self::is_safety`] and [`Self::is_guarantee`], whose restrictions
+    /// are lattice points the walk visits anyway.
     ///
     /// When the quotient-first pipeline is active, the verdict is
     /// computed on the partition-refinement quotient (strictly fewer
@@ -578,13 +604,16 @@ impl Analysis {
     /// hierarchy class is a property of the language and the quotient is
     /// language-equal. A debug-mode tripwire re-derives the verdict on
     /// the raw automaton and asserts identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Self::classifiable`] holds.
     pub fn classification(&self) -> &Classification {
         self.classification.get_or_init(|| {
             if let Some(q) = self.quotient_analysis() {
                 let verdict = q.classification().clone();
-                debug_assert_eq!(
-                    verdict,
-                    self.classification_raw(),
+                debug_assert!(
+                    !fits_lattice(&self.aut) || verdict == self.classification_raw(),
                     "quotient-first tripwire: the verdict on the quotient \
                      differs from the raw automaton's"
                 );
@@ -597,38 +626,35 @@ impl Analysis {
     /// The full verdict computed directly on this context's automaton
     /// (no quotient routing) — the single shared color-lattice walk.
     fn classification_raw(&self) -> Classification {
-        {
-            let chains = self.chains();
-            let statuses = chains.anchor_statuses();
-            let is_recurrence = !chains.has_chain(&[true, false]);
-            let is_persistence = !chains.has_chain(&[false, true]);
-            let is_obligation = is_recurrence && is_persistence;
-            let is_simple_reactivity = !chains.has_chain(&[false, true, false]);
-            let live = self.live();
-            let is_safety = live
-                .iter()
-                .all(|q| statuses[q].iter().all(|&(accepting, _)| accepting));
-            let co_live = self.live_reachable(&self.aut.acceptance().negated());
-            let is_guarantee = co_live
-                .iter()
-                .all(|q| statuses[q].iter().all(|&(accepting, _)| !accepting));
-            let obligation_index = is_obligation.then(|| self.obligation_index());
-            Classification {
-                is_safety,
-                is_guarantee,
-                is_obligation,
-                is_recurrence,
-                is_persistence,
-                is_simple_reactivity,
-                obligation_index,
-                reactivity_index: chains.alternating_index(false),
-            }
+        let chains = self.chains();
+        let is_recurrence = !chains.has_chain(&[true, false]);
+        let is_persistence = !chains.has_chain(&[false, true]);
+        let is_obligation = is_recurrence && is_persistence;
+        Classification {
+            is_safety: self.is_safety(),
+            is_guarantee: self.is_guarantee(),
+            is_obligation,
+            is_recurrence,
+            is_persistence,
+            is_simple_reactivity: !chains.has_chain(&[false, true, false]),
+            obligation_index: is_obligation.then(|| self.obligation_index()),
+            reactivity_index: chains.alternating_index(false),
         }
     }
 
+    /// Whether [`Self::classification`] and the indices read off it can
+    /// run: their color-lattice walk takes at most
+    /// [`classify::MAX_LATTICE_ATOMS`] distinct acceptance atoms, counted
+    /// on the automaton the walk runs on (the quotient when minimization
+    /// shrank the automaton). The kernel queries — emptiness, liveness,
+    /// safety, guarantee, inclusion — have no such limit.
+    pub fn classifiable(&self) -> bool {
+        fits_lattice(self.effective_automaton())
+    }
+
     /// The obligation index (the `Obl_n` level), via the condensation DP
-    /// of [`crate::classify::obligation_index_of`] on the cached
-    /// condensation. Only meaningful when the language is an obligation.
+    /// on the cached condensation. Only meaningful when the language is
+    /// an obligation.
     pub fn obligation_index(&self) -> usize {
         let cond = self.condensation();
         let init = cond.sccs.component[self.aut.initial() as usize];
@@ -647,9 +673,8 @@ impl Analysis {
     pub fn rabin_index(&self) -> usize {
         if let Some(q) = self.quotient_analysis() {
             let idx = q.rabin_index();
-            debug_assert_eq!(
-                idx,
-                self.chains().alternating_index(true),
+            debug_assert!(
+                !fits_lattice(&self.aut) || idx == self.chains().alternating_index(true),
                 "quotient-first tripwire: Rabin index mismatch"
             );
             return idx;
@@ -669,14 +694,17 @@ impl Analysis {
             .contains(self.aut.initial() as usize)
     }
 
-    /// Whether the language is a safety property (from the full verdict).
+    /// Whether the language is a safety property: no reachable rejecting
+    /// cycle lies in the live set. One kernel query on this context's
+    /// automaton, shared with [`Self::live`] and [`Self::is_universal`].
     pub fn is_safety(&self) -> bool {
-        self.classification().is_safety
+        self.is_closed_under(self.aut.acceptance())
     }
 
-    /// Whether the language is a guarantee property.
+    /// Whether the language is a guarantee property (its complement is
+    /// safety): no reachable accepting cycle lies in the co-live set.
     pub fn is_guarantee(&self) -> bool {
-        self.classification().is_guarantee
+        self.is_closed_under(&self.aut.acceptance().negated())
     }
 
     /// Whether the language is an obligation property.
@@ -699,9 +727,9 @@ impl Analysis {
         self.classification().is_simple_reactivity
     }
 
-    /// The safety closure `A(Pref Π)` (language-equal to
-    /// [`crate::classify::safety_closure`]; the dead set may differ on
-    /// unreachable states, which no run from the initial state visits).
+    /// The safety closure `A(Pref Π)`: a run is accepted iff it never
+    /// leaves the live states. Unreachable states count as dead, which no
+    /// run from the initial state can observe.
     pub fn safety_closure(&self) -> OmegaAutomaton {
         let dead = self.live().complement(self.aut.num_states());
         self.aut.with_acceptance(Acceptance::Fin(dead))
@@ -1104,7 +1132,7 @@ mod tests {
                 (a, b) => panic!("emptiness disagreement: {a:?} vs {b:?}"),
             }
             // live_reachable = free live ∩ reachable.
-            let mut free_live = emptiness::live_states(&aut);
+            let mut free_live = aut.live_states();
             free_live.intersect_with(ctx.reachable());
             assert_eq!(*ctx.live(), free_live);
         }

@@ -1,11 +1,12 @@
 //! Exact semantic classification of deterministic ω-automata into the
 //! safety–progress hierarchy (the paper's Problem 5.1).
 //!
-//! Given a complete deterministic ω-automaton `M`, these procedures decide
-//! in which classes the *language* `Π = L(M)` lies:
+//! Given a complete deterministic ω-automaton `M`, the full verdict
+//! [`classify`] decides in which classes the *language* `Π = L(M)` lies:
 //!
-//! * **safety** — `Π = A(Pref(Π))`, checked by comparing `M` with its
-//!   [safety closure](safety_closure);
+//! * **safety** — `Π = A(Pref(Π))`: no reachable rejecting cycle lies in
+//!   the live set (one accepting-cycle-kernel query, see
+//!   [`Analysis::is_safety`]);
 //! * **guarantee** — the complement is safety;
 //! * **recurrence** — Wagner/Landweber: no accessible cycle pair `J ⊆ A`
 //!   with `J` accepting and `A` rejecting;
@@ -14,15 +15,19 @@
 //!   cycles within each reachable SCC have the same acceptance status);
 //! * **reactivity** — no chain `B ⊆ J ⊆ A` with `B, A` rejecting and `J`
 //!   accepting characterizes *simple* reactivity. Every ω-regular language
-//!   sits at some finite level of the reactivity hierarchy, and
-//!   [`reactivity_index`] computes that exact level; [`obligation_index_of`]
-//!   does the same for the obligation sub-hierarchy.
+//!   sits at some finite level of the reactivity hierarchy, and the
+//!   verdict carries that exact level and, for obligations, the `Obl_n`
+//!   level.
+//!
+//! Every query runs on an [`Analysis`] context; this module holds the
+//! verdict type, the batch front ends and the color-lattice walk behind
+//! the chain queries.
 //!
 //! # The color-lattice construction
 //!
-//! The checks quantify over *all* accessible cycles, of which there can be
-//! exponentially many. We exploit the fact that whether a cycle `C` is
-//! accepting depends only on which acceptance atoms (the state sets
+//! The chain checks quantify over *all* accessible cycles, of which there
+//! can be exponentially many. We exploit the fact that whether a cycle `C`
+//! is accepting depends only on which acceptance atoms (the state sets
 //! appearing in the condition — its "colors") `C` intersects. For an anchor
 //! state `q` and a set `D` of colors, let `S(q, D)` be the SCC containing
 //! `q` in the graph restricted to states whose colors all lie in `D`. Then:
@@ -35,16 +40,15 @@
 //!   identical statuses.
 //!
 //! Hence the existence of alternating cycle chains — which is what all the
-//! checks above ask — is decidable by dynamic programming over the lattice
+//! chain checks ask — is decidable by dynamic programming over the lattice
 //! of color subsets, anchored at each state in turn: `O(2^m)` SCC passes for
 //! `m` colors, i.e. polynomial in the automaton for any fixed acceptance
-//! condition.
+//! condition. The walk takes at most [`MAX_LATTICE_ATOMS`] colors.
 
 use crate::acceptance::Acceptance;
+use crate::analysis::Analysis;
 use crate::bitset::BitSet;
 use crate::omega::OmegaAutomaton;
-use crate::scc::tarjan_scc;
-use crate::StateId;
 
 /// The verdict of [`classify`]: membership of the automaton's language in
 /// each class of the hierarchy, plus the exact hierarchy indices.
@@ -117,12 +121,14 @@ impl Classification {
 /// Fully classifies the language of `aut` in the safety–progress hierarchy.
 ///
 /// This is a thin wrapper over the single-walk full verdict of
-/// [`crate::analysis::Analysis::classification`]; build an `Analysis`
-/// directly to share the underlying caches across further queries.
+/// [`Analysis::classification`]; build an `Analysis` directly to share
+/// the underlying caches across further queries.
+///
+/// # Panics
+///
+/// Panics unless [`Analysis::classifiable`] holds for the automaton.
 pub fn classify(aut: &OmegaAutomaton) -> Classification {
-    crate::analysis::Analysis::new(aut.clone())
-        .classification()
-        .clone()
+    Analysis::new(aut.clone()).classification().clone()
 }
 
 /// Classifies a batch of automata, fanning the suite out across the
@@ -142,128 +148,20 @@ pub fn classify_suite(auts: &[OmegaAutomaton]) -> Vec<Classification> {
 /// [`classify_suite`] with an explicit worker count (the thread-scaling
 /// experiment pins 1/2/4/N workers).
 pub fn classify_suite_with(threads: usize, auts: &[OmegaAutomaton]) -> Vec<Classification> {
-    crate::par::map_with(threads, auts, |aut| {
-        crate::analysis::Analysis::new(aut.clone())
-            .classification()
-            .clone()
-    })
+    crate::par::map_with(threads, auts, classify)
 }
 
-/// The safety closure of the automaton's language: an automaton for
-/// `A(Pref(Π))` — topologically, the closure of `Π` in `Σ^ω`.
-///
-/// Construction: a run is accepted iff it never leaves the *live* states
-/// (states with non-empty residual language). Dead states are closed under
-/// successors in a deterministic complete automaton, so the acceptance
-/// condition `Fin(dead)` expresses exactly "every prefix is a prefix of some
-/// word in Π".
-pub fn safety_closure(aut: &OmegaAutomaton) -> OmegaAutomaton {
-    let live = aut.live_states();
-    let dead = live.complement(aut.num_states());
-    aut.with_acceptance(Acceptance::Fin(dead))
-}
+/// The most distinct acceptance atoms the color-lattice walk takes: its
+/// per-state color masks are `u32`s, and it visits up to `2^m` points.
+pub const MAX_LATTICE_ATOMS: usize = 16;
 
-/// Whether the language is a safety property: `Π` equals its safety
-/// closure.
-///
-/// Since `Π ⊆ A(Pref(Π))` always holds, only the reverse inclusion is
-/// checked.
-pub fn is_safety(aut: &OmegaAutomaton) -> bool {
-    safety_closure(aut).is_subset_of(aut)
-}
-
-/// Whether the language is a guarantee property (its complement is safety).
-pub fn is_guarantee(aut: &OmegaAutomaton) -> bool {
-    is_safety(&aut.complement())
-}
-
-/// Whether the language is a recurrence property (G_δ; deterministic-Büchi
-/// realizable): no accessible accepting cycle sits inside a rejecting one.
-pub fn is_recurrence(aut: &OmegaAutomaton) -> bool {
-    !ChainAnalysis::new(aut).has_chain(&[true, false])
-}
-
-/// Whether the language is a persistence property (F_σ; deterministic
-/// co-Büchi realizable): no accessible rejecting cycle sits inside an
-/// accepting one.
-pub fn is_persistence(aut: &OmegaAutomaton) -> bool {
-    !ChainAnalysis::new(aut).has_chain(&[false, true])
-}
-
-/// Whether the language is an obligation property (a finite boolean
-/// combination of safety and guarantee properties; equivalently, both a
-/// recurrence and a persistence property — the paper's Δ₂ = Π₂ ∩ Σ₂).
-pub fn is_obligation(aut: &OmegaAutomaton) -> bool {
-    let chains = ChainAnalysis::new(aut);
-    !chains.has_chain(&[true, false]) && !chains.has_chain(&[false, true])
-}
-
-/// Whether the language is a *simple* reactivity property (expressible as
-/// `R(Φ) ∪ P(Ψ)`, i.e. with a single Streett pair): no accessible chain
-/// `B ⊆ J ⊆ A` with `B, A` rejecting and `J` accepting (the paper's §5.1
-/// reactivity check with the maximal chain length 1).
-pub fn is_simple_reactivity(aut: &OmegaAutomaton) -> bool {
-    !ChainAnalysis::new(aut).has_chain(&[false, true, false])
-}
-
-/// Whether the automaton is *weak*: every reachable SCC is homogeneous
-/// (all its cycles share one acceptance status). Weak automata recognize
-/// exactly the obligation (Staiger–Wagner) languages; this is the
-/// structural counterpart of [`is_obligation`] on the given automaton.
-pub fn is_weak(aut: &OmegaAutomaton) -> bool {
-    let reachable = aut.reachable_states();
-    let sccs = tarjan_scc(aut, Some(&reachable));
-    let chains = ChainAnalysis::new(aut);
-    // Homogeneity of an SCC = no accepting and rejecting cycle anchored in
-    // it; reuse the per-anchor canonical cycles.
-    for c in 0..sccs.len() {
-        if !sccs.has_cycle[c] {
-            continue;
-        }
-        let mut saw_acc = false;
-        let mut saw_rej = false;
-        for &q in &sccs.members[c] {
-            for &(accepting, _) in &chains.anchor_statuses[q as usize] {
-                if accepting {
-                    saw_acc = true;
-                } else {
-                    saw_rej = true;
-                }
-            }
-        }
-        if saw_acc && saw_rej {
-            return false;
-        }
-    }
-    true
-}
-
-/// The exact *Rabin index*: the minimal number of Rabin pairs any
-/// deterministic Rabin automaton for the language needs — dual to
-/// [`reactivity_index`], computed as the reactivity index of the
-/// complement (Wagner's chains with the rejecting/accepting roles
-/// swapped).
-pub fn rabin_index(aut: &OmegaAutomaton) -> usize {
-    ChainAnalysis::new(&aut.complement()).reactivity_index()
-}
-
-/// The exact reactivity index: the minimal `k` such that the language is an
-/// intersection of `k` simple reactivity properties (equivalently, is
-/// recognized by some deterministic Streett automaton with `k` pairs).
-///
-/// Per Wagner \[Wag79] (as quoted in the paper's §5.1), this is the maximal
-/// `n` admitting a chain of accessible cycles
-/// `B₁ ⊆ J₁ ⊆ B₂ ⊆ … ⊆ Bₙ ⊆ Jₙ` with `Bᵢ` rejecting and `Jᵢ` accepting.
-/// Languages whose cycles never alternate that way (safety, guarantee,
-/// obligation, recurrence, persistence) get index 1 by convention: they are
-/// trivially simple reactivity.
-pub fn reactivity_index(aut: &OmegaAutomaton) -> usize {
-    ChainAnalysis::new(aut).reactivity_index()
-}
-
-/// The minimal `n` such that the language — **assumed** to be an obligation
-/// property — is an intersection of `n` simple obligation properties
-/// `A(Φᵢ) ∪ E(Ψᵢ)` (the paper's `Obl_n` sub-hierarchy).
+/// The obligation index: the minimal `n` such that the language —
+/// **assumed** to be an obligation property — is an intersection of `n`
+/// simple obligation properties `A(Φᵢ) ∪ E(Ψᵢ)` (the paper's `Obl_n`
+/// sub-hierarchy), computed by DP over the condensation DAG.
+/// `comp_succs`/`status` follow Tarjan's reverse topological numbering
+/// (successors have smaller indices); `status[c]` is `Some(accepting)` for
+/// components with a cycle.
 ///
 /// For obligation languages every reachable SCC is *homogeneous* (all its
 /// cycles share one acceptance status), so acceptance of a run depends only
@@ -278,37 +176,6 @@ pub fn reactivity_index(aut: &OmegaAutomaton) -> usize {
 /// `hierarchy-topology`.
 ///
 /// Returns at least 1 (∅ and `Σ^ω` are trivially `Obl₁`).
-pub fn obligation_index_of(aut: &OmegaAutomaton) -> usize {
-    let reachable = aut.reachable_states();
-    let sccs = tarjan_scc(aut, Some(&reachable));
-    let n_comp = sccs.len();
-    // Status of each component: Some(accepting) for components with a
-    // cycle, None for transient components. The per-component evaluations
-    // are independent, so they ride the worker pool.
-    let status: Vec<Option<bool>> = crate::par::map_indices(n_comp, |c| {
-        sccs.has_cycle[c].then(|| aut.acceptance().accepts_infinity_set(&sccs.member_set(c)))
-    });
-    // Condensation successor lists. Tarjan numbers components in reverse
-    // topological order, so every inter-component edge goes from a higher
-    // index to a lower one.
-    let mut comp_succs: Vec<Vec<usize>> = vec![Vec::new(); n_comp];
-    for q in reachable.iter() {
-        let cq = sccs.component[q];
-        for sym in aut.alphabet().symbols() {
-            let ct = sccs.component[aut.step(q as StateId, sym) as usize];
-            if ct != cq && !comp_succs[cq].contains(&ct) {
-                comp_succs[cq].push(ct);
-            }
-        }
-    }
-    let init = sccs.component[aut.initial() as usize];
-    obligation_index_from_condensation(&comp_succs, &status, init)
-}
-
-/// The obligation-index DP over a condensation DAG (shared between
-/// [`obligation_index_of`] and the cached condensation of
-/// [`crate::analysis::Analysis`]). `comp_succs`/`status` follow Tarjan's
-/// reverse topological numbering (successors have smaller indices).
 pub(crate) fn obligation_index_from_condensation(
     comp_succs: &[Vec<usize>],
     status: &[Option<bool>],
@@ -341,8 +208,8 @@ pub(crate) fn obligation_index_from_condensation(
 }
 
 /// Per-anchor canonical-cycle analysis over the color lattice (see module
-/// docs). Exposes the alternating-chain queries used by all classification
-/// procedures.
+/// docs), built by [`Analysis::chains`]. Exposes the alternating-chain
+/// queries behind the full verdict.
 #[derive(Debug, Clone)]
 pub struct ChainAnalysis {
     /// For each state `q`: the canonical cycles anchored at `q`, as
@@ -354,64 +221,26 @@ pub struct ChainAnalysis {
 }
 
 impl ChainAnalysis {
-    /// Runs the analysis on `aut`.
-    ///
-    /// Complexity: `O(2^m)` SCC decompositions for `m` distinct acceptance
-    /// atoms — polynomial in the automaton for any fixed acceptance
-    /// condition.
+    /// The lattice sweep over the reachable part of `aut`, with every SCC
+    /// decomposition requested through `scc_of` (the memo table of
+    /// [`Analysis::sccs`]). Each color subset's restricted SCC pass is an
+    /// independent Tarjan run, so the `2^m` points fan out across the
+    /// worker pool of [`crate::par`] and the per-anchor statuses are
+    /// merged in mask order afterwards (the merge order is what
+    /// [`ChainAnalysis::has_chain`]'s DP relies on, so it stays sequential
+    /// and deterministic).
     ///
     /// # Panics
     ///
-    /// Panics if the acceptance condition has more than 16 distinct atom
-    /// sets; the hierarchy constructions never produce that many.
-    pub fn new(aut: &OmegaAutomaton) -> Self {
-        let reachable = aut.reachable_states();
-        // Flatten once: every lattice point's restricted Tarjan pass
-        // walks the CSR core instead of re-enumerating `step` per symbol.
-        let flat = crate::flat::FlatAutomaton::of(aut);
-        Self::new_par(aut, &reachable, |allowed| {
-            std::sync::Arc::new(tarjan_scc(flat.graph(), Some(allowed)))
-        })
-    }
-
-    /// Like [`ChainAnalysis::new`], but with the reachable set supplied
-    /// and every SCC decomposition requested through `scc_of` — the hook
-    /// [`crate::analysis::Analysis`] uses to route the lattice walk
-    /// through its shared memo table. This variant accepts a stateful
-    /// `FnMut` and walks the lattice sequentially; it doubles as the
-    /// single-threaded oracle for the parallel sweep.
-    pub fn new_with(
-        aut: &OmegaAutomaton,
-        reachable: &BitSet,
-        mut scc_of: impl FnMut(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
-    ) -> Self {
-        let walk = LatticeWalk::new(aut, reachable);
-        let points: Vec<LatticePoint> = (0..walk.point_count())
-            .map(|d| walk.point(d, &mut scc_of))
-            .collect();
-        walk.merge(points)
-    }
-
-    /// The parallel lattice sweep: every color subset's restricted SCC
-    /// pass is an independent Tarjan run, so the `2^m` points fan out
-    /// across the worker pool of [`crate::par`] and the per-anchor
-    /// statuses are merged in mask order afterwards (the merge order is
-    /// what [`ChainAnalysis::has_chain`]'s DP relies on, so it stays
-    /// sequential and deterministic).
-    ///
-    /// `scc_of` must be shareable across workers; both the free
-    /// `tarjan_scc` closure of [`ChainAnalysis::new`] and the memo-table
-    /// hook of [`crate::analysis::Analysis::chains`] are (`Analysis` is
-    /// `Sync`, and its caches tolerate concurrent fills).
+    /// Panics if the acceptance condition has more than
+    /// [`MAX_LATTICE_ATOMS`] distinct atom sets.
     pub fn new_par(
         aut: &OmegaAutomaton,
         reachable: &BitSet,
         scc_of: impl Fn(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition> + Sync,
     ) -> Self {
         let walk = LatticeWalk::new(aut, reachable);
-        let points = crate::par::map_indices(walk.point_count(), |d| {
-            walk.point(d, &mut |allowed: &BitSet| scc_of(allowed))
-        });
+        let points = crate::par::map_indices(walk.point_count(), |d| walk.point(d, &scc_of));
         walk.merge(points)
     }
 
@@ -420,13 +249,6 @@ impl ChainAnalysis {
     /// (`pattern[i]` = is `Cᵢ` accepting).
     pub fn has_chain(&self, pattern: &[bool]) -> bool {
         self.max_matching_prefix(pattern) == pattern.len()
-    }
-
-    /// The reactivity index: maximal `n` with an alternating chain
-    /// `B₁ ⊆ J₁ ⊆ … ⊆ Bₙ ⊆ Jₙ` (`B` rejecting, `J` accepting), but at
-    /// least 1.
-    pub fn reactivity_index(&self) -> usize {
-        self.alternating_index(false)
     }
 
     /// The maximal `n` admitting an alternating chain of `n` status pairs
@@ -449,13 +271,6 @@ impl ChainAnalysis {
                 return n.max(1);
             }
         }
-    }
-
-    /// The per-anchor canonical-cycle statuses: `statuses()[q]` lists the
-    /// `(accepting, lattice_mask)` entries of state `q` in increasing
-    /// mask order (empty for unreachable or acyclic anchors).
-    pub fn anchor_statuses(&self) -> &[Vec<(bool, u32)>] {
-        &self.anchor_statuses
     }
 
     /// Longest prefix of `pattern` realizable as an ascending cycle chain.
@@ -483,11 +298,11 @@ type LatticePoint = Option<(
     Vec<(usize, bool)>,
 )>;
 
-/// The shared skeleton of the sequential and parallel lattice sweeps:
-/// per-state color masks plus the per-point computation and the
-/// order-sensitive merge. Points are independent (this is what
-/// [`ChainAnalysis::new_par`] exploits); the merge appends statuses in
-/// increasing mask order, the invariant the chain DP needs.
+/// The skeleton of the lattice sweep: per-state color masks plus the
+/// per-point computation and the order-sensitive merge. Points are
+/// independent (this is what [`ChainAnalysis::new_par`] exploits); the
+/// merge appends statuses in increasing mask order, the invariant the
+/// chain DP needs.
 struct LatticeWalk<'a> {
     aut: &'a OmegaAutomaton,
     reachable: &'a BitSet,
@@ -499,7 +314,7 @@ impl<'a> LatticeWalk<'a> {
     fn new(aut: &'a OmegaAutomaton, reachable: &'a BitSet) -> Self {
         let atoms = aut.acceptance().atom_sets();
         assert!(
-            atoms.len() <= 16,
+            atoms.len() <= MAX_LATTICE_ATOMS,
             "acceptance condition has too many distinct atoms ({})",
             atoms.len()
         );
@@ -529,7 +344,7 @@ impl<'a> LatticeWalk<'a> {
     fn point(
         &self,
         d: usize,
-        scc_of: &mut dyn FnMut(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
+        scc_of: impl Fn(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
     ) -> LatticePoint {
         let d = d as u32;
         let allowed: BitSet = self
@@ -622,6 +437,7 @@ fn longest_prefix_for_anchor(statuses: &[(bool, u32)], pattern: &[bool]) -> usiz
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
+    use crate::StateId;
 
     fn ab() -> Alphabet {
         Alphabet::new(["a", "b"]).unwrap()
@@ -791,24 +607,23 @@ mod tests {
     fn safety_closure_is_closed_and_contains() {
         let sigma = ab();
         let m = eventually_b(&sigma); // ◇b, not safety
-        let cl = safety_closure(&m);
-        assert!(is_safety(&cl));
+        let cl = Analysis::new(m.clone()).safety_closure();
+        assert!(classify(&cl).is_safety);
         assert!(m.is_subset_of(&cl));
         // cl(◇b) = Σ^ω since every finite word extends into ◇b.
         assert!(cl.is_universal());
         // Closure of a safety property is itself.
         let s = always_a(&sigma);
-        assert!(safety_closure(&s).equivalent(&s));
+        assert!(Analysis::new(s.clone()).safety_closure().equivalent(&s));
     }
 
     #[test]
     fn lower_classes_are_inside_higher_ones() {
         let sigma = ab();
         for m in [always_a(&sigma), eventually_b(&sigma)] {
-            assert!(is_recurrence(&m));
-            assert!(is_persistence(&m));
-            assert!(is_obligation(&m));
-            assert!(is_simple_reactivity(&m));
+            let c = classify(&m);
+            assert!(c.is_recurrence && c.is_persistence);
+            assert!(c.is_obligation && c.is_simple_reactivity);
         }
     }
 
@@ -865,7 +680,7 @@ mod tests {
     fn chain_analysis_direct() {
         let sigma = ab();
         let m = last_sym(&sigma, Acceptance::inf([1]));
-        let ch = ChainAnalysis::new(&m);
+        let ch = Analysis::new_raw(m).chains();
         // Accepting cycles exist, rejecting cycles exist:
         assert!(ch.has_chain(&[true]));
         assert!(ch.has_chain(&[false]));
@@ -880,6 +695,7 @@ mod tests {
 mod rabin_index_tests {
     use super::*;
     use crate::alphabet::Alphabet;
+    use crate::StateId;
 
     #[test]
     fn rabin_index_duality() {
@@ -894,8 +710,9 @@ mod rabin_index_tests {
             |_, s| s.index() as StateId,
             Acceptance::inf([1]),
         );
-        assert_eq!(rabin_index(&m), 1);
-        assert_eq!(rabin_index(&m.complement()), 1);
+        let rabin = |aut: &OmegaAutomaton| Analysis::new(aut.clone()).rabin_index();
+        assert_eq!(rabin(&m), 1);
+        assert_eq!(rabin(&m.complement()), 1);
         let two_pairs = m.with_acceptance(
             Acceptance::inf([0])
                 .or(Acceptance::fin([1]))
@@ -905,37 +722,9 @@ mod rabin_index_tests {
         // index of the complement equals the reactivity index of the
         // original.
         assert_eq!(
-            rabin_index(&two_pairs.complement()),
-            reactivity_index(&two_pairs)
+            rabin(&two_pairs.complement()),
+            classify(&two_pairs).reactivity_index
         );
-    }
-}
-
-#[cfg(test)]
-mod weak_tests {
-    use super::*;
-    use crate::alphabet::Alphabet;
-
-    #[test]
-    fn weakness_matches_obligation() {
-        use crate::random::random_streett;
-        use crate::random::rng::SeedableRng;
-        use crate::random::rng::StdRng;
-        let sigma = Alphabet::new(["a", "b"]).unwrap();
-        let mut rng = StdRng::seed_from_u64(55);
-        for _ in 0..40 {
-            let (aut, _) = random_streett(&mut rng, &sigma, 5, 2, 0.3);
-            // A weak automaton's language is an obligation; the converse
-            // need not hold structurally, but for these randomly generated
-            // automata language-obligation coincides with structural
-            // weakness exactly when every SCC is homogeneous:
-            if is_weak(&aut) {
-                assert!(is_obligation(&aut), "weak automata recognize obligations");
-            }
-            if !is_obligation(&aut) {
-                assert!(!is_weak(&aut));
-            }
-        }
     }
 }
 

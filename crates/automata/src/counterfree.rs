@@ -52,14 +52,6 @@ impl CounterFreedom {
 /// Default cap on the number of monoid elements explored before giving up.
 pub const DEFAULT_MONOID_CAP: usize = 1_000_000;
 
-/// [`check_omega`] through a shared [`crate::analysis::Analysis`]
-/// context: the verdict is memoized (at the default monoid cap), so
-/// repeated expressibility queries on one automaton explore the monoid
-/// once.
-pub fn check_omega_ctx(ctx: &crate::analysis::Analysis) -> CounterFreedom {
-    ctx.counter_freedom().clone()
-}
-
 /// Checks counter-freedom of a deterministic ω-automaton's transition
 /// structure (acceptance is irrelevant).
 ///

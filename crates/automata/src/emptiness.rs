@@ -433,8 +433,8 @@ pub(crate) fn cycle_states(
     out
 }
 
-/// The SCC source of the uncached entry points: a memo over the
-/// transition graph of `aut`, alive for one query.
+/// The SCC source of the uncached queries: a memo over the transition
+/// graph of `aut`, alive for one query.
 pub(crate) fn scc_memo(aut: &OmegaAutomaton) -> impl FnMut(&BitSet) -> Arc<SccDecomposition> + '_ {
     let mut cache = SccCache::new(aut);
     move |allowed| cache.sccs(Some(allowed))
@@ -449,22 +449,6 @@ pub(crate) fn lasso_within(
 ) -> Option<Lasso> {
     let disjuncts = decompose(aut.acceptance(), aut.num_states());
     Some(first_witness(disjuncts, restriction, sccs)?.lasso(aut))
-}
-
-/// Returns a lasso accepted by the automaton, or `None` if its language is
-/// empty.
-pub fn accepted_lasso(aut: &OmegaAutomaton) -> Option<Lasso> {
-    lasso_within(aut, &aut.reachable_states(), scc_memo(aut))
-}
-
-/// States with a non-empty residual language: a run starting anywhere in
-/// this set can still be extended to an accepting run. For a deterministic
-/// complete automaton, the words leading from the initial state into this
-/// set are exactly `Pref(Π)`.
-pub fn live_states(aut: &OmegaAutomaton) -> BitSet {
-    let n = aut.num_states();
-    let good = cycle_states(aut.acceptance(), n, &BitSet::all(n), scc_memo(aut));
-    backward_closure(aut, good)
 }
 
 /// The set of states from which `targets` is reachable (including the
@@ -514,7 +498,7 @@ mod tests {
     fn witness_for_buchi() {
         let sigma = ab();
         let m = last_symbol(&sigma, Acceptance::inf([1]));
-        let w = accepted_lasso(&m).unwrap();
+        let w = m.accepted_lasso().unwrap();
         assert!(m.accepts(&w));
     }
 
@@ -523,7 +507,7 @@ mod tests {
         let sigma = ab();
         // Inf{0} ∧ Inf{1}: both symbols infinitely often.
         let m = last_symbol(&sigma, Acceptance::inf([0]).and(Acceptance::inf([1])));
-        let w = accepted_lasso(&m).unwrap();
+        let w = m.accepted_lasso().unwrap();
         assert!(m.accepts(&w));
         // The loop must contain both symbols.
         let names: Vec<&str> = w.cycle().iter().map(|&s| sigma.name(s)).collect();
@@ -535,14 +519,14 @@ mod tests {
         let sigma = ab();
         // Inf{1} ∧ Fin{1} is unsatisfiable.
         let m = last_symbol(&sigma, Acceptance::inf([1]).and(Acceptance::fin([1])));
-        assert!(accepted_lasso(&m).is_none());
+        assert!(m.accepted_lasso().is_none());
     }
 
     #[test]
     fn fin_condition_witness_avoids_states() {
         let sigma = ab();
         let m = last_symbol(&sigma, Acceptance::fin([1]));
-        let w = accepted_lasso(&m).unwrap();
+        let w = m.accepted_lasso().unwrap();
         assert!(m.accepts(&w));
         // Loop may only produce a's.
         assert!(w.cycle().iter().all(|&s| sigma.name(s) == "a"));
@@ -560,10 +544,10 @@ mod tests {
             |q, s| if s == b { (q + 1).min(2) } else { q },
             Acceptance::inf([2]),
         );
-        assert_eq!(live_states(&m), BitSet::from_iter([0, 1, 2]));
+        assert_eq!(m.live_states(), BitSet::from_iter([0, 1, 2]));
         // Make the acceptance unsatisfiable instead: nothing is live.
         let m2 = m.with_acceptance(Acceptance::Inf(BitSet::new()));
-        assert!(live_states(&m2).is_empty());
+        assert!(m2.live_states().is_empty());
     }
 
     #[test]
@@ -574,9 +558,9 @@ mod tests {
         let pairs = StreettPairs(vec![StreettPair::new([1], [0])]);
         let m = last_symbol(&sigma, pairs.acceptance(2));
         assert_eq!(decompose(m.acceptance(), 2).len(), 1);
-        let w = accepted_lasso(&m).unwrap();
+        let w = m.accepted_lasso().unwrap();
         assert!(m.accepts(&w));
-        assert_eq!(live_states(&m), BitSet::from_iter([0, 1]));
+        assert_eq!(m.live_states(), BitSet::from_iter([0, 1]));
     }
 
     #[test]
@@ -595,8 +579,8 @@ mod tests {
         // stay within ∅.
         let pairs = StreettPairs(vec![StreettPair::new([], [])]);
         let m = m.with_acceptance(pairs.acceptance(2));
-        assert!(accepted_lasso(&m).is_none());
-        assert!(live_states(&m).is_empty());
+        assert!(m.accepted_lasso().is_none());
+        assert!(m.live_states().is_empty());
     }
 
     #[test]
@@ -620,7 +604,7 @@ mod tests {
             })
             .collect();
         assert_eq!(regions, vec![all]);
-        let w = accepted_lasso(&m).unwrap();
+        let w = m.accepted_lasso().unwrap();
         assert!(m.accepts(&w));
         assert_eq!(w.cycle().len(), 2);
     }
@@ -793,7 +777,7 @@ mod tests {
                     // Emptiness itself is checked against cycle
                     // enumeration in tests/bruteforce_oracle.rs.
                     None => assert!(
-                        !live_states(aut).contains(aut.initial() as usize),
+                        !aut.live_states().contains(aut.initial() as usize),
                         "case {i}: emptiness"
                     ),
                 }

@@ -79,7 +79,6 @@ pub mod hoa;
 pub mod inclusion;
 pub mod lasso;
 pub mod minimize;
-pub mod nba;
 pub mod nfa;
 pub mod omega;
 pub mod paper_checks;
@@ -105,7 +104,6 @@ pub mod prelude {
     pub use crate::inclusion::ParityView;
     pub use crate::lasso::Lasso;
     pub use crate::minimize::{minimize, Minimization};
-    pub use crate::nba::Nba;
     pub use crate::nfa::Nfa;
     pub use crate::omega::OmegaAutomaton;
     pub use crate::streett::{StreettPair, StreettPairs};

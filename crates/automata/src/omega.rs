@@ -254,7 +254,7 @@ impl OmegaAutomaton {
 
     /// Whether the language is empty.
     pub fn is_empty(&self) -> bool {
-        emptiness::accepted_lasso(self).is_none()
+        self.accepted_lasso().is_none()
     }
 
     /// Whether the language is all of `Σ^ω`.
@@ -262,9 +262,12 @@ impl OmegaAutomaton {
         self.complement().is_empty()
     }
 
-    /// Some accepted lasso word, if the language is non-empty.
+    /// Some accepted lasso word, if the language is non-empty: the
+    /// targeted tour of the first accepting region of the
+    /// accepting-cycle kernel.
     pub fn accepted_lasso(&self) -> Option<Lasso> {
-        emptiness::accepted_lasso(self)
+        let reachable = self.reachable_states();
+        emptiness::lasso_within(self, &reachable, emptiness::scc_memo(self))
     }
 
     /// The complement automaton (same structure, negated acceptance).
@@ -369,14 +372,25 @@ impl OmegaAutomaton {
     }
 
     /// Whether `L(self) ⊆ L(other)` via the classical construction:
-    /// `L(self) ∖ L(other)` is built as a complement + product and tested
-    /// for emptiness. Kept as the differential oracle for
-    /// [`Self::is_subset_of`]: it shares the accepting-cycle kernel of
-    /// [`crate::emptiness`] with it, but not the product-graph lifting or
-    /// the parity fast path (the kernel's own reference is the cycle
-    /// enumeration of `tests/bruteforce_oracle.rs`).
+    /// `L(self) ∖ L(other)` is built as a complement + product, and its
+    /// acceptance is expanded into the generalized-Rabin DNF of
+    /// [`Acceptance::dnf`]. The difference is non-empty iff, for some
+    /// disjunct, a cyclic SCC of the reachable states outside `fin` meets
+    /// every `inf` set. Kept as the differential oracle for
+    /// [`Self::is_subset_of`]: it shares neither the product-graph lifting
+    /// nor the accepting-cycle kernel of [`crate::emptiness`], and it pays
+    /// the `2^k` DNF on `k`-pair Streett conditions that the direct oracle
+    /// avoids.
     pub fn is_subset_of_via_complement(&self, other: &OmegaAutomaton) -> bool {
-        self.difference(other).is_empty()
+        let diff = self.difference(other);
+        let reachable = diff.reachable_states();
+        !diff.acceptance.dnf().iter().any(|pair| {
+            let sccs = diff.sccs(Some(&reachable.difference(&pair.fin)));
+            (0..sccs.len()).any(|c| {
+                let members = sccs.member_set(c);
+                sccs.has_cycle[c] && pair.infs.iter().all(|s| members.intersects(s))
+            })
+        })
     }
 
     /// Whether the two automata accept the same ω-language, decided by
@@ -535,7 +549,10 @@ impl OmegaAutomaton {
     /// `Pref(Π)`: a finite word is a prefix of a word in Π iff it leads to
     /// such a state (for deterministic, complete automata).
     pub fn live_states(&self) -> BitSet {
-        emptiness::live_states(self)
+        let n = self.num_states;
+        let all = BitSet::all(n);
+        let good = emptiness::cycle_states(&self.acceptance, n, &all, emptiness::scc_memo(self));
+        emptiness::backward_closure(self, good)
     }
 }
 

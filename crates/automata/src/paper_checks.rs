@@ -5,7 +5,7 @@
 //! These procedures work on the *structure* of a Streett automaton — state
 //! sets and transitions — rather than on its language, which makes them fast
 //! but specific to the Streett shape. The semantically exact procedures live
-//! in [`crate::classify`]; the test-suite and the `TAB-DEC` experiment
+//! on [`Analysis`]; the test-suite and the `TAB-DEC` experiment
 //! cross-validate the two.
 //!
 //! Contents:
@@ -25,8 +25,8 @@
 
 use crate::acceptance::Acceptance;
 use crate::alphabet::Symbol;
+use crate::analysis::Analysis;
 use crate::bitset::BitSet;
-use crate::classify;
 use crate::emptiness;
 use crate::omega::OmegaAutomaton;
 use crate::scc::tarjan_scc;
@@ -70,7 +70,7 @@ pub fn successor_closure(aut: &OmegaAutomaton, set: &BitSet) -> BitSet {
 /// states can still satisfy the Streett condition crosswise (one pair met
 /// through its `R`, another through its `P`), so the check as printed in
 /// the paper over-approximates. The exact semantic check is
-/// [`classify::is_safety`].
+/// [`Analysis::is_safety`].
 pub fn is_safety_structural(aut: &OmegaAutomaton, pairs: &StreettPairs) -> bool {
     let g = good_states(pairs, aut.num_states());
     let b = g.complement(aut.num_states());
@@ -206,23 +206,14 @@ fn no_edge(aut: &OmegaAutomaton, from: &BitSet, to: &BitSet) -> bool {
 /// it into an absorbing bad sink, and accept iff the run stays good forever
 /// (the Streett pair `(G, G)`).
 ///
-/// Returns `None` if the language is not a safety property.
+/// Returns `None` if the language is not a safety property. The verdict
+/// and the (reachable) live set come from one [`Analysis`] context.
 pub fn safety_automaton(aut: &OmegaAutomaton) -> Option<OmegaAutomaton> {
-    if !classify::is_safety(aut) {
-        return None;
-    }
-    Some(safety_shaped_from_live(aut, &aut.live_states()))
-}
-
-/// [`safety_automaton`] through a shared [`crate::analysis::Analysis`]
-/// context: the safety verdict and the live set come from the context's
-/// caches. The result may keep fewer (unreachable) states than the free
-/// version but is language-equal.
-pub fn safety_automaton_ctx(ctx: &crate::analysis::Analysis) -> Option<OmegaAutomaton> {
+    let ctx = Analysis::new(aut.clone());
     if !ctx.is_safety() {
         return None;
     }
-    Some(safety_shaped_from_live(ctx.automaton(), &ctx.live()))
+    Some(safety_shaped_from_live(aut, &ctx.live()))
 }
 
 fn safety_shaped_from_live(aut: &OmegaAutomaton, live: &BitSet) -> OmegaAutomaton {
@@ -271,27 +262,17 @@ fn safety_shaped_from_live(aut: &OmegaAutomaton, live: &BitSet) -> OmegaAutomato
 /// into an absorbing good sink; the run is accepted iff it reaches the
 /// sink.
 ///
-/// Returns `None` if the language is not a guarantee property.
+/// Returns `None` if the language is not a guarantee property. The
+/// verdict and the complement's live set come from one [`Analysis`]
+/// context (`live_reachable` of the negated acceptance, so no complement
+/// automaton is built); unreachable states fold into the sink, which
+/// cannot change the language.
 pub fn guarantee_automaton(aut: &OmegaAutomaton) -> Option<OmegaAutomaton> {
-    if !classify::is_guarantee(aut) {
-        return None;
-    }
-    // Universal states = dead states of the complement.
-    let co_live = aut.complement().live_states();
-    let universal = co_live.complement(aut.num_states());
-    Some(guarantee_shaped_from_universal(aut, &universal))
-}
-
-/// [`guarantee_automaton`] through a shared [`crate::analysis::Analysis`]
-/// context: the guarantee verdict and the complement's live set come from
-/// the context (the latter is `live_reachable` of the negated acceptance,
-/// no complement automaton is built). Unreachable co-live states are
-/// folded into the sink, which cannot change the language.
-pub fn guarantee_automaton_ctx(ctx: &crate::analysis::Analysis) -> Option<OmegaAutomaton> {
+    let ctx = Analysis::new(aut.clone());
     if !ctx.is_guarantee() {
         return None;
     }
-    let aut = ctx.automaton();
+    // Universal states = dead states of the complement.
     let co_live = ctx.live_reachable(&aut.acceptance().negated());
     let universal = co_live.complement(aut.num_states());
     Some(guarantee_shaped_from_universal(aut, &universal))
@@ -360,7 +341,7 @@ pub fn states_on_accepting_cycles_avoiding(
 pub fn recurrence_automaton(aut: &OmegaAutomaton, pairs: &StreettPairs) -> Option<OmegaAutomaton> {
     let n = aut.num_states();
     let with_pairs = aut.with_acceptance(pairs.acceptance(n));
-    if !classify::is_recurrence(&with_pairs) {
+    if !Analysis::new(with_pairs).is_recurrence() {
         return None;
     }
     if pairs.is_empty() {
@@ -520,14 +501,9 @@ mod tests {
     fn structural_checks_agree_with_semantic() {
         let sigma = ab();
         for (aut, pairs) in [always_a(&sigma), eventually_b(&sigma), inf_b(&sigma)] {
-            assert_eq!(
-                is_safety_structural(&aut, &pairs),
-                classify::is_safety(&aut)
-            );
-            assert_eq!(
-                is_guarantee_structural(&aut, &pairs),
-                classify::is_guarantee(&aut)
-            );
+            let ctx = Analysis::new(aut.clone());
+            assert_eq!(is_safety_structural(&aut, &pairs), ctx.is_safety());
+            assert_eq!(is_guarantee_structural(&aut, &pairs), ctx.is_guarantee());
         }
     }
 

@@ -37,9 +37,7 @@ pub struct AdjGraph {
 
 impl AdjGraph {
     /// Builds an adjacency graph over states `0..n` by enumerating each
-    /// state's successors with `succs_of`. This is the shared constructor
-    /// for the ad-hoc product graphs the NBA and model-checking layers
-    /// build before running Tarjan.
+    /// state's successors with `succs_of`.
     pub fn from_fn<I>(n: usize, mut succs_of: impl FnMut(StateId) -> I) -> Self
     where
         I: IntoIterator<Item = StateId>,

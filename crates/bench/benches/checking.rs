@@ -53,7 +53,9 @@ fn decomposition_bench() {
     for &n in &[8usize, 32, 128] {
         let (aut, _) =
             hierarchy_core::automata::random::random_streett(&mut rng, &sigma, n, 2, 0.2);
-        group.bench_function(format!("{n}"), || decomposition::decompose(black_box(&aut)));
+        group.bench_function(format!("{n}"), || {
+            decomposition::decompose(&Analysis::new(black_box(&aut).clone()))
+        });
     }
     group.finish();
 }

@@ -5,6 +5,7 @@
 
 use hierarchy_bench::microbench;
 use hierarchy_core::automata::alphabet::Alphabet;
+use hierarchy_core::automata::analysis::Analysis;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
 use hierarchy_core::automata::{classify, paper_checks, random};
 use hierarchy_core::lang::witnesses;
@@ -38,7 +39,7 @@ fn decision_procedures_scaling() {
             paper_checks::is_safety_structural(black_box(&aut), black_box(&pairs))
         });
         group.bench_function(format!("is_safety_semantic/{n}"), || {
-            classify::is_safety(black_box(&aut))
+            Analysis::new(black_box(&aut).clone()).is_safety()
         });
     }
     group.finish();
@@ -56,7 +57,7 @@ fn hierarchy_indices() {
     for n in [1usize, 2, 3] {
         let re = witnesses::reactivity_witness(n);
         group.bench_function(format!("reactivity_index/{n}"), || {
-            classify::reactivity_index(black_box(&re))
+            classify::classify(black_box(&re)).reactivity_index
         });
     }
     group.finish();

@@ -95,7 +95,7 @@ fn main() {
         let (aut, _) =
             hierarchy_core::automata::random::random_streett(&mut rng, &sigma, 5, 2, 0.3);
         let linguistic = operators::safety_closure_linguistic(&aut);
-        let direct = hierarchy_core::automata::classify::safety_closure(&aut);
+        let direct = hierarchy_core::topology::closure::closure(&aut);
         agree &= linguistic.equivalent(&direct);
     }
     expect(

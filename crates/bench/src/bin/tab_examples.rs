@@ -47,7 +47,7 @@ fn main() {
     // The §2 non-membership arguments:
     // (a*b)^ω is not safety: Pref = (a+b)⁺ and A(Pref) = (a+b)^ω ≠ Π.
     let rec = witnesses::recurrence();
-    let safety_closure = classify::safety_closure(&rec);
+    let safety_closure = Analysis::new(rec.clone()).safety_closure();
     expect(
         "(a*b)^ω ≠ A(Pref((a*b)^ω)) = Σ^ω",
         safety_closure.is_universal() && !rec.equivalent(&safety_closure),

@@ -6,13 +6,13 @@
 //! The old oracle decides `L(A) ⊆ L(B)` by materializing `A × ¬B` and
 //! asking it for emptiness. The direct oracle works on the product graph
 //! without materializing a complement or a product automaton (plus the
-//! parity fast path when both sides admit a
-//! [`ParityView`](hierarchy_core::automata::inclusion::ParityView)).
-//! Both run on the accepting-cycle kernel of
+//! parity fast path when both sides admit a [`ParityView`]). The direct
+//! oracle runs on the accepting-cycle kernel of
 //! `hierarchy_core::automata::emptiness`, which keeps each Streett pair
-//! whole; the old oracle used to distribute `k` conjoined pairs into
-//! `2^k` DNF disjuncts, which is what the ≥2× claim below measured
-//! (EXPERIMENTS.md records how the ratio moved). This table measures both oracles
+//! whole; the old oracle expands the difference's acceptance into its
+//! generalized-Rabin DNF, distributing `k` conjoined pairs into `2^k`
+//! disjuncts, which is what the ≥2× claim below measures (EXPERIMENTS.md
+//! records how the ratio moved). This table measures both oracles
 //! on identical equivalence queries, asserts the verdicts are identical
 //! on **every** seeded case (the release-mode counterpart of the
 //! debug-mode differential tripwire), and asserts the headline claim:
@@ -134,14 +134,16 @@ fn main() {
     }
 
     // --- Machine-readable artifact.
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n  \"experiment\": \"TAB-INCL\",\n");
+    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"verdicts_identical\": true,");
     let _ = writeln!(
         json,
         "  \"note\": \"equivalence queries on seeded random Streett pairs; old = \
-         complement+product emptiness, new = direct product-graph Streett \
-         refinement (inclusion module); both on the accepting-cycle kernel. \
-         Medians over the per-suite batch.\","
+         complement+product with generalized-Rabin DNF emptiness, new = direct \
+         product-graph Streett refinement on the accepting-cycle kernel \
+         (inclusion module). Medians over the per-suite batch.\","
     );
     json.push_str("  \"seeded_streett\": [\n");
     for (i, s) in suites.iter().enumerate() {

@@ -35,19 +35,19 @@ fn main() {
     expect("Π = A(Pref Π) ∩ L(Π) on 60 random properties", all_valid);
 
     // --- Orthogonality: the liveness part retains the κ class.
-    type ClassCheck = fn(&hierarchy_core::automata::omega::OmegaAutomaton) -> bool;
+    type ClassCheck = fn(&classify::Classification) -> bool;
     let live_kappa: [(&str, ClassCheck); 4] = [
-        ("F b", classify::is_guarantee),
-        ("G (a -> F b)", classify::is_recurrence),
-        ("F G a", classify::is_persistence),
-        ("G a | F b", classify::is_obligation),
+        ("F b", |c| c.is_guarantee),
+        ("G (a -> F b)", |c| c.is_recurrence),
+        ("F G a", |c| c.is_persistence),
+        ("G a | F b", |c| c.is_obligation),
     ];
     for (src, check) in live_kappa {
         let p = Property::parse(&sigma, src).expect("compiles");
-        let l = decomposition::liveness_extension(p.automaton());
+        let l = decomposition::liveness_extension(p.analysis());
         expect(
             &format!("L({src}) stays in the class of {src} and is live"),
-            check(&l) && density::is_dense(&l),
+            check(&classify::classify(&l)) && density::is_dense(&l),
         );
     }
 

@@ -304,7 +304,7 @@ impl Property {
         PropertyReport {
             borel: classification.borel_name(),
             syntactic: self.formula.as_ref().and_then(SyntacticClass::of),
-            is_liveness: density::is_liveness_ctx(&self.analysis),
+            is_liveness: self.analysis.is_dense(),
             is_uniform_liveness: density::is_uniform_liveness(self.automaton()),
             is_counter_free: self.analysis.counter_freedom().is_counter_free(),
             proof_principle: class.proof_principle(),
@@ -316,7 +316,7 @@ impl Property {
     /// The safety–liveness decomposition `Π = Π_S ∩ Π_L` (through the
     /// shared context: the live set behind the closure is computed once).
     pub fn safety_liveness_decomposition(&self) -> (Property, Property) {
-        let (s, l) = decomposition::decompose_ctx(&self.analysis);
+        let (s, l) = decomposition::decompose(&self.analysis);
         (Property::from_automaton(s), Property::from_automaton(l))
     }
 

@@ -32,7 +32,7 @@ pub fn full_mask(dom: usize) -> u64 {
 }
 
 /// A bounded abstraction of a set of integers: bottom, an explicit sorted
-/// set of at most [`SET_CAP`] values, or an interval. This is the lingua
+/// set of at most `SET_CAP` (64) values, or an interval. This is the lingua
 /// franca of the transfer functions — every [`Domain`] lifts into it and
 /// cuts back out of it.
 #[derive(Debug, Clone, PartialEq, Eq)]

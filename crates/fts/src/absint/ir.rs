@@ -1,7 +1,7 @@
 //! A declarative guarded-command IR that abstract interpretation can see
 //! through.
 //!
-//! [`ProgramBuilder`](crate::builder::ProgramBuilder) takes guards and
+//! [`ProgramBuilder`] takes guards and
 //! updates as opaque closures — fine for enumeration, useless for static
 //! analysis. [`Program`] is the declarative counterpart: expressions
 //! ([`Expr`]), guards ([`Guard`]) and simultaneous assignments
@@ -9,7 +9,7 @@
 //! semantics (`eval_expr` / `eval_guard`) shared by the compiler to
 //! [`ProgramBuilder`], the abstract transformers in
 //! [`domain`](super::domain), and the independent certificate checker in
-//! [`certify`](super::certify).
+//! [`certify`](mod@super::certify).
 //!
 //! Out-of-domain results: a branch whose assignment produces a value
 //! outside the target variable's domain is simply *not taken* (the

@@ -20,10 +20,10 @@
 //!   cartesian domains provably lose;
 //! * [`solve`] — the chaotic-iteration worklist solver, producing a
 //!   per-location [`Invariant`] certificate with concretized masks;
-//! * [`certify`] — independent re-verification of a certificate:
+//! * [`certify`](mod@certify) — independent re-verification of a certificate:
 //!   transition-by-transition inductiveness ([`certify`](certify::certify))
 //!   and a fully concrete enumeration variant
-//!   ([`certify_exhaustive`](certify::certify_exhaustive)), so a solver
+//!   ([`certify_exhaustive`]), so a solver
 //!   bug cannot silently claim soundness;
 //! * [`examples`] — the paper's programs (MUX-SEM, the token ring,
 //!   Peterson) in the IR, parameterized N-process families (`mux_sem_n`,

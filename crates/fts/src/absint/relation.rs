@@ -21,7 +21,7 @@
 //! each joint value `(vx, vy)` it holds, build the cartesian environment
 //! of everything compatible with that joint (each other variable `w` is
 //! cut to `masks[w] ∩ row(x, vx → w) ∩ row(y, vy → w)`), run the shared
-//! value-set transfer ([`assume`] + [`post_branch`]) through it, and
+//! value-set transfer ([`assume`] + `post_branch`) through it, and
 //! merge the result *anchored*: only the conditioned pair's own joint
 //! values and the anchors' projections are updated from each
 //! conditioning. Every concrete transition is covered by the

@@ -25,8 +25,8 @@
 //! [`check_with_invariants`] puts the hierarchy to work before any
 //! product is built: it runs the abstract-interpretation engine
 //! ([`crate::absint`]) over a declarative program, re-verifies the
-//! resulting certificate, and — when `classify` places the property in
-//! the safety class — discharges the check entirely in the abstract:
+//! resulting certificate, and — when the property is a safety property
+//! — discharges the check entirely in the abstract:
 //! if no abstract (location, automaton-state) pair can emit a symbol
 //! entering a dead automaton state, no bad prefix exists and the
 //! property holds with **zero** concrete product states. Otherwise it
@@ -43,8 +43,8 @@ use crate::absint::{self, DomainKind, Invariant, Program, ValueSetDomain};
 use crate::error::CheckError;
 use crate::system::{Fairness, TransitionSystem};
 use hierarchy_automata::alphabet::{Alphabet, Symbol};
+use hierarchy_automata::analysis::Analysis;
 use hierarchy_automata::bitset::BitSet;
-use hierarchy_automata::classify;
 use hierarchy_automata::emptiness::{decompose, refine, shortest_path};
 use hierarchy_automata::flat::FlatGraph;
 use hierarchy_automata::lasso::Lasso;
@@ -642,10 +642,10 @@ fn abstract_product(
 /// property over the proposition alphabet `sigma`.
 ///
 /// Runs [`absint::analyze`] with the chosen domain, re-verifies the
-/// certificate with [`absint::certify`], and then:
+/// certificate with [`absint::certify()`], and then:
 ///
-/// 1. if the certificate holds and `classify` places the property in the
-///    **safety** class, attempts the abstract discharge: when no
+/// 1. if the certificate holds and the property is a **safety**
+///    property ([`Analysis::is_safety`]), attempts the abstract discharge: when no
 ///    abstract pair can emit a symbol entering a dead automaton state,
 ///    the property holds with zero concrete product states
 ///    ([`CheckStats::discharged`]);
@@ -683,13 +683,16 @@ pub fn check_with_invariants(
         ..CheckStats::default()
     };
 
-    if cert_ok && classify::is_safety(property) {
-        let dead = property.live_states().complement(property.num_states());
-        let ap = abstract_product(program, &inv, sigma, property, Some(&dead));
-        stats.abstract_pairs = ap.pairs.len();
-        if !ap.hit_dead {
-            stats.discharged = true;
-            return Ok((Verdict::Holds, stats));
+    if cert_ok {
+        let ctx = Analysis::new(property.clone());
+        if ctx.is_safety() {
+            let dead = ctx.live().complement(property.num_states());
+            let ap = abstract_product(program, &inv, sigma, property, Some(&dead));
+            stats.abstract_pairs = ap.pairs.len();
+            if !ap.hit_dead {
+                stats.discharged = true;
+                return Ok((Verdict::Holds, stats));
+            }
         }
     }
 

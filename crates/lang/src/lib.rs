@@ -25,9 +25,7 @@
 //! * [`operators`] — the four operators `A/E/R/P` producing deterministic
 //!   ω-automata, plus [`operators::pref`] recovering `Pref(Π)`;
 //! * [`witnesses`] — the paper's canonical separating languages
-//!   (`(a*b)^ω`, `(a+b)*a^ω`, the `Obl_k` family `[(Π+a*)d]^{k-1}·Π`, …);
-//! * [`omega_nba`] — nondeterministic Büchi constructions (`U·V^ω`, unions)
-//!   used to cross-validate the deterministic pipeline on sampled lassos.
+//!   (`(a*b)^ω`, `(a+b)*a^ω`, the `Obl_k` family `[(Π+a*)d]^{k-1}·Π`, …).
 //!
 //! # Example
 //!
@@ -40,15 +38,14 @@
 //! let phi = FinitaryProperty::parse(&sigma, "aa*b*").unwrap();
 //! // A(Φ) = a^ω + a⁺b^ω is a safety property…
 //! let safety = operators::a(&phi);
-//! assert!(classify::is_safety(&safety));
+//! assert!(classify::classify(&safety).is_safety);
 //! // …and E(Φ) = a⁺b*·Σ^ω is a guarantee property.
 //! let guarantee = operators::e(&phi);
-//! assert!(classify::is_guarantee(&guarantee));
+//! assert!(classify::classify(&guarantee).is_guarantee);
 //! ```
 
 pub mod finitary;
 pub mod firstorder;
-pub mod omega_nba;
 pub mod operators;
 pub mod regex;
 pub mod thompson;

@@ -122,7 +122,7 @@ pub fn pref(aut: &OmegaAutomaton) -> FinitaryProperty {
 
 /// The safety closure `A(Pref(Π))` computed through the linguistic
 /// operators (the automata view computes the same thing directly as
-/// [`hierarchy_automata::classify::safety_closure`]).
+/// [`Analysis::safety_closure`](hierarchy_automata::analysis::Analysis::safety_closure)).
 pub fn safety_closure_linguistic(aut: &OmegaAutomaton) -> OmegaAutomaton {
     a(&pref(aut))
 }
@@ -131,6 +131,7 @@ pub fn safety_closure_linguistic(aut: &OmegaAutomaton) -> OmegaAutomaton {
 mod tests {
     use super::*;
     use hierarchy_automata::alphabet::Alphabet;
+    use hierarchy_automata::analysis::Analysis;
     use hierarchy_automata::classify;
     use hierarchy_automata::lasso::Lasso;
 
@@ -156,7 +157,7 @@ mod tests {
         assert!(!m.accepts(&lasso(&sigma, "", "b")));
         assert!(!m.accepts(&lasso(&sigma, "ab", "a")));
         assert!(!m.accepts(&lasso(&sigma, "", "ab")));
-        assert!(classify::is_safety(&m));
+        assert!(classify::classify(&m).is_safety);
     }
 
     #[test]
@@ -168,7 +169,7 @@ mod tests {
         assert!(m.accepts(&lasso(&sigma, "", "ab")));
         assert!(!m.accepts(&lasso(&sigma, "b", "a")));
         assert!(!m.accepts(&lasso(&sigma, "", "b")));
-        assert!(classify::is_guarantee(&m));
+        assert!(classify::classify(&m).is_guarantee);
     }
 
     #[test]
@@ -311,7 +312,8 @@ mod tests {
         assert!(!rec.equivalent(&safety_closure_linguistic(&rec)));
         // The two safety-closure implementations agree.
         for m in [&s, &rec] {
-            assert!(safety_closure_linguistic(m).equivalent(&classify::safety_closure(m)));
+            let direct = Analysis::new(m.clone()).safety_closure();
+            assert!(safety_closure_linguistic(m).equivalent(&direct));
         }
     }
 

@@ -39,7 +39,7 @@ pub use automata::{lint_automaton, lint_automaton_ctx};
 pub use diagnostic::{is_clean, report_to_json, worst_severity, Diagnostic, Location, Severity};
 pub use fts::{lint_abstract_program, lint_abstract_program_ctx, lint_program, lint_system};
 pub use lang::{lint_finitary, lint_minex, lint_regex};
-pub use logic::{lint_formula, lint_formula_ctx};
+pub use logic::lint_formula;
 pub use registry::{rule, RuleInfo, CATALOGUE};
 pub use suite::{audit_suite, audit_suite_ctx, AuditError, AuditOptions, SuiteAudit};
 

@@ -1,13 +1,12 @@
 //! Formula lints (`LOGIC001`–`LOGIC007`).
 //!
 //! Syntactic rules (`LOGIC004` constant subformulas, `LOGIC006` redundant
-//! past operators) always run. Semantic rules go through
-//! [`compile_over`](hierarchy_logic::to_automaton::compile_over): the
-//! compiled automaton's [`Analysis`] answers emptiness, universality, and
-//! the equivalence queries of the vacuity check, and its classification is
-//! compared against the *syntactic* class (the paper's upper bound) for
-//! `LOGIC005`. When the formula is outside the hierarchy grammar the
-//! semantic rules are skipped and `LOGIC007` says so.
+//! past operators) always run. Semantic rules go through [`compile_over`]:
+//! the compiled automaton's [`Analysis`] answers emptiness, universality,
+//! and the equivalence queries of the vacuity check, and its
+//! classification is compared against the *syntactic* class (the paper's
+//! upper bound) for `LOGIC005`. When the formula is outside the hierarchy
+//! grammar the semantic rules are skipped and `LOGIC007` says so.
 //!
 //! The vacuity rule is polarity-aware: every operator of the syntax tree
 //! is monotone in each operand except `Not`, so each subformula position
@@ -30,9 +29,7 @@ fn diag(rule: &RuleInfo, location: Location, message: impl Into<String>) -> Diag
     Diagnostic::new(rule.code, rule.severity, location, message)
 }
 
-/// Lints a formula, compiling it to run the semantic rules. Prefer
-/// [`lint_formula_ctx`] when an [`Analysis`] of the compiled automaton is
-/// already at hand (e.g. after classifying the formula).
+/// Lints a formula, compiling it to run the semantic rules.
 pub fn lint_formula(alphabet: &Alphabet, formula: &Formula) -> Vec<Diagnostic> {
     let mut out = syntactic_lints(alphabet, formula);
     match compile_over(alphabet, formula) {
@@ -49,18 +46,6 @@ pub fn lint_formula(alphabet: &Alphabet, formula: &Formula) -> Vec<Diagnostic> {
             .with_suggestion("bring the formula into the hierarchy grammar (canonicalizable form)"),
         ),
     }
-    out
-}
-
-/// Lints a formula against an existing analysis context.
-///
-/// `ctx` **must** analyze the automaton compiled from `formula` over
-/// `alphabet` (as produced by `compile_over`); the semantic rules read
-/// emptiness, universality, and classification from it and only compile
-/// the *mutated* formulas of the vacuity check.
-pub fn lint_formula_ctx(alphabet: &Alphabet, formula: &Formula, ctx: &Analysis) -> Vec<Diagnostic> {
-    let mut out = syntactic_lints(alphabet, formula);
-    out.extend(semantic_lints(alphabet, formula, ctx));
     out
 }
 
@@ -221,8 +206,10 @@ fn semantic_lints(alphabet: &Alphabet, formula: &Formula, ctx: &Analysis) -> Vec
         }
     }
 
-    // LOGIC005: written class strictly above the semantic class.
-    if let Some(syntactic) = SyntacticClass::of(formula) {
+    // LOGIC005: written class strictly above the semantic class (skipped
+    // when the automaton has more acceptance atoms than classification
+    // takes).
+    if let Some(syntactic) = SyntacticClass::of(formula).filter(|_| ctx.classifiable()) {
         let written = class_level(syntactic);
         let semantic = semantic_level(ctx);
         if semantic < written {
@@ -461,15 +448,6 @@ mod tests {
         let f = Formula::parse(&sigma, "G ((F a) U (G b))").unwrap();
         let diags = lint_formula(&sigma, &f);
         assert_eq!(codes(&diags), vec!["LOGIC007"]);
-    }
-
-    #[test]
-    fn ctx_variant_matches_fresh_lint() {
-        let sigma = letters();
-        let f = Formula::parse(&sigma, "G F (first & a)").unwrap();
-        let aut = compile_over(&sigma, &f).unwrap();
-        let ctx = Analysis::new(aut);
-        assert_eq!(lint_formula(&sigma, &f), lint_formula_ctx(&sigma, &f, &ctx));
     }
 
     #[test]

@@ -36,9 +36,7 @@
 //!   safety/guarantee/persistence, response, exception, fairness);
 //! * [`rewrites`] — the paper's equivalences as verified rewrite rules
 //!   (e.g. `□(p → ◇q) ≡ □◇(¬p S̃ q)`), used to canonicalize formulas into
-//!   the hierarchy grammar;
-//! * [`nba`] — a tableau translation of *future* LTL to nondeterministic
-//!   Büchi automata, the independent oracle for cross-validation.
+//!   the hierarchy grammar.
 //!
 //! # Example
 //!
@@ -55,7 +53,6 @@
 //! ```
 
 pub mod ast;
-pub mod nba;
 pub mod parser;
 pub mod random_formula;
 pub mod rewrites;

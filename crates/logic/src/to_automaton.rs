@@ -228,9 +228,9 @@ mod tests {
     #[test]
     fn compiles_the_four_modalities() {
         let saf = check("G a", 1);
-        assert!(classify::is_safety(&saf));
+        assert!(classify::classify(&saf).is_safety);
         let gua = check("F b", 2);
-        assert!(classify::is_guarantee(&gua));
+        assert!(classify::classify(&gua).is_guarantee);
         let rec = check("G F b", 3);
         let c = classify::classify(&rec);
         assert!(c.is_recurrence && !c.is_persistence);
@@ -243,10 +243,10 @@ mod tests {
     fn compiles_past_bodies() {
         // □(b → ⊖a): every b is preceded by an a — safety with real past.
         let saf = check("G (b -> Y a)", 5);
-        assert!(classify::is_safety(&saf));
+        assert!(classify::classify(&saf).is_safety);
         // ◇(b ∧ ⊖⊡a): guarantee with past body.
         let gua = check("F (b & Y H a)", 6);
-        assert!(classify::is_guarantee(&gua));
+        assert!(classify::classify(&gua).is_guarantee);
     }
 
     #[test]

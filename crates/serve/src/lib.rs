@@ -12,7 +12,8 @@
 //! artifacts once and answers every later query against the warm
 //! context.
 //!
-//! Artifacts are **content-addressed** ([`Servable::content_hash`]):
+//! Artifacts are **content-addressed**
+//! ([`Servable::content_hash`](hierarchy_core::Servable::content_hash)):
 //! automata hash in canonical quotient form, so α-equivalent automata,
 //! formulas and regexes collide on purpose, and an ingest-time
 //! equivalence sweep aliases even hash-distinct equal languages onto
@@ -34,7 +35,8 @@
 //! with the standard codes (`-32700` parse, `-32600` invalid request,
 //! `-32601` unknown method, `-32602` invalid params) plus the daemon's
 //! own range: `-32001` unknown artifact, `-32002` bad artifact (HOA
-//! parse, formula compile, unknown program), `-32003` artifact kind or
+//! parse, formula compile, unknown program, or an automaton beyond the
+//! classifier's acceptance-atom limit), `-32003` artifact kind or
 //! alphabet mismatch.
 //!
 //! Methods: `ingest`, `classify`, `lint`, `include`, `check`, `audit`,
@@ -60,13 +62,14 @@ use hierarchy_core::automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_core::automata::canonical::ArtifactHash;
 use hierarchy_core::automata::lasso::Lasso;
 use hierarchy_core::automata::omega::OmegaAutomaton;
-use hierarchy_core::automata::{hoa, inclusion, par};
+use hierarchy_core::automata::{classify, hoa, inclusion, par};
 use hierarchy_core::fts::absint::{self, DomainKind};
 use hierarchy_core::fts::checker::check_with_invariants;
 use hierarchy_core::fts::CheckError;
 use hierarchy_core::lang::{operators, FinitaryProperty};
 use hierarchy_core::lint::{
-    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditOptions,
+    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditError,
+    AuditOptions,
 };
 use hierarchy_core::prelude::Alphabet;
 use hierarchy_core::{HierarchyClass, Property};
@@ -99,8 +102,9 @@ pub mod code {
     /// The named artifact is not in the store (never ingested, or
     /// evicted).
     pub const UNKNOWN_ARTIFACT: i64 = -32001;
-    /// The submitted artifact is malformed (HOA parse error, formula
-    /// compile error, unknown catalogue program, bad regex).
+    /// The submitted artifact is malformed or unsupported (HOA parse
+    /// error, formula compile error, unknown catalogue program, bad regex,
+    /// or more acceptance atoms than classification takes).
     pub const BAD_ARTIFACT: i64 = -32002;
     /// The artifact exists but has the wrong kind for the method, or
     /// two operands observe different alphabets.
@@ -482,10 +486,16 @@ impl Service {
             ctxs.push(require_automaton(entry)?);
         }
         let items: Vec<(&str, &Analysis)> = names.iter().map(String::as_str).zip(ctxs).collect();
-        // The only audit-level failure is an alphabet mismatch between
-        // two members — the daemon's operand-mismatch code.
-        let audit = audit_suite_ctx(&items, &opts)
-            .map_err(|e| RpcError::new(code::KIND_MISMATCH, e.to_string()))?;
+        // An alphabet mismatch between two members is the daemon's
+        // operand-mismatch code; a member classification cannot take is
+        // an unsupported artifact.
+        let audit = audit_suite_ctx(&items, &opts).map_err(|e| {
+            let code = match e {
+                AuditError::AlphabetMismatch { .. } => code::KIND_MISMATCH,
+                AuditError::Unclassifiable { .. } => code::BAD_ARTIFACT,
+            };
+            RpcError::new(code, e.to_string())
+        })?;
         let members: Vec<Json> = (0..audit.names.len())
             .map(|i| {
                 Json::obj([
@@ -708,6 +718,17 @@ fn require_automaton(entry: &Entry) -> Result<&Analysis, RpcError> {
 
 fn classify_entry(entry: &Entry, warm: bool) -> RpcResult {
     let ctx = require_automaton(entry)?;
+    if !ctx.classifiable() {
+        return Err(RpcError::new(
+            code::BAD_ARTIFACT,
+            format!(
+                "artifact {} has more distinct acceptance atoms than classification \
+                 takes ({})",
+                entry.hash,
+                classify::MAX_LATTICE_ATOMS
+            ),
+        ));
+    }
     let before = ctx.stats_total();
     let c = ctx.classification().clone();
     let delta = ctx.stats_total().delta_since(before);

@@ -100,6 +100,21 @@ fn ingest_formula_request(id: i64, source: &str, props: &[&str]) -> String {
     .to_string()
 }
 
+fn ingest_hoa_request(id: i64, aut: &OmegaAutomaton) -> String {
+    Json::obj([
+        ("id", Json::Int(id)),
+        ("method", Json::str("ingest")),
+        (
+            "params",
+            Json::obj([
+                ("kind", Json::str("automaton")),
+                ("hoa", Json::str(hoa::omega_to_hoa(aut))),
+            ]),
+        ),
+    ])
+    .to_string()
+}
+
 fn golden_ingest(id: i64, aut: &OmegaAutomaton, known: bool) -> String {
     Json::obj([
         ("id", Json::Int(id)),
@@ -786,6 +801,109 @@ fn golden_error_shapes() {
     daemon.shutdown();
 }
 
+// ---- the classifier's atom limit --------------------------------------
+
+/// `G F p` over {p} as a 17-state generalized-Büchi automaton with 17
+/// `Inf` sets (state `i` moves to `i + 1 mod 17` on `p`): one of the
+/// plainest recurrence inputs, with one acceptance atom more than
+/// classification takes.
+fn seventeen_inf_sets() -> OmegaAutomaton {
+    let sigma = Alphabet::of_propositions(["p"]).unwrap();
+    let acc = (0..17)
+        .map(|i| Acceptance::inf([i]))
+        .fold(Acceptance::True, Acceptance::and);
+    let p = |s: Symbol| sigma.proposition_holds(s, 0);
+    OmegaAutomaton::build(
+        &sigma,
+        17,
+        0,
+        |q, s| if p(s) { (q + 1) % 17 } else { q },
+        acc,
+    )
+}
+
+/// Classification, its batch form and the suite audit answer a typed
+/// -32002 for an automaton beyond the atom limit, and the daemon goes on
+/// answering: lint, inclusion and the classification of another
+/// artifact are byte-exact against the library.
+#[test]
+fn golden_atom_limit_is_a_typed_error() {
+    let mut daemon = Daemon::spawn(&[]);
+    let aut = seventeen_inf_sets();
+    let hash = aut.content_hash().to_string();
+    let fp = compile("F p", &["p"]);
+    let fp_hash = fp.content_hash().to_string();
+    assert_eq!(
+        daemon.request(&ingest_hoa_request(1, &aut)),
+        golden_ingest(1, &aut, false)
+    );
+    daemon.request(&ingest_formula_request(2, "F p", &["p"]));
+
+    let too_many = |id: i64, subject: &str| {
+        format!(
+            "{{\"id\":{id},\"error\":{{\"code\":-32002,\"message\":\"{subject} has more \
+             distinct acceptance atoms than classification takes (16)\"}}}}"
+        )
+    };
+    let got = daemon.request(&format!(
+        "{{\"id\":3,\"method\":\"classify\",\"params\":{{\"artifact\":\"{hash}\"}}}}"
+    ));
+    assert_eq!(got, too_many(3, &format!("artifact {hash}")));
+    let got = daemon.request(&format!(
+        "{{\"id\":4,\"method\":\"classify_batch\",\"params\":{{\"artifacts\":[\"{hash}\"]}}}}"
+    ));
+    assert_eq!(got, too_many(4, &format!("artifact {hash}")));
+    let got = daemon.request(&format!(
+        "{{\"id\":5,\"method\":\"audit\",\"params\":{{\"artifacts\":[\"{hash}\"]}}}}"
+    ));
+    assert_eq!(got, too_many(5, &format!("suite member \\\"{hash}\\\"")));
+
+    let diags = lint_automaton_ctx(&Analysis::new(aut.clone()));
+    let want = Json::obj([
+        ("id", Json::Int(6)),
+        (
+            "result",
+            Json::obj([
+                ("artifact", Json::str(hash.clone())),
+                ("kind", Json::str("automaton")),
+                ("count", Json::Int(diags.len() as i64)),
+                ("diagnostics", Json::Raw(report_to_json(&diags))),
+                ("warm", Json::Bool(true)),
+            ]),
+        ),
+    ])
+    .to_string();
+    let got = daemon.request(&format!(
+        "{{\"id\":6,\"method\":\"lint\",\"params\":{{\"artifact\":\"{hash}\"}}}}"
+    ));
+    assert_eq!(got, want, "lint golden");
+
+    let got = daemon.request(&format!(
+        "{{\"id\":7,\"method\":\"include\",\"params\":{{\"lhs\":\"{hash}\",\"rhs\":\"{fp_hash}\"}}}}"
+    ));
+    let want = Json::obj([
+        ("id", Json::Int(7)),
+        (
+            "result",
+            Json::obj([
+                ("lhs", Json::str(hash.clone())),
+                ("rhs", Json::str(fp_hash.clone())),
+                ("included", Json::Bool(true)),
+                ("equivalent", Json::Bool(false)),
+                ("counterexample", Json::Null),
+            ]),
+        ),
+    ])
+    .to_string();
+    assert_eq!(got, want, "inclusion golden");
+
+    let got = daemon.request(&format!(
+        "{{\"id\":8,\"method\":\"classify\",\"params\":{{\"artifact\":\"{fp_hash}\"}}}}"
+    ));
+    assert_eq!(got, golden_classify(8, &Analysis::new(fp), true));
+    daemon.shutdown();
+}
+
 // ---- transport details ----------------------------------------------
 
 #[test]
@@ -891,20 +1009,7 @@ fn regex_and_hoa_ingest_collide_with_equivalent_formulas() {
     let hash = aut.content_hash().to_string();
     let got = daemon.request(&ingest_formula_request(10, "F p", &["p"]));
     assert_eq!(got, golden_ingest(10, &aut, false));
-    let hoa_src = hoa::omega_to_hoa(&aut);
-    let req = Json::obj([
-        ("id", Json::Int(2)),
-        ("method", Json::str("ingest")),
-        (
-            "params",
-            Json::obj([
-                ("kind", Json::str("automaton")),
-                ("hoa", Json::str(hoa_src)),
-            ]),
-        ),
-    ])
-    .to_string();
-    let got = daemon.request(&req);
+    let got = daemon.request(&ingest_hoa_request(2, &aut));
     let resp = Json::parse(&got).unwrap();
     let result = resp.get("result").expect("hoa ingest succeeds");
     assert_eq!(result.get("known").and_then(Json::as_bool), Some(true));

@@ -14,7 +14,7 @@ use hierarchy_core::{HierarchyClass, Property};
 use hierarchy_serve::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
 const CLIENTS: usize = 4;
 const ITERATIONS: usize = 60;
@@ -69,8 +69,9 @@ fn request_over(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line:
     Json::parse(response.trim_end()).expect("well-formed response")
 }
 
-#[test]
-fn soak_tcp_clients_agree_with_library_and_counters_stay_monotone() {
+/// A daemon listening on an ephemeral port: the child, its stdio, and
+/// the bound address its first stdout line announces.
+fn spawn_listening() -> (Child, ChildStdin, BufReader<ChildStdout>, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_spec-serve"))
         .args(["--listen", "127.0.0.1:0"])
         .stdin(Stdio::piped())
@@ -78,10 +79,8 @@ fn soak_tcp_clients_agree_with_library_and_counters_stay_monotone() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn spec-serve");
-    let mut stdin = child.stdin.take().unwrap();
+    let stdin = child.stdin.take().unwrap();
     let mut stdout = BufReader::new(child.stdout.take().unwrap());
-
-    // The first stdout line announces the bound address.
     let mut announce = String::new();
     stdout.read_line(&mut announce).unwrap();
     let announce = Json::parse(announce.trim_end()).expect("announce event");
@@ -94,6 +93,12 @@ fn soak_tcp_clients_agree_with_library_and_counters_stay_monotone() {
         .and_then(Json::as_str)
         .expect("bound address")
         .to_string();
+    (child, stdin, stdout, addr)
+}
+
+#[test]
+fn soak_tcp_clients_agree_with_library_and_counters_stay_monotone() {
+    let (mut child, mut stdin, mut stdout, addr) = spawn_listening();
 
     // Seed the store over stdio and pin down the expected verdicts.
     let expected = expectations();
@@ -343,4 +348,105 @@ fn soak_tcp_clients_agree_with_library_and_counters_stay_monotone() {
     drop(stdin);
     let status = child.wait().unwrap();
     assert_eq!(status.code(), Some(0), "clean shutdown on stdin EOF");
+}
+
+/// `G F p` over {p} as a 17-state generalized-Büchi automaton with 17
+/// `Inf` sets: one acceptance atom more than classification takes.
+fn seventeen_inf_sets() -> OmegaAutomaton {
+    let sigma = Alphabet::of_propositions(["p"]).unwrap();
+    let acc = (0..17)
+        .map(|i| Acceptance::inf([i]))
+        .fold(Acceptance::True, Acceptance::and);
+    let p = |s: Symbol| sigma.proposition_holds(s, 0);
+    OmegaAutomaton::build(
+        &sigma,
+        17,
+        0,
+        |q, s| if p(s) { (q + 1) % 17 } else { q },
+        acc,
+    )
+}
+
+/// Over TCP, the classifier's atom limit is a typed -32002 on classify,
+/// classify_batch and audit, and the same connection goes on answering
+/// lint, include and stats.
+#[test]
+fn atom_limit_errors_keep_the_tcp_connection_open() {
+    let (mut child, stdin, _stdout, addr) = spawn_listening();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut send = |line: String| request_over(&mut stream, &mut reader, &line);
+    let artifact = |resp: &Json| {
+        resp.get("result")
+            .and_then(|r| r.get("artifact"))
+            .and_then(Json::as_str)
+            .expect("ingest succeeds")
+            .to_string()
+    };
+
+    let aut = seventeen_inf_sets();
+    let hoa = Json::str(hierarchy_core::automata::hoa::omega_to_hoa(&aut));
+    let hash = artifact(&send(format!(
+        "{{\"id\":1,\"method\":\"ingest\",\"params\":{{\"kind\":\"automaton\",\"hoa\":{hoa}}}}}"
+    )));
+    let fp = artifact(&send(
+        "{\"id\":2,\"method\":\"ingest\",\"params\":{\"kind\":\"formula\",\"props\":[\"p\"],\"source\":\"F p\"}}".to_string(),
+    ));
+    for (id, method, params) in [
+        (3, "classify", format!("{{\"artifact\":\"{hash}\"}}")),
+        (
+            4,
+            "classify_batch",
+            format!("{{\"artifacts\":[\"{hash}\"]}}"),
+        ),
+        (5, "audit", format!("{{\"artifacts\":[\"{hash}\"]}}")),
+    ] {
+        let resp = send(format!(
+            "{{\"id\":{id},\"method\":\"{method}\",\"params\":{params}}}"
+        ));
+        assert_eq!(resp.get("id").and_then(Json::as_int), Some(id));
+        let error = resp.get("error").expect("typed error");
+        assert_eq!(
+            error.get("code").and_then(Json::as_int),
+            Some(-32002),
+            "{method}"
+        );
+        assert!(
+            error
+                .get("message")
+                .and_then(Json::as_str)
+                .is_some_and(|m| m.ends_with("than classification takes (16)")),
+            "{method} names the limit"
+        );
+    }
+
+    let lint = send(format!(
+        "{{\"id\":6,\"method\":\"lint\",\"params\":{{\"artifact\":\"{hash}\"}}}}"
+    ));
+    let want = hierarchy_core::lint::lint_automaton_ctx(&Analysis::new(aut)).len();
+    assert_eq!(
+        lint.get("result")
+            .and_then(|r| r.get("count"))
+            .and_then(Json::as_int),
+        Some(want as i64)
+    );
+    let include = send(format!(
+        "{{\"id\":7,\"method\":\"include\",\"params\":{{\"lhs\":\"{hash}\",\"rhs\":\"{fp}\"}}}}"
+    ));
+    let verdict = |key: &str| {
+        include
+            .get("result")
+            .and_then(|r| r.get(key))
+            .and_then(Json::as_bool)
+    };
+    assert_eq!(verdict("included"), Some(true), "G F p ⊆ F p");
+    assert_eq!(verdict("equivalent"), Some(false));
+    let stats = send("{\"id\":8,\"method\":\"stats\"}".to_string());
+    assert!(
+        stats.get("result").is_some(),
+        "the connection is still open"
+    );
+
+    drop(stdin);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
 }

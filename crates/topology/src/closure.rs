@@ -3,48 +3,19 @@
 //! The paper's central identity (Section 3) is `cl(Π) = A(Pref(Π))`: the
 //! topological closure of an ω-regular property coincides with its safety
 //! closure, so all topological notions are computable on the automaton.
+//!
+//! Each predicate here is the paper's name for one [`Analysis`] query;
+//! build an `Analysis` directly to ask several questions of one
+//! automaton with shared caches.
 
 use hierarchy_automata::analysis::Analysis;
-use hierarchy_automata::classify;
 use hierarchy_automata::lasso::Lasso;
 use hierarchy_automata::omega::OmegaAutomaton;
 
 /// The topological closure `cl(Π) = A(Pref(Π))` of the automaton's
 /// language.
 pub fn closure(aut: &OmegaAutomaton) -> OmegaAutomaton {
-    classify::safety_closure(aut)
-}
-
-/// [`closure`] through a shared [`Analysis`] context (reuses the cached
-/// live set; language-equal to the free version).
-pub fn closure_ctx(ctx: &Analysis) -> OmegaAutomaton {
-    ctx.safety_closure()
-}
-
-/// [`is_closed`] through a shared [`Analysis`] context (one field of the
-/// cached full verdict).
-pub fn is_closed_ctx(ctx: &Analysis) -> bool {
-    ctx.is_safety()
-}
-
-/// [`is_open`] through a shared [`Analysis`] context.
-pub fn is_open_ctx(ctx: &Analysis) -> bool {
-    ctx.is_guarantee()
-}
-
-/// [`is_clopen`] through a shared [`Analysis`] context.
-pub fn is_clopen_ctx(ctx: &Analysis) -> bool {
-    ctx.is_safety() && ctx.is_guarantee()
-}
-
-/// [`is_g_delta`] through a shared [`Analysis`] context.
-pub fn is_g_delta_ctx(ctx: &Analysis) -> bool {
-    ctx.is_recurrence()
-}
-
-/// [`is_f_sigma`] through a shared [`Analysis`] context.
-pub fn is_f_sigma_ctx(ctx: &Analysis) -> bool {
-    ctx.is_persistence()
+    Analysis::new(aut.clone()).safety_closure()
 }
 
 /// The interior of the language: the largest open subset, computed as the
@@ -61,12 +32,12 @@ pub fn is_limit_point(aut: &OmegaAutomaton, w: &Lasso) -> bool {
 
 /// Whether the language is closed (= a safety property, Π₁ / F).
 pub fn is_closed(aut: &OmegaAutomaton) -> bool {
-    classify::is_safety(aut)
+    Analysis::new(aut.clone()).is_safety()
 }
 
 /// Whether the language is open (= a guarantee property, Σ₁ / G).
 pub fn is_open(aut: &OmegaAutomaton) -> bool {
-    classify::is_guarantee(aut)
+    Analysis::new(aut.clone()).is_guarantee()
 }
 
 /// Whether the language is clopen (both closed and open).
@@ -77,13 +48,13 @@ pub fn is_clopen(aut: &OmegaAutomaton) -> bool {
 /// Whether the language is G_δ — a countable intersection of open sets
 /// (= a recurrence property, Π₂).
 pub fn is_g_delta(aut: &OmegaAutomaton) -> bool {
-    classify::is_recurrence(aut)
+    Analysis::new(aut.clone()).is_recurrence()
 }
 
 /// Whether the language is F_σ — a countable union of closed sets (= a
 /// persistence property, Σ₂).
 pub fn is_f_sigma(aut: &OmegaAutomaton) -> bool {
-    classify::is_persistence(aut)
+    Analysis::new(aut.clone()).is_persistence()
 }
 
 /// The paper's `G_k` construction witnessing that `(a*b)^ω` is G_δ: the

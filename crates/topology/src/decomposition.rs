@@ -8,36 +8,24 @@
 //!   `L(Π) = Π ∪ E(¬Pref(Π))` — the words of `Π` plus every word with a
 //!   prefix that cannot be extended into `Π`.
 
-use crate::density;
+use crate::{closure, density};
 use hierarchy_automata::analysis::Analysis;
-use hierarchy_automata::classify;
 use hierarchy_automata::omega::OmegaAutomaton;
 
-/// The liveness extension `L(Π) = Π ∪ E(¬Pref(Π))`.
-pub fn liveness_extension(aut: &OmegaAutomaton) -> OmegaAutomaton {
+/// The liveness extension `L(Π) = Π ∪ E(¬Pref(Π))` of the analyzed
+/// language (the safety closure comes from the context's live set).
+pub fn liveness_extension(ctx: &Analysis) -> OmegaAutomaton {
     // E(¬Pref(Π)) = words with a dead prefix = complement of the safety
     // closure.
-    let escape = classify::safety_closure(aut).complement();
-    aut.union(&escape)
-}
-
-/// [`liveness_extension`] through a shared [`Analysis`] context (the
-/// safety closure comes from the cached live set).
-pub fn liveness_extension_ctx(ctx: &Analysis) -> OmegaAutomaton {
     let escape = ctx.safety_closure().complement();
     ctx.automaton().union(&escape)
 }
 
 /// The safety–liveness decomposition `Π = Π_S ∩ Π_L` with
-/// `Π_S = A(Pref(Π))` and `Π_L = L(Π)`.
-pub fn decompose(aut: &OmegaAutomaton) -> (OmegaAutomaton, OmegaAutomaton) {
-    (classify::safety_closure(aut), liveness_extension(aut))
-}
-
-/// [`decompose`] through a shared [`Analysis`] context: the live-state
-/// computation behind the safety closure runs once and serves both parts.
-pub fn decompose_ctx(ctx: &Analysis) -> (OmegaAutomaton, OmegaAutomaton) {
-    (ctx.safety_closure(), liveness_extension_ctx(ctx))
+/// `Π_S = A(Pref(Π))` and `Π_L = L(Π)`: the live-state computation
+/// behind the safety closure runs once in `ctx` and serves both parts.
+pub fn decompose(ctx: &Analysis) -> (OmegaAutomaton, OmegaAutomaton) {
+    (ctx.safety_closure(), liveness_extension(ctx))
 }
 
 /// Checks the decomposition theorem for `aut`: the safety part is a safety
@@ -45,8 +33,8 @@ pub fn decompose_ctx(ctx: &Analysis) -> (OmegaAutomaton, OmegaAutomaton) {
 /// original language. Returns `false` only on an implementation bug; used
 /// by tests and the `TAB-SL` experiment.
 pub fn decomposition_is_valid(aut: &OmegaAutomaton) -> bool {
-    let (s, l) = decompose(aut);
-    classify::is_safety(&s) && density::is_dense(&l) && s.intersection(&l).equivalent(aut)
+    let (s, l) = decompose(&Analysis::new(aut.clone()));
+    closure::is_closed(&s) && density::is_dense(&l) && s.intersection(&l).equivalent(aut)
 }
 
 #[cfg(test)]
@@ -54,6 +42,7 @@ mod tests {
     use super::*;
     use hierarchy_automata::acceptance::Acceptance;
     use hierarchy_automata::alphabet::Alphabet;
+    use hierarchy_automata::classify::classify;
     use hierarchy_automata::random;
     use hierarchy_automata::random::rng::SeedableRng;
     use hierarchy_automata::random::rng::StdRng;
@@ -70,7 +59,7 @@ mod tests {
         let sigma = ab();
         // aUb = a*bΣ^ω = E(a*b).
         let until = operators::e(&FinitaryProperty::parse(&sigma, "a*b").unwrap());
-        let (s, l) = decompose(&until);
+        let (s, l) = decompose(&Analysis::new(until.clone()));
         // Safety part = a^ω + a*bΣ^ω.
         let a_omega = operators::a(&FinitaryProperty::parse(&sigma, "aa*").unwrap());
         assert!(s.equivalent(&until.union(&a_omega)));
@@ -110,7 +99,7 @@ mod tests {
     #[test]
     fn safety_part_of_safety_is_itself() {
         let s = witnesses::safety();
-        let (sp, lp) = decompose(&s);
+        let (sp, lp) = decompose(&Analysis::new(s.clone()));
         assert!(sp.equivalent(&s));
         // The liveness part of a safety property is Π ∪ ¬Π-escapes = Σ^ω
         // only when Π is also live; in general it is Π ∪ E(¬Pref Π).
@@ -122,21 +111,21 @@ mod tests {
         // The paper: if Π is of class κ then L(Π) is a *live κ-property*
         // (the non-safety classes are closed under union with guarantee).
         let rec = witnesses::recurrence();
-        let l = liveness_extension(&rec);
-        assert!(classify::is_recurrence(&l));
+        let l = liveness_extension(&Analysis::new(rec.clone()));
+        assert!(classify(&l).is_recurrence);
         assert!(density::is_dense(&l));
 
         let per = witnesses::persistence();
-        let l = liveness_extension(&per);
-        assert!(classify::is_persistence(&l));
+        let l = liveness_extension(&Analysis::new(per.clone()));
+        assert!(classify(&l).is_persistence);
 
         let gua = witnesses::guarantee();
-        let l = liveness_extension(&gua);
-        assert!(classify::is_guarantee(&l));
+        let l = liveness_extension(&Analysis::new(gua.clone()));
+        assert!(classify(&l).is_guarantee);
 
         let obl = witnesses::obligation_simple();
-        let l = liveness_extension(&obl);
-        assert!(classify::is_obligation(&l));
+        let l = liveness_extension(&Analysis::new(obl.clone()));
+        assert!(classify(&l).is_obligation);
     }
 
     #[test]
@@ -147,7 +136,7 @@ mod tests {
         // The empty property: safety part is ∅ (closed), liveness part is
         // Σ^ω (every prefix is dead).
         let empty = OmegaAutomaton::empty(&sigma);
-        let (s, l) = decompose(&empty);
+        let (s, l) = decompose(&Analysis::new(empty.clone()));
         assert!(s.is_empty());
         assert!(l.is_universal());
         assert!(decomposition_is_valid(&empty));
@@ -166,12 +155,12 @@ mod tests {
             |_, s| if s == b { 1 } else { 0 },
             Acceptance::inf([0]).or(Acceptance::fin([0, 1])),
         );
-        if classify::is_safety(&m) && density::is_dense(&m) {
+        if classify(&m).is_safety && density::is_dense(&m) {
             assert!(m.is_universal());
         }
         // And the canonical pair: □a closed but not dense; ◇b dense but
         // not closed.
         assert!(!density::is_dense(&witnesses::safety()));
-        assert!(!classify::is_safety(&witnesses::guarantee()));
+        assert!(!classify(&witnesses::guarantee()).is_safety);
     }
 }

@@ -9,33 +9,21 @@
 //! A *uniform liveness* property additionally has a single ω-word `σ′`
 //! with `Σ⁺·σ′ ⊆ Π`.
 
+use hierarchy_automata::analysis::Analysis;
 use hierarchy_automata::lasso::Lasso;
 use hierarchy_automata::omega::OmegaAutomaton;
 use hierarchy_automata::StateId;
 
 /// Whether the language is dense in `Σ^ω` (equivalently, a liveness
-/// property).
+/// property): [`Analysis::is_dense`].
 pub fn is_dense(aut: &OmegaAutomaton) -> bool {
-    let live = aut.live_states();
-    aut.reachable_states().is_subset(&live)
+    Analysis::new(aut.clone()).is_dense()
 }
 
 /// Whether the language is a liveness property (alias of [`is_dense`],
 /// matching the paper's terminology).
 pub fn is_liveness(aut: &OmegaAutomaton) -> bool {
     is_dense(aut)
-}
-
-/// [`is_dense`] through a shared [`hierarchy_automata::analysis::Analysis`]
-/// context (reuses the cached reachable and live sets).
-pub fn is_dense_ctx(ctx: &hierarchy_automata::analysis::Analysis) -> bool {
-    ctx.is_dense()
-}
-
-/// [`is_liveness`] through a shared analysis context (alias of
-/// [`is_dense_ctx`]).
-pub fn is_liveness_ctx(ctx: &hierarchy_automata::analysis::Analysis) -> bool {
-    ctx.is_dense()
 }
 
 /// Whether the language is a *uniform* liveness property: some single

@@ -153,8 +153,8 @@ mod tests {
             Acceptance::fin([1, 2]).or(Acceptance::inf([2])),
         );
         let (closed, open) = simple_obligation_decomposition(&m).unwrap();
-        assert!(classify::is_safety(&closed));
-        assert!(classify::is_guarantee(&open));
+        assert!(classify::classify(&closed).is_safety);
+        assert!(classify::classify(&open).is_guarantee);
         assert!(closed.union(&open).equivalent(&m));
     }
 
@@ -211,8 +211,8 @@ mod tests {
             Acceptance::inf([1]).and(Acceptance::fin([2])),
         );
         let (closed, open) = simple_obligation_intersection_form(&m).unwrap();
-        assert!(classify::is_safety(&closed));
-        assert!(classify::is_guarantee(&open));
+        assert!(classify::classify(&closed).is_safety);
+        assert!(classify::classify(&open).is_guarantee);
         assert!(closed.intersection(&open).equivalent(&m));
         // The CNF₁ witness □a ∨ ◇c has a union form but no intersection
         // form…
@@ -253,8 +253,8 @@ mod tests {
             let cnf = reactivity_cnf(&aut).expect("streett acceptance converts");
             assert!(cnf_recomposes(&aut, &cnf));
             for clause in &cnf {
-                assert!(classify::is_recurrence(&clause.recurrence));
-                assert!(classify::is_persistence(&clause.persistence));
+                assert!(classify::classify(&clause.recurrence).is_recurrence);
+                assert!(classify::classify(&clause.persistence).is_persistence);
             }
         }
         // The reactivity witnesses have their index many clauses.

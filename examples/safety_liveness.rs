@@ -83,6 +83,6 @@ fn main() {
         None => println!("◇□b unexpectedly not uniformly live"),
     }
     // …while "eventually only the first symbol" is live but not uniformly.
-    let (dec, _) = decomposition::decompose(persistence.automaton());
+    let (dec, _) = decomposition::decompose(persistence.analysis());
     println!("its safety closure is Σ^ω: {}", dec.is_universal());
 }

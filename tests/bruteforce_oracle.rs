@@ -10,7 +10,7 @@
 //! Wagner/Landweber chain conditions, emptiness, liveness and the
 //! persistent-cycle sets literally, and compares against the production
 //! code on hundreds of random automata. It shares no code with the
-//! kernel, which the `*_via_complement` oracles now run on too.
+//! kernel or with the DNF loop of the `*_via_complement` oracles.
 
 use temporal_properties::automata::bitset::BitSet;
 use temporal_properties::automata::classify;
@@ -112,6 +112,22 @@ impl Oracle {
         })
     }
 
+    /// Safety (`accepting = true`) or guarantee (`false`), literally: no
+    /// enumerated cycle of the other status lies in the set of states
+    /// that reach a cycle of status `accepting` — the live set, or the
+    /// co-live set for guarantee.
+    fn closed(&self, aut: &OmegaAutomaton, accepting: bool) -> bool {
+        let mut targets = BitSet::new();
+        for (c, _) in self.cycles.iter().filter(|(_, a)| *a == accepting) {
+            targets.union_with(c);
+        }
+        let live = reaching(aut, &targets);
+        !self
+            .cycles
+            .iter()
+            .any(|(c, a)| *a != accepting && c.is_subset(&live))
+    }
+
     /// Maximal n admitting B₁ ⊆ J₁ ⊆ … ⊆ Bₙ ⊆ Jₙ (alternating
     /// rejecting/accepting, counting completed pairs), by depth-first
     /// chain extension; at least 1 by the paper's convention.
@@ -141,11 +157,21 @@ impl Oracle {
 fn classifier_matches_bruteforce_oracle() {
     let sigma = Alphabet::new(["a", "b"]).unwrap();
     let mut rng = StdRng::seed_from_u64(20260705);
+    let mut outcomes = [[0usize; 2]; 2];
     for i in 0..250 {
         let k = 1 + (i % 2);
         let (aut, _) = random_streett(&mut rng, &sigma, 5, k, 0.35);
         let oracle = Oracle::new(&aut);
         let c = classify::classify(&aut);
+        // Safety and guarantee twice: the kernel queries of a fresh
+        // context, and the full verdict.
+        let fresh = Analysis::new(aut.clone());
+        let (safety, guarantee) = (oracle.closed(&aut, true), oracle.closed(&aut, false));
+        assert_eq!(fresh.is_safety(), safety, "safety query, case {i}");
+        assert_eq!(c.is_safety, safety, "safety, case {i}");
+        assert_eq!(fresh.is_guarantee(), guarantee, "guarantee query, case {i}");
+        assert_eq!(c.is_guarantee, guarantee, "guarantee, case {i}");
+        outcomes[usize::from(safety)][usize::from(guarantee)] += 1;
         assert_eq!(
             c.is_recurrence,
             oracle.is_recurrence(),
@@ -167,6 +193,10 @@ fn classifier_matches_bruteforce_oracle() {
             "reactivity index, case {i}"
         );
     }
+    assert!(
+        outcomes.iter().flatten().all(|&n| n > 0),
+        "every safety/guarantee combination occurs: {outcomes:?}"
+    );
 }
 
 /// The union of the accessible cycles that avoid `avoid` and satisfy
@@ -206,7 +236,7 @@ fn reaching(aut: &OmegaAutomaton, targets: &BitSet) -> BitSet {
 
 /// Emptiness, the reachable live set, the persistent-cycle sets and
 /// accepted-lasso replay against the literal cycle family, through the
-/// free entry points and an `Analysis` context alike, on Streett, Rabin,
+/// automaton's own methods and an `Analysis` context alike, on Streett, Rabin,
 /// parity and random boolean conditions.
 #[test]
 fn accepting_cycle_kernel_matches_bruteforce_oracle() {

@@ -149,3 +149,49 @@ fn reduce_and_hoa_on_compiled_formulas() {
     let hoa = p.to_hoa();
     assert!(hoa.contains(&format!("States: {}", p.automaton().num_states())));
 }
+
+/// A 17-state generalized-Büchi automaton with 17 `Inf` sets, one atom
+/// more than the classifier's color-lattice walk takes: `G F c1` over
+/// the mutual-exclusion observations, advancing `i → i + 1 mod 17` on
+/// every symbol where `c1` holds. Safety, guarantee, the closure, the
+/// topological predicates, the Prop 5.1 safety construction and
+/// invariant-first checking are kernel queries and answer; only the full
+/// verdict is out of reach.
+#[test]
+fn seventeen_inf_sets_are_answered_without_the_lattice() {
+    use temporal_properties::automata::paper_checks;
+    use temporal_properties::fts::absint::{self, DomainKind};
+    use temporal_properties::fts::checker::{check_with_invariants, verify};
+    use temporal_properties::topology::closure;
+
+    let sigma = Alphabet::of_propositions(["c1", "c2", "t1", "t2"]).unwrap();
+    let acc = (0..17)
+        .map(|i| Acceptance::inf([i]))
+        .fold(Acceptance::True, Acceptance::and);
+    let c1 = |s: Symbol| sigma.proposition_holds(s, 0);
+    let aut = OmegaAutomaton::build(
+        &sigma,
+        17,
+        0,
+        |q, s| if c1(s) { (q + 1) % 17 } else { q },
+        acc,
+    );
+
+    let ctx = Analysis::new(aut.clone());
+    assert!(!ctx.classifiable());
+    assert!(!ctx.is_safety() && !ctx.is_guarantee());
+    assert!(ctx.safety_closure().is_universal(), "G F c1 is dense");
+    assert!(!closure::is_closed(&aut) && !closure::is_open(&aut));
+    assert_eq!(paper_checks::safety_automaton(&aut), None);
+    let complement = Analysis::new(aut.complement());
+    assert!(!complement.is_safety() && !complement.is_guarantee());
+
+    let (_, program) = absint::catalogue()
+        .into_iter()
+        .find(|(name, _)| *name == "mux-sem")
+        .unwrap();
+    let (verdict, _) =
+        check_with_invariants(&program, &sigma, &aut, DomainKind::Relational).unwrap();
+    let ts = program.to_builder(&sigma).build().unwrap();
+    assert_eq!(verdict.holds(), verify(&ts, &aut).unwrap().holds());
+}

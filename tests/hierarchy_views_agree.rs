@@ -22,6 +22,7 @@ fn battery() -> Vec<(&'static str, &'static str, char, &'static str)> {
         ("F b", ".*b", 'E', "guarantee"),
         ("G F b", ".*b", 'R', "recurrence"),
         ("F G b", ".*b", 'P', "persistence"),
+        ("a", "aa*b*", 'E', "safety ∩ guarantee"),
         ("G (b -> Y a)", "(a+b)*b + .", 'X', "safety"), // automaton view only below
     ]
 }
@@ -93,6 +94,7 @@ fn formula_semantics_agree_with_compiled_automata_on_lassos() {
         "a W b",
         "G (b -> O a) | F G a",
         "X (a | X b)",
+        "F G a",
     ];
     for src in formulas {
         let f = Formula::parse(&sigma, src).unwrap();

@@ -85,7 +85,7 @@ fn erratum_4_multipair_structural_check_unsound() {
     let aut1 = aut.with_acceptance(single.acceptance(2));
     assert_eq!(
         paper_checks::is_safety_structural(&aut1, &single),
-        classify::is_safety(&aut1)
+        classify::classify(&aut1).is_safety
     );
 }
 

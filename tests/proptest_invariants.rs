@@ -11,7 +11,7 @@ use temporal_properties::automata::random::rng::{Rng, SeedableRng, StdRng};
 use temporal_properties::automata::streett::{StreettPair, StreettPairs};
 use temporal_properties::lang::{operators, FinitaryProperty};
 use temporal_properties::prelude::*;
-use temporal_properties::topology::{decomposition, density};
+use temporal_properties::topology::{closure, decomposition, density};
 
 fn sigma() -> Alphabet {
     Alphabet::new(["a", "b"]).unwrap()
@@ -130,11 +130,11 @@ fn complement_swaps_dual_classes() {
 fn safety_closure_properties() {
     sweep("safety_closure", 103, 64, |rng| {
         let aut = rand_streett(rng, 5, 1);
-        let cl = classify::safety_closure(&aut);
+        let cl = closure::closure(&aut);
         assert!(aut.is_subset_of(&cl));
-        assert!(classify::is_safety(&cl));
+        assert!(closure::is_closed(&cl));
         // Idempotence.
-        assert!(classify::safety_closure(&cl).equivalent(&cl));
+        assert!(closure::closure(&cl).equivalent(&cl));
     });
 }
 
@@ -168,10 +168,10 @@ fn boolean_algebra_on_words() {
 fn operators_land_in_their_classes() {
     sweep("operator_classes", 106, 64, |rng| {
         let phi = rand_finitary(rng);
-        assert!(classify::is_safety(&operators::a(&phi)));
-        assert!(classify::is_guarantee(&operators::e(&phi)));
-        assert!(classify::is_recurrence(&operators::r(&phi)));
-        assert!(classify::is_persistence(&operators::p(&phi)));
+        assert!(classify::classify(&operators::a(&phi)).is_safety);
+        assert!(classify::classify(&operators::e(&phi)).is_guarantee);
+        assert!(classify::classify(&operators::r(&phi)).is_recurrence);
+        assert!(classify::classify(&operators::p(&phi)).is_persistence);
     });
 }
 
@@ -241,7 +241,7 @@ fn operator_semantics_on_words() {
 fn liveness_extension_is_dense() {
     sweep("liveness_extension", 110, 64, |rng| {
         let aut = rand_streett(rng, 5, 2);
-        let l = decomposition::liveness_extension(&aut);
+        let l = decomposition::liveness_extension(&Analysis::new(aut));
         assert!(density::is_dense(&l));
     });
 }
