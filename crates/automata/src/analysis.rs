@@ -6,19 +6,20 @@
 //! restricted subgraphs, the condensation DAG, and boolean products with
 //! other automata. Before this module each consumer recomputed them from
 //! scratch, so asking for a full classification cost several independent
-//! color-lattice traversals.
+//! walks over the same restricted subgraphs.
 //!
 //! [`Analysis`] owns one automaton and memoizes all of those intermediates
 //! behind interior mutability, so the context can be shared by reference
 //! (`&Analysis`) across the whole classification stack:
 //!
 //! * [`Analysis::sccs`] — SCC decompositions keyed by the allowed-set
-//!   restriction. The color-lattice points of [`ChainAnalysis`] and the
-//!   refinements of the accepting-cycle kernel (emptiness, liveness) hit
-//!   the *same* keys: the kernel only restricts to `reachable − avoid −
-//!   (union of bad sets)`, and those sets are unions of acceptance atoms,
-//!   so every restriction it asks for *is* a lattice point. That is what
-//!   makes the single-walk classification below possible.
+//!   restriction. The alternating cycle decomposition behind the chain
+//!   queries and the accepting-cycle kernel (emptiness, liveness, safety,
+//!   guarantee) hit the *same* keys: both only restrict to `reachable −
+//!   avoid − (union of bad sets)`, and those sets are unions of
+//!   acceptance atoms, so every restriction either asks for is a point
+//!   `reachable − (union of atoms)` of the lattice of atom subsets. That
+//!   is what lets the queries below share their passes.
 //! * [`Analysis::condensation`] — the reachable condensation DAG with
 //!   per-component acceptance status, reused by the obligation-index DP
 //!   and available to the topology layer.
@@ -28,10 +29,12 @@
 //!   sets, so the queries share every SCC pass with liveness and
 //!   universality and take any number of acceptance atoms.
 //! * [`Analysis::classification`] — the **full verdict**: all six class
-//!   memberships plus the obligation and reactivity indices from one
-//!   shared color-lattice traversal, reading safety and guarantee from
-//!   the two queries above. [`Analysis::classifiable`] says whether the
-//!   walk can run ([`crate::classify::MAX_LATTICE_ATOMS`]).
+//!   memberships plus the obligation and reactivity indices, reading
+//!   recurrence, persistence, simple reactivity and the reactivity index
+//!   off two depths of the alternating cycle decomposition (see
+//!   [`crate::classify`]), and safety and guarantee from the two queries
+//!   above. [`Analysis::rabin_index`] reads the same two depths. None of
+//!   them limits the number of acceptance atoms.
 //! * [`Analysis::product_with`] — pairwise products keyed by the other
 //!   operand, so repeated inclusion/equivalence queries against the same
 //!   automaton build the product once.
@@ -47,16 +50,17 @@
 //! is `Send + Sync` and can back a shared `Property` value; the
 //! [`AnalysisStats`] counters record how many SCC passes actually ran
 //! versus how many were served from cache (the `TAB-DEC` experiment
-//! reports them). One shared context is exactly what the parallel sweep
-//! of [`crate::par`] fans out over: the SCC memo keys each restriction to
-//! a once-cell, so concurrent workers never duplicate a Tarjan pass, and
-//! every cache lock recovers from poisoning (the caches hold only
-//! memoized pure results, so a panicking worker's lock leaves nothing
-//! half-mutated — see `lock_recover`).
+//! reports them). One context can be shared by many threads (the
+//! `spec-serve` daemon queries one per warm artifact from every
+//! connection): the SCC memo keys each restriction to a once-cell, so
+//! concurrent queries never duplicate a Tarjan pass, and every cache
+//! lock recovers from poisoning (the caches hold only memoized pure
+//! results, so a panicking thread's lock leaves nothing half-mutated —
+//! see `lock_recover`).
 
 use crate::acceptance::Acceptance;
 use crate::bitset::BitSet;
-use crate::classify::{self, ChainAnalysis, Classification};
+use crate::classify::{self, Classification};
 use crate::counterfree::{self, CounterFreedom};
 use crate::emptiness;
 use crate::flat::FlatAutomaton;
@@ -75,19 +79,13 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// panic on another thread that happened to hold a cache lock cannot have
 /// left partial state behind that matters: whatever was inserted is a
 /// valid memo entry, and whatever wasn't will be recomputed. Recovering
-/// here keeps one panicking worker (e.g. inside a [`crate::par`] sweep)
-/// from cascading into unrelated `PoisonError` panics on every later
-/// cache access, which used to mask the original failure.
+/// here keeps one panicking thread (e.g. a [`crate::par`] worker) from
+/// cascading into unrelated `PoisonError` panics on every later cache
+/// access, which used to mask the original failure.
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Whether the color-lattice walk can run on `aut`'s acceptance condition
-/// (at most [`classify::MAX_LATTICE_ATOMS`] distinct atoms).
-fn fits_lattice(aut: &OmegaAutomaton) -> bool {
-    aut.acceptance().atom_sets().len() <= classify::MAX_LATTICE_ATOMS
 }
 
 /// Snapshot of the cache instrumentation counters of an [`Analysis`].
@@ -96,10 +94,10 @@ pub struct AnalysisStats {
     /// Tarjan passes actually executed.
     pub scc_passes: u64,
     /// States swept across all executed Tarjan passes (the size of each
-    /// pass's restriction). Pass *count* is invariant under the
-    /// signature-preserving quotient — the occupied color lattice is the
-    /// same — so this is the counter that shows what quotient-first
-    /// analysis actually saves per pass.
+    /// pass's restriction). The signature-preserving quotient keeps every
+    /// loop's atom signature, so it saves states rather than passes (the
+    /// pass counts tie on the `tab_minimize` suites); this is the counter
+    /// that shows what quotient-first analysis saves per pass.
     pub scc_state_visits: u64,
     /// SCC requests served from the memo table.
     pub scc_hits: u64,
@@ -320,13 +318,15 @@ pub struct Analysis {
     quotient: OnceLock<Option<Box<Analysis>>>,
     reachable: OnceLock<BitSet>,
     /// Per-restriction decompositions. Each key owns a once-cell so that
-    /// concurrent workers asking for the *same* restriction block on one
+    /// concurrent threads asking for the *same* restriction block on one
     /// computation instead of racing duplicate Tarjan passes — the
-    /// `scc_passes` counter is exact even under the parallel sweep, and
-    /// the `2^m` lattice budget holds for any number of threads.
+    /// `scc_passes` counter is exact under concurrency, and the `2^m`
+    /// lattice budget holds for any number of threads.
     sccs: Mutex<HashMap<Option<BitSet>, SccCell>>,
     condensation: OnceLock<Arc<Condensation>>,
-    chains: OnceLock<Arc<ChainAnalysis>>,
+    /// The deepest `[rejecting, accepting]` nodes of the alternating
+    /// cycle decomposition (see [`Analysis::acd_depths`]).
+    acd: OnceLock<[Option<usize>; 2]>,
     /// Per acceptance condition: the reachable states on an accepting
     /// cycle, and the reachable states that reach one (the live set).
     live_for: Mutex<HashMap<Acceptance, LiveSets>>,
@@ -350,7 +350,7 @@ impl Clone for Analysis {
             reachable: self.reachable.clone(),
             sccs: Mutex::new(lock_recover(&self.sccs).clone()),
             condensation: self.condensation.clone(),
-            chains: self.chains.clone(),
+            acd: self.acd.clone(),
             live_for: Mutex::new(lock_recover(&self.live_for).clone()),
             classification: self.classification.clone(),
             counter_freedom: self.counter_freedom.clone(),
@@ -391,7 +391,7 @@ impl Analysis {
             reachable: OnceLock::new(),
             sccs: Mutex::new(HashMap::new()),
             condensation: OnceLock::new(),
-            chains: OnceLock::new(),
+            acd: OnceLock::new(),
             live_for: Mutex::new(HashMap::new()),
             classification: OnceLock::new(),
             counter_freedom: OnceLock::new(),
@@ -448,9 +448,10 @@ impl Analysis {
 
     /// The SCC decomposition of the subgraph induced by `allowed`,
     /// memoized per distinct restriction. Every consumer of this context
-    /// — the color-lattice walk, liveness, emptiness, the condensation —
-    /// routes its Tarjan runs through here, which is what makes their
-    /// restrictions coincide and the total pass count collapse.
+    /// — the alternating cycle decomposition, liveness, emptiness, the
+    /// condensation — routes its Tarjan runs through here, which is what
+    /// makes their restrictions coincide and the total pass count
+    /// collapse.
     pub fn sccs(&self, allowed: Option<&BitSet>) -> Arc<SccDecomposition> {
         // Claim (or find) the key's once-cell under the map lock, then
         // compute outside it: workers on distinct restrictions run fully
@@ -482,8 +483,8 @@ impl Analysis {
     }
 
     /// The reachable condensation DAG with per-component acceptance
-    /// status. The SCC pass underneath is shared with [`Self::chains`]:
-    /// the full color set's lattice restriction *is* the reachable set.
+    /// status. The SCC pass underneath is shared with the roots of the
+    /// alternating cycle decomposition: both decompose the reachable set.
     pub fn condensation(&self) -> Arc<Condensation> {
         Arc::clone(self.condensation.get_or_init(|| {
             let reachable = self.reachable();
@@ -516,24 +517,16 @@ impl Analysis {
         }))
     }
 
-    /// The per-anchor canonical-cycle analysis over the color lattice,
-    /// with its SCC passes routed through [`Self::sccs`]. Distinct
-    /// lattice points with identical restrictions (unused color
-    /// combinations) collapse to one pass.
-    ///
-    /// The lattice points fan out across the [`crate::par`] worker pool
-    /// (sharing this context — the per-key once-cells of [`Self::sccs`]
-    /// keep the pass count exact under concurrency), and the `OnceLock`
-    /// around the whole analysis guarantees at most one sweep even when
-    /// several threads ask for the verdict at once.
-    pub fn chains(&self) -> Arc<ChainAnalysis> {
-        Arc::clone(self.chains.get_or_init(|| {
-            Arc::new(ChainAnalysis::new_par(
-                &self.aut,
-                self.reachable(),
-                |allowed| self.sccs(Some(allowed)),
-            ))
-        }))
+    /// The depths of the deepest rejecting and the deepest accepting node
+    /// of the alternating cycle decomposition of this context's
+    /// automaton, `[rejecting, accepting]` with the roots at depth 0
+    /// (computed once; see [`crate::classify`]). Its SCC passes are
+    /// routed through [`Self::sccs`], so it shares them with the kernel
+    /// queries.
+    fn acd_depths(&self) -> [Option<usize>; 2] {
+        *self.acd.get_or_init(|| {
+            classify::acd_depths(&self.aut, self.reachable(), |x| self.sccs(Some(x)))
+        })
     }
 
     /// The reachable live states under an arbitrary acceptance condition
@@ -545,8 +538,8 @@ impl Analysis {
     /// automaton method also reports unreachable live states, which no
     /// language question can observe). It is the same kernel function
     /// with this context's memo as the SCC source, and every restriction
-    /// the kernel asks for is a color-lattice point, so the SCC passes
-    /// here are shared with [`Self::chains`].
+    /// the kernel asks for is `reachable − (union of acceptance atoms)`,
+    /// so the SCC passes here are shared with the classification.
     pub fn live_reachable(&self, acc: &Acceptance) -> Arc<BitSet> {
         self.live_sets(acc).1
     }
@@ -575,8 +568,7 @@ impl Analysis {
     /// closure `A(Pref Π)` is accepted iff it stays live forever, and such
     /// a run escapes `Π` exactly when it settles into a rejecting cycle of
     /// live states (a cycle meeting the live set lies inside it). Both
-    /// sets are kernel queries whose restrictions are color-lattice
-    /// points, so no acceptance-atom limit applies.
+    /// sets are kernel queries.
     fn is_closed_under(&self, acc: &Acceptance) -> bool {
         let (_, live) = self.live_sets(acc);
         let (rejecting, _) = self.live_sets(&acc.negated());
@@ -589,31 +581,27 @@ impl Analysis {
     }
 
     /// The **full verdict**: all six class memberships plus the
-    /// obligation and reactivity indices, from one shared color-lattice
-    /// traversal (computed once, then cached).
+    /// obligation and reactivity indices (computed once, then cached).
     ///
     /// Recurrence, persistence, obligation, simple reactivity, and the
-    /// reactivity index are Wagner-style chain queries on
-    /// [`Self::chains`]. Safety and guarantee are the kernel queries of
-    /// [`Self::is_safety`] and [`Self::is_guarantee`], whose restrictions
-    /// are lattice points the walk visits anyway.
+    /// reactivity index are Wagner-style chain queries, read off the two
+    /// depths of the alternating cycle decomposition (see
+    /// [`crate::classify`]). Safety and guarantee are the kernel queries
+    /// of [`Self::is_safety`] and [`Self::is_guarantee`]; the obligation
+    /// index is the condensation DP of [`Self::obligation_index`].
     ///
     /// When the quotient-first pipeline is active, the verdict is
     /// computed on the partition-refinement quotient (strictly fewer
-    /// states, hence cheaper lattice restrictions) — sound because every
-    /// hierarchy class is a property of the language and the quotient is
+    /// states, hence cheaper SCC passes) — sound because every hierarchy
+    /// class is a property of the language and the quotient is
     /// language-equal. A debug-mode tripwire re-derives the verdict on
     /// the raw automaton and asserts identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Self::classifiable`] holds.
     pub fn classification(&self) -> &Classification {
         self.classification.get_or_init(|| {
             if let Some(q) = self.quotient_analysis() {
                 let verdict = q.classification().clone();
                 debug_assert!(
-                    !fits_lattice(&self.aut) || verdict == self.classification_raw(),
+                    verdict == self.classification_raw(),
                     "quotient-first tripwire: the verdict on the quotient \
                      differs from the raw automaton's"
                 );
@@ -624,11 +612,12 @@ impl Analysis {
     }
 
     /// The full verdict computed directly on this context's automaton
-    /// (no quotient routing) — the single shared color-lattice walk.
+    /// (no quotient routing). `None < Some(0)`, so "no node of a status
+    /// below depth 0" is `depth <= Some(0)`.
     fn classification_raw(&self) -> Classification {
-        let chains = self.chains();
-        let is_recurrence = !chains.has_chain(&[true, false]);
-        let is_persistence = !chains.has_chain(&[false, true]);
+        let [rejecting, accepting] = self.acd_depths();
+        let is_recurrence = accepting <= Some(0);
+        let is_persistence = rejecting <= Some(0);
         let is_obligation = is_recurrence && is_persistence;
         Classification {
             is_safety: self.is_safety(),
@@ -636,20 +625,10 @@ impl Analysis {
             is_obligation,
             is_recurrence,
             is_persistence,
-            is_simple_reactivity: !chains.has_chain(&[false, true, false]),
+            is_simple_reactivity: rejecting < Some(2),
             obligation_index: is_obligation.then(|| self.obligation_index()),
-            reactivity_index: chains.alternating_index(false),
+            reactivity_index: classify::alternation_index(rejecting),
         }
-    }
-
-    /// Whether [`Self::classification`] and the indices read off it can
-    /// run: their color-lattice walk takes at most
-    /// [`classify::MAX_LATTICE_ATOMS`] distinct acceptance atoms, counted
-    /// on the automaton the walk runs on (the quotient when minimization
-    /// shrank the automaton). The kernel queries — emptiness, liveness,
-    /// safety, guarantee, inclusion — have no such limit.
-    pub fn classifiable(&self) -> bool {
-        fits_lattice(self.effective_automaton())
     }
 
     /// The obligation index (the `Obl_n` level), via the condensation DP
@@ -667,27 +646,26 @@ impl Analysis {
     }
 
     /// The exact Rabin index: the reactivity index of the complement,
-    /// read off the *same* chain analysis — the complement's rejecting/
-    /// accepting alternations are ours with the roles swapped, so no
-    /// second lattice walk is needed.
+    /// read off the *same* alternating cycle decomposition — the
+    /// complement's decomposition is ours with every status flipped, so
+    /// its deepest rejecting node is our deepest accepting one.
     pub fn rabin_index(&self) -> usize {
         if let Some(q) = self.quotient_analysis() {
             let idx = q.rabin_index();
             debug_assert!(
-                !fits_lattice(&self.aut) || idx == self.chains().alternating_index(true),
+                idx == classify::alternation_index(self.acd_depths()[1]),
                 "quotient-first tripwire: Rabin index mismatch"
             );
             return idx;
         }
-        self.chains().alternating_index(true)
+        classify::alternation_index(self.acd_depths()[1])
     }
 
     /// Whether the language is universal (`L = Σ^ω`): the complement —
     /// same structure, negated acceptance — must be empty, i.e. the
     /// initial state must not be live under the negated condition. The
-    /// lattice restrictions of `live_reachable` are shared with the
-    /// guarantee check of the full verdict, so asking both costs no extra
-    /// SCC pass.
+    /// restrictions of `live_reachable` are shared with the guarantee
+    /// check of the full verdict, so asking both costs no extra SCC pass.
     pub fn is_universal(&self) -> bool {
         !self
             .live_reachable(&self.aut.acceptance().negated())
@@ -980,7 +958,7 @@ mod tests {
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let _ = ctx.classification();
         let passes_after_classify = ctx.stats().scc_passes;
-        // Everything else reuses the same lattice points.
+        // Everything else reuses the same restrictions.
         let _ = ctx.safety_closure();
         let _ = ctx.accepted_lasso();
         let _ = ctx.condensation();
@@ -988,13 +966,13 @@ mod tests {
         assert_eq!(ctx.stats().scc_passes, passes_after_classify);
         assert!(ctx.stats().scc_hits > 0);
 
-        // Multi-pair Streett and Rabin conditions: every restriction the
-        // accepting-cycle kernel asks for is `reachable − (union of
-        // atoms)`, a point of the color lattice, so once the lattice is
-        // walked neither the classification (whose safety and guarantee
-        // checks run the kernel) nor any query after it adds a pass. The
-        // two-layer automata have regions strictly inside the reachable
-        // set, where refining a region on its own would leave the lattice.
+        // Multi-pair Streett and Rabin conditions: the classification's
+        // safety and guarantee checks run the kernel on the condition and
+        // its negation, and every restriction the kernel and the
+        // alternating cycle decomposition ask for is `reachable − (union
+        // of atoms)`, so no query after the classification adds a pass.
+        // The two-layer automata have regions strictly inside the
+        // reachable set.
         let mut rng = StdRng::seed_from_u64(120);
         for i in 0..120usize {
             let n = 4 + i % 21;
@@ -1006,9 +984,8 @@ mod tests {
                 streett.complement()
             };
             let ctx = Analysis::new_raw(two_layers(&aut));
-            let _ = ctx.chains();
-            let passes = ctx.stats().scc_passes;
             let _ = ctx.classification();
+            let passes = ctx.stats().scc_passes;
             let _ = ctx.live();
             let _ = ctx.is_empty();
             let _ = ctx.is_universal();

@@ -20,35 +20,56 @@
 //!   level.
 //!
 //! Every query runs on an [`Analysis`] context; this module holds the
-//! verdict type, the batch front ends and the color-lattice walk behind
-//! the chain queries.
+//! verdict type, the batch front ends and the alternating cycle
+//! decomposition behind the chain queries.
 //!
-//! # The color-lattice construction
+//! # The alternating cycle decomposition
 //!
-//! The chain checks quantify over *all* accessible cycles, of which there
-//! can be exponentially many. We exploit the fact that whether a cycle `C`
-//! is accepting depends only on which acceptance atoms (the state sets
-//! appearing in the condition — its "colors") `C` intersects. For an anchor
-//! state `q` and a set `D` of colors, let `S(q, D)` be the SCC containing
-//! `q` in the graph restricted to states whose colors all lie in `D`. Then:
+//! The chain conditions quantify over *all* accessible cycles, of which
+//! there can be exponentially many. Whether a cycle is accepting depends
+//! only on the set of states it visits — its *loop*. The alternating
+//! cycle decomposition (ACD; Casares, Colcombet & Fijalkow, ICALP 2021)
+//! orders the loops that matter into a forest:
 //!
-//! * every cycle `C ∋ q` satisfies `C ⊆ S(q, colors(C))` and
-//!   `colors(S(q, colors(C))) = colors(C)`, so the canonical SCC has the
-//!   same acceptance status as `C`;
-//! * for a fixed anchor, `D₁ ⊆ D₂` implies `S(q, D₁) ⊆ S(q, D₂)`, so every
-//!   ⊆-chain of cycles through `q` maps to a ⊆-chain of canonical SCCs with
-//!   identical statuses.
+//! * its roots are the maximal loops, the cycle-bearing SCCs of the
+//!   reachable graph;
+//! * the children of a node are the maximal loops inside it whose
+//!   acceptance status is the opposite of its own.
 //!
-//! Hence the existence of alternating cycle chains — which is what all the
-//! chain checks ask — is decidable by dynamic programming over the lattice
-//! of color subsets, anchored at each state in turn: `O(2^m)` SCC passes for
-//! `m` colors, i.e. polynomial in the automaton for any fixed acceptance
-//! condition. The walk takes at most [`MAX_LATTICE_ATOMS`] colors.
+//! A descending chain of loops with alternating statuses runs down one
+//! branch (each loop lies inside a child of the node above it), so every
+//! chain condition is read off two numbers: the depths `D_rej` and
+//! `D_acc` of the deepest rejecting and the deepest accepting node, with
+//! the roots at depth 0.
+//!
+//! * recurrence ⇔ no accepting node below depth 0;
+//! * persistence ⇔ no rejecting node below depth 0;
+//! * simple reactivity ⇔ `D_rej < 2`;
+//! * the reactivity index is `max(1, ⌊(D_rej + 1)/2⌋)`, and the Rabin
+//!   index is the same formula on `D_acc`.
+//!
+//! The children of a node are regions of the accepting-cycle kernel: for
+//! each disjunct of [`decompose`] of the children's condition, [`refine`]
+//! run from the restriction the node is an SCC of, minus the disjunct's
+//! `avoid` set, returns the maximal loops inside the node that satisfy
+//! the disjunct. The roots' restriction is the reachable set, and every
+//! `avoid` and cut is a union of acceptance atoms, so every restriction
+//! asked for is `reachable − (union of atoms)`: a point of the lattice of
+//! atom subsets, shared with the kernel's safety, guarantee and liveness
+//! queries through [`Analysis::sccs`]. The decomposition therefore never
+//! takes more SCC passes than that lattice has points, visits only the
+//! points refinement reaches, and takes any number of atoms. The subtree
+//! below a loop depends only on the loop, so it is computed once per
+//! distinct region.
 
 use crate::acceptance::Acceptance;
 use crate::analysis::Analysis;
 use crate::bitset::BitSet;
+use crate::emptiness::{decompose, refine, RabinDisjunct};
 use crate::omega::OmegaAutomaton;
+use crate::scc::SccDecomposition;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The verdict of [`classify`]: membership of the automaton's language in
 /// each class of the hierarchy, plus the exact hierarchy indices.
@@ -120,21 +141,15 @@ impl Classification {
 
 /// Fully classifies the language of `aut` in the safety–progress hierarchy.
 ///
-/// This is a thin wrapper over the single-walk full verdict of
+/// This is a thin wrapper over the full verdict of
 /// [`Analysis::classification`]; build an `Analysis` directly to share
 /// the underlying caches across further queries.
-///
-/// # Panics
-///
-/// Panics unless [`Analysis::classifiable`] holds for the automaton.
 pub fn classify(aut: &OmegaAutomaton) -> Classification {
     Analysis::new(aut.clone()).classification().clone()
 }
 
 /// Classifies a batch of automata, fanning the suite out across the
-/// worker pool of [`crate::par`] (one automaton per work item; the
-/// lattice walk inside each item runs sequentially, so the pool is never
-/// oversubscribed).
+/// worker pool of [`crate::par`] (one automaton per work item).
 ///
 /// Verdicts are returned in input order and are identical to calling
 /// [`classify`] on each automaton — the batch only changes the schedule,
@@ -150,10 +165,6 @@ pub fn classify_suite(auts: &[OmegaAutomaton]) -> Vec<Classification> {
 pub fn classify_suite_with(threads: usize, auts: &[OmegaAutomaton]) -> Vec<Classification> {
     crate::par::map_with(threads, auts, classify)
 }
-
-/// The most distinct acceptance atoms the color-lattice walk takes: its
-/// per-state color masks are `u32`s, and it visits up to `2^m` points.
-pub const MAX_LATTICE_ATOMS: usize = 16;
 
 /// The obligation index: the minimal `n` such that the language —
 /// **assumed** to be an obligation property — is an intersection of `n`
@@ -207,230 +218,102 @@ pub(crate) fn obligation_index_from_condensation(
     down[init][0].max(1)
 }
 
-/// Per-anchor canonical-cycle analysis over the color lattice (see module
-/// docs), built by [`Analysis::chains`]. Exposes the alternating-chain
-/// queries behind the full verdict.
-#[derive(Debug, Clone)]
-pub struct ChainAnalysis {
-    /// For each state `q`: the canonical cycles anchored at `q`, as
-    /// `(accepting, lattice_mask)` pairs in increasing `lattice_mask` order,
-    /// where `lattice_mask` is the color set `D` of the restriction whose
-    /// SCC around `q` the entry describes. Unreachable or acyclic anchors
-    /// get an empty list.
-    anchor_statuses: Vec<Vec<(bool, u32)>>,
+/// The depths of the deepest rejecting and the deepest accepting node of
+/// the alternating cycle decomposition of `aut`'s reachable part (see the
+/// module docs), as `[rejecting, accepting]` with the roots at depth 0;
+/// `None` when no node has that status. Every SCC decomposition is asked
+/// of `sccs`.
+pub(crate) fn acd_depths(
+    aut: &OmegaAutomaton,
+    reachable: &BitSet,
+    sccs: impl FnMut(&BitSet) -> Arc<SccDecomposition>,
+) -> [Option<usize>; 2] {
+    let acc = aut.acceptance();
+    let n = aut.num_states();
+    let mut acd = Acd {
+        acc,
+        loops: [decompose(&acc.negated(), n), decompose(acc, n)],
+        sccs,
+        memo: HashMap::new(),
+    };
+    // The roots: every region of the reachable graph (nothing is cut).
+    let mut roots = Vec::new();
+    refine::<()>(
+        reachable.clone(),
+        None,
+        &mut acd.sccs,
+        |_| BitSet::new(),
+        |root, _| {
+            roots.push(root);
+            None
+        },
+    );
+    let mut deepest = [None, None];
+    for root in roots {
+        let below = acd.depths(root, reachable);
+        deepest = [0, 1].map(|s| deepest[s].max(below[s]));
+    }
+    deepest
 }
 
-impl ChainAnalysis {
-    /// The lattice sweep over the reachable part of `aut`, with every SCC
-    /// decomposition requested through `scc_of` (the memo table of
-    /// [`Analysis::sccs`]). Each color subset's restricted SCC pass is an
-    /// independent Tarjan run, so the `2^m` points fan out across the
-    /// worker pool of [`crate::par`] and the per-anchor statuses are
-    /// merged in mask order afterwards (the merge order is what
-    /// [`ChainAnalysis::has_chain`]'s DP relies on, so it stays sequential
-    /// and deterministic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the acceptance condition has more than
-    /// [`MAX_LATTICE_ATOMS`] distinct atom sets.
-    pub fn new_par(
-        aut: &OmegaAutomaton,
-        reachable: &BitSet,
-        scc_of: impl Fn(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition> + Sync,
-    ) -> Self {
-        let walk = LatticeWalk::new(aut, reachable);
-        let points = crate::par::map_indices(walk.point_count(), |d| walk.point(d, &scc_of));
-        walk.merge(points)
-    }
-
-    /// Whether there is an ascending chain of accessible cycles
-    /// `C₁ ⊆ C₂ ⊆ … ⊆ C_r` whose acceptance statuses spell `pattern`
-    /// (`pattern[i]` = is `Cᵢ` accepting).
-    pub fn has_chain(&self, pattern: &[bool]) -> bool {
-        self.max_matching_prefix(pattern) == pattern.len()
-    }
-
-    /// The maximal `n` admitting an alternating chain of `n` status pairs
-    /// starting with `first`: `first = false` is the reactivity index
-    /// (`(B,J)^n` chains), `first = true` the Rabin index of the language
-    /// (`(J,B)^n` chains — the complement's reactivity chains, since
-    /// complementation keeps the canonical cycles and flips every
-    /// status). At least 1 in both orientations.
-    pub fn alternating_index(&self, first: bool) -> usize {
-        let mut n = 0usize;
-        loop {
-            let mut pattern = Vec::new();
-            for _ in 0..=n {
-                pattern.push(first);
-                pattern.push(!first);
-            }
-            if self.has_chain(&pattern) {
-                n += 1;
-            } else {
-                return n.max(1);
-            }
-        }
-    }
-
-    /// Longest prefix of `pattern` realizable as an ascending cycle chain.
-    fn max_matching_prefix(&self, pattern: &[bool]) -> usize {
-        let mut best = 0;
-        for statuses in &self.anchor_statuses {
-            if statuses.is_empty() {
-                continue;
-            }
-            best = best.max(longest_prefix_for_anchor(statuses, pattern));
-            if best == pattern.len() {
-                return best;
-            }
-        }
-        best
-    }
+/// The alternation index read off the depth of the deepest node of one
+/// status: `max(1, ⌊(depth + 1)/2⌋)` (the module docs' formula).
+pub(crate) fn alternation_index(deepest: Option<usize>) -> usize {
+    deepest.map_or(1, |d| d.div_ceil(2).max(1))
 }
 
-/// One lattice point's contribution to the chain analysis: the restricted
-/// decomposition plus the indices and statuses of its canonical
-/// (cycle-bearing) components. `None` for points whose restriction is
-/// empty.
-type LatticePoint = Option<(
-    std::sync::Arc<crate::scc::SccDecomposition>,
-    Vec<(usize, bool)>,
-)>;
-
-/// The skeleton of the lattice sweep: per-state color masks plus the
-/// per-point computation and the order-sensitive merge. Points are
-/// independent (this is what [`ChainAnalysis::new_par`] exploits); the
-/// merge appends statuses in increasing mask order, the invariant the
-/// chain DP needs.
-struct LatticeWalk<'a> {
-    aut: &'a OmegaAutomaton,
-    reachable: &'a BitSet,
-    atoms: Vec<BitSet>,
-    color: Vec<u32>,
+/// The walk behind [`acd_depths`], memoized per region.
+struct Acd<'a, F> {
+    acc: &'a Acceptance,
+    /// `loops[s]`: the decomposition of the condition a loop of status
+    /// `s` (0 rejecting, 1 accepting) satisfies.
+    loops: [Vec<RabinDisjunct>; 2],
+    sccs: F,
+    memo: HashMap<BitSet, [Option<usize>; 2]>,
 }
 
-impl<'a> LatticeWalk<'a> {
-    fn new(aut: &'a OmegaAutomaton, reachable: &'a BitSet) -> Self {
-        let atoms = aut.acceptance().atom_sets();
-        assert!(
-            atoms.len() <= MAX_LATTICE_ATOMS,
-            "acceptance condition has too many distinct atoms ({})",
-            atoms.len()
-        );
-        let color: Vec<u32> = (0..aut.num_states())
-            .map(|q| {
-                let mut mask = 0u32;
-                for (i, s) in atoms.iter().enumerate() {
-                    if s.contains(q) {
-                        mask |= 1 << i;
-                    }
-                }
-                mask
-            })
-            .collect();
-        LatticeWalk {
-            aut,
-            reachable,
-            atoms,
-            color,
+impl<F: FnMut(&BitSet) -> Arc<SccDecomposition>> Acd<'_, F> {
+    /// The depths of the deepest rejecting and accepting node of the
+    /// subtree rooted at `region`, an SCC of `G[within]`, relative to it.
+    fn depths(&mut self, region: BitSet, within: &BitSet) -> [Option<usize>; 2] {
+        if let Some(&hit) = self.memo.get(&region) {
+            return hit;
         }
-    }
-
-    fn point_count(&self) -> usize {
-        1usize << self.atoms.len()
-    }
-
-    fn point(
-        &self,
-        d: usize,
-        scc_of: impl Fn(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
-    ) -> LatticePoint {
-        let d = d as u32;
-        let allowed: BitSet = self
-            .reachable
-            .iter()
-            .filter(|&q| self.color[q] & !d == 0)
-            .collect();
-        if allowed.is_empty() {
-            return None;
-        }
-        let sccs = scc_of(&allowed);
-        let mut comps = Vec::new();
-        for c in 0..sccs.len() {
-            if !sccs.has_cycle[c] {
-                continue;
+        let status = usize::from(self.acc.accepts_infinity_set(&region));
+        let mut children: Vec<(BitSet, BitSet)> = Vec::new();
+        for d in &self.loops[1 - status] {
+            if region
+                .difference(&d.avoid)
+                .is_subset(&d.violations(&region))
+            {
+                continue; // no sub-loop of the region satisfies `d`
             }
-            let mut colors_mask = 0u32;
-            for &q in &sccs.members[c] {
-                colors_mask |= self.color[q as usize];
-            }
-            comps.push((
-                c,
-                eval_on_colors(self.aut.acceptance(), colors_mask, &self.atoms),
-            ));
+            refine::<()>(
+                within.difference(&d.avoid),
+                Some(&region),
+                &mut self.sccs,
+                |r| d.violations(r),
+                |child, x| {
+                    children.push((child, x.clone()));
+                    None
+                },
+            );
         }
-        Some((sccs, comps))
-    }
-
-    fn merge(&self, points: Vec<LatticePoint>) -> ChainAnalysis {
-        let mut anchor_statuses: Vec<Vec<(bool, u32)>> = vec![Vec::new(); self.aut.num_states()];
-        for (d, point) in points.into_iter().enumerate() {
-            let Some((sccs, comps)) = point else { continue };
-            for (c, accepting) in comps {
-                for &q in &sccs.members[c] {
-                    anchor_statuses[q as usize].push((accepting, d as u32));
-                }
+        let mut out = [None, None];
+        out[status] = Some(0);
+        for (i, (child, x)) in children.iter().enumerate() {
+            // Only the maximal regions are children (and each once).
+            let dominated = children.iter().enumerate().any(|(j, (other, _))| {
+                j != i && child.is_subset(other) && (j < i || child != other)
+            });
+            if !dominated {
+                let below = self.depths(child.clone(), x);
+                out = [0, 1].map(|s| out[s].max(below[s].map(|d| d + 1)));
             }
         }
-        ChainAnalysis { anchor_statuses }
+        self.memo.insert(region, out);
+        out
     }
-}
-
-/// Evaluates an acceptance condition given only which atoms (by index) a
-/// cycle intersects.
-fn eval_on_colors(acc: &Acceptance, colors_mask: u32, atoms: &[BitSet]) -> bool {
-    match acc {
-        Acceptance::True => true,
-        Acceptance::False => false,
-        Acceptance::Inf(s) => {
-            let i = atoms.iter().position(|a| a == s).expect("atom present");
-            colors_mask & (1 << i) != 0
-        }
-        Acceptance::Fin(s) => {
-            let i = atoms.iter().position(|a| a == s).expect("atom present");
-            colors_mask & (1 << i) == 0
-        }
-        Acceptance::And(xs) => xs.iter().all(|x| eval_on_colors(x, colors_mask, atoms)),
-        Acceptance::Or(xs) => xs.iter().any(|x| eval_on_colors(x, colors_mask, atoms)),
-    }
-}
-
-/// DP over one anchor's canonical cycles: the longest prefix of `pattern`
-/// realizable by an ascending sub-chain. Entries are ordered by increasing
-/// lattice mask, and `D₁ ⊆ D₂` implies `S(q, D₁) ⊆ S(q, D₂)`, so subset
-/// pairs always appear in order.
-fn longest_prefix_for_anchor(statuses: &[(bool, u32)], pattern: &[bool]) -> usize {
-    let k = pattern.len();
-    let n = statuses.len();
-    let mut dp = vec![0usize; n];
-    let mut best = 0;
-    for i in 0..n {
-        let (acc_i, d_i) = statuses[i];
-        let mut longest = usize::from(pattern[0] == acc_i);
-        for j in 0..i {
-            let (_, d_j) = statuses[j];
-            if d_j & !d_i == 0 && dp[j] > 0 && dp[j] < k && pattern[dp[j]] == acc_i {
-                longest = longest.max(dp[j] + 1);
-            }
-        }
-        dp[i] = longest;
-        best = best.max(longest);
-        if best == k {
-            return k;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -677,17 +560,24 @@ mod tests {
     }
 
     #[test]
-    fn chain_analysis_direct() {
+    fn acd_depths_direct() {
         let sigma = ab();
+        let depths = |m: &OmegaAutomaton| {
+            acd_depths(m, &m.reachable_states(), |x| Arc::new(m.sccs(Some(x))))
+        };
+        // □◇b: the root {0,1} is accepting, its one child, the rejecting
+        // loop {0}, sits at depth 1; no accepting loop lies inside a
+        // rejecting one.
         let m = last_sym(&sigma, Acceptance::inf([1]));
-        let ch = Analysis::new_raw(m).chains();
-        // Accepting cycles exist, rejecting cycles exist:
-        assert!(ch.has_chain(&[true]));
-        assert!(ch.has_chain(&[false]));
-        // rejecting {0} ⊆ accepting {0,1} exists:
-        assert!(ch.has_chain(&[false, true]));
-        // accepting inside rejecting does not:
-        assert!(!ch.has_chain(&[true, false]));
+        assert_eq!(depths(&m), [Some(1), Some(0)]);
+        // ◇□a is the dual.
+        assert_eq!(depths(&m.complement()), [Some(0), Some(1)]);
+        // Both roots of □a are childless: {0} accepting, {1} rejecting.
+        assert_eq!(depths(&always_a(&sigma)), [Some(0), Some(0)]);
+        assert_eq!(depths(&OmegaAutomaton::empty(&sigma)), [Some(0), None]);
+        assert_eq!(alternation_index(None), 1);
+        assert_eq!(alternation_index(Some(0)), 1);
+        assert_eq!(alternation_index(Some(3)), 2);
     }
 }
 

@@ -24,9 +24,11 @@
 //! only restricts to `X − (union of cuts)`, with `X` the caller's starting
 //! restriction. Starting from `X = reachable − avoid`, where the cuts are
 //! `bad` sets, every restriction is a point `reachable − (union of
-//! acceptance atoms)` of the color lattice that the classification
-//! already walks, so a classified [`crate::analysis::Analysis`] answers
-//! emptiness and liveness without a further SCC pass.
+//! acceptance atoms)` of the lattice of atom subsets. The alternating
+//! cycle decomposition of [`crate::classify`] is built from the same
+//! refinements and stays on the same lattice, so an
+//! [`crate::analysis::Analysis`] shares one memoized SCC pass per point
+//! between classification, emptiness and liveness.
 
 use crate::acceptance::Acceptance;
 use crate::alphabet::Symbol;
@@ -226,34 +228,38 @@ pub fn decompose(acc: &Acceptance, n: usize) -> Vec<RabinDisjunct> {
     }
 }
 
-/// The iterated-SCC refinement. Each region `R` of `G[restriction]` is
-/// asked for its `cut`: an empty cut hands `R` to `found`, which stops
-/// the search by returning `Some`; otherwise `R` gives way to the
+/// The iterated-SCC refinement. Each region `R` of `G[restriction]`
+/// (inside `parent`, when one is given) is asked for its `cut`: an empty
+/// cut hands `R` and the restriction it is a region of to `found`, which
+/// stops the search by returning `Some`; otherwise `R` gives way to the
 /// regions of `G[X ∖ cut]` inside it, `X` being the restriction `R` is a
 /// region of. Those are exactly the regions of `G[R ∖ cut]` (a cycle of
 /// `G[X]` through `R` stays in `R`), but the restriction keeps the form
 /// `restriction − (union of cuts)`: a memoizing `sccs` serves sibling
-/// regions from one pass, and [`crate::analysis::Analysis`] stays on its
-/// color lattice. Empty restrictions, and those missing `R`, are never
-/// asked for. If `cut` only removes states no satisfying cycle inside
-/// `R` visits (as [`RabinDisjunct::violations`]), the regions handed to
-/// `found` cover every satisfying cycle of `G[restriction]`.
+/// regions from one pass, and every restriction an
+/// [`crate::analysis::Analysis`] asks for stays `reachable − (union of
+/// acceptance atoms)`. Empty restrictions, and those missing `R`, are
+/// never asked for. If `cut` only removes states no satisfying cycle
+/// inside `R` visits (as [`RabinDisjunct::violations`]), the regions
+/// handed to `found` cover every satisfying cycle of `G[restriction]`
+/// (inside `parent`).
 pub fn refine<T>(
     restriction: BitSet,
+    parent: Option<&BitSet>,
     mut sccs: impl FnMut(&BitSet) -> Arc<SccDecomposition>,
     mut cut: impl FnMut(&BitSet) -> BitSet,
-    mut found: impl FnMut(BitSet) -> Option<T>,
+    mut found: impl FnMut(BitSet, &BitSet) -> Option<T>,
 ) -> Option<T> {
     if restriction.is_empty() {
         return None;
     }
     // Every restriction asked for; a stacked region names its own.
     let mut within = vec![restriction];
-    let mut stack = regions(&sccs(&within[0]), 0, None);
+    let mut stack = regions(&sccs(&within[0]), 0, parent);
     while let Some((region, x)) = stack.pop() {
         let shed = cut(&region);
         if shed.is_empty() {
-            if let Some(t) = found(region) {
+            if let Some(t) = found(region, &within[x]) {
                 return Some(t);
             }
         } else if !region.is_subset(&shed) {
@@ -405,7 +411,13 @@ pub(crate) fn first_witness(
 ) -> Option<Witness> {
     disjuncts.into_iter().find_map(|disjunct| {
         let within = restriction.difference(&disjunct.avoid);
-        let region = refine(within, &mut sccs, |r| disjunct.violations(r), Some)?;
+        let region = refine(
+            within,
+            None,
+            &mut sccs,
+            |r| disjunct.violations(r),
+            |r, _| Some(r),
+        )?;
         Some(Witness { region, disjunct })
     })
 }
@@ -422,9 +434,10 @@ pub(crate) fn cycle_states(
     for d in decompose(acc, n) {
         refine::<()>(
             restriction.difference(&d.avoid),
+            None,
             &mut sccs,
             |r| d.violations(r),
-            |r| {
+            |r, _| {
                 out.union_with(&r);
                 None
             },
@@ -597,9 +610,10 @@ mod tests {
             .filter_map(|d| {
                 refine(
                     all.difference(&d.avoid),
+                    None,
                     |x| Arc::new(m.sccs(Some(x))),
                     |r| d.violations(r),
-                    Some,
+                    |r, _| Some(r),
                 )
             })
             .collect();
@@ -641,12 +655,13 @@ mod tests {
         let mut found: Vec<BitSet> = Vec::new();
         refine::<()>(
             BitSet::all(3),
+            None,
             |x| {
                 asked.push(x.clone());
                 Arc::new(m.sccs(Some(x)))
             },
             |r| d.violations(r),
-            |r| {
+            |r, _| {
                 found.push(r);
                 None
             },

@@ -1,8 +1,9 @@
 //! Flat, cache-friendly graph and transition layouts (CSR).
 //!
-//! Every hot walk of the classification stack — the `O(2^m)` restricted
-//! Tarjan passes of the color lattice, liveness, the condensation, the
-//! fair-cycle search of the model checker — iterates successors of the
+//! Every hot walk of the classification stack — the restricted Tarjan
+//! passes of the alternating cycle decomposition, liveness, the
+//! condensation, the fair-cycle search of the model checker — iterates
+//! successors of the
 //! same graph over and over. The pointer-heavy
 //! [`AdjGraph`](crate::scc::AdjGraph) (`Vec<Vec<StateId>>`) scatters each
 //! state's successor list in its own heap allocation; this module provides
@@ -20,9 +21,8 @@
 //! * [`FlatAutomaton`] — the flat transition core of one automaton: the
 //!   `delta[q·k + s]` table (a straight copy of the automaton's) plus the
 //!   deduplicated successor [`FlatGraph`], built once and shared by every
-//!   consumer ([`crate::analysis::Analysis`], the lattice walk of
-//!   [`crate::classify::ChainAnalysis`], the minimizer of
-//!   [`crate::minimize`]).
+//!   consumer ([`crate::analysis::Analysis`] and every SCC pass it runs,
+//!   the minimizer of [`crate::minimize`]).
 //!
 //! All index arrays are `u32`; the layouts therefore cap at `2³²−1` edges,
 //! far beyond any product this workspace builds (the paper-scale automata

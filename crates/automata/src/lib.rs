@@ -21,12 +21,14 @@
 //!   given a deterministic ω-automaton, decide whether its language is a
 //!   safety, guarantee, obligation, recurrence, persistence or reactivity
 //!   property, and compute the exact obligation degree and reactivity index
-//!   (Wagner's alternating-chain analysis, implemented through a
-//!   color-lattice SCC construction).
+//!   (Wagner's alternating-chain analysis, read off the alternating cycle
+//!   decomposition that the accepting-cycle kernel of [`emptiness`]
+//!   computes).
 //! * [`analysis::Analysis`] — a per-automaton memoized context that shares
 //!   reachability, restricted SCC decompositions, the condensation DAG,
-//!   pairwise products and inclusion verdicts across all of the above,
-//!   turning a full classification into a single color-lattice walk.
+//!   pairwise products and inclusion verdicts across all of the above, so
+//!   a full classification shares every SCC pass with emptiness and
+//!   liveness.
 //! * [`inclusion`] — direct polynomial-time inclusion/equivalence for
 //!   deterministic acceptors (Angluin–Fisman): a min-even parity view
 //!   with a product-SCC fast path, whole-pair Streett refinement for
@@ -34,10 +36,10 @@
 //!   default oracle behind `is_subset_of`/`equivalent`, differential
 //!   against the complement construction.
 //! * [`par`] — a zero-dependency scoped-thread worker pool
-//!   (`HIERARCHY_THREADS` sets the worker count) that fans the
-//!   color-lattice sweep and the batch classifier
-//!   ([`classify::classify_suite`]) out across cores; the `Analysis`
-//!   caches are thread-shared, so workers populate one memo table.
+//!   (`HIERARCHY_THREADS` sets the worker count) that fans batches — the
+//!   batch classifier ([`classify::classify_suite`]), the suite audit —
+//!   out across cores; the `Analysis` caches are thread-shared, so
+//!   workers on one context populate one memo table.
 //! * [`paper_checks`] — the paper's own *structural* checks for Streett
 //!   automata (closure of the bad region, etc.), kept separate so they can be
 //!   cross-validated against the exact semantic procedures.

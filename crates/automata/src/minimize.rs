@@ -32,7 +32,7 @@
 //! The hierarchy verdicts of the paper (safety, guarantee, obligation,
 //! recurrence, persistence, reactivity) are properties of the recognized
 //! language, so they are invariant under this quotient — which is what
-//! lets [`crate::analysis::Analysis`] run every lattice walk on the
+//! lets [`crate::analysis::Analysis`] run every classification on the
 //! quotient first (the "quotient-first pipeline").
 
 use std::collections::HashMap;

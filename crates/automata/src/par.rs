@@ -2,30 +2,25 @@
 //! stack: a scoped-thread worker pool over [`std::thread::scope`] with a
 //! chunked work queue.
 //!
-//! The exact classifier walks `O(2^m)` color-lattice points per
-//! automaton, and every point is an independent Tarjan pass; batch
-//! consumers (`spec-lint --jobs`, the seeded bench sweeps) additionally
-//! classify many independent automata in one invocation. Both axes
-//! parallelize embarrassingly, but the workspace is `--offline` with zero
-//! external dependencies, so instead of rayon this module provides the
-//! minimal primitive everything needs: an order-preserving parallel map.
+//! Batch consumers (`spec-lint --jobs`, the suite audit, the daemon's
+//! batch endpoints, the seeded bench sweeps) classify or compare many
+//! independent automata in one invocation. That parallelizes
+//! embarrassingly, but the workspace is `--offline` with zero external
+//! dependencies, so instead of rayon this module provides the minimal
+//! primitive everything needs: an order-preserving parallel map. No
+//! closure handed to it maps in parallel again, so the pool never nests.
 //!
 //! Design:
 //!
-//! * **Scoped workers** — every [`map`]/[`map_indices`] call spawns its
-//!   workers inside [`std::thread::scope`], so borrowed inputs (`&[T]`,
-//!   a shared [`crate::analysis::Analysis`]) flow into workers without
-//!   `Arc` plumbing, and no thread outlives the call.
+//! * **Scoped workers** — every [`map`]/[`map_indices_with`] call spawns
+//!   its workers inside [`std::thread::scope`], so borrowed inputs
+//!   (`&[T]`, a shared [`crate::analysis::Analysis`]) flow into workers
+//!   without `Arc` plumbing, and no thread outlives the call.
 //! * **Guided work queue** — workers claim contiguous index chunks from
 //!   a single `AtomicUsize` cursor, each claim taking half an even share
 //!   of the *remaining* indices (guided self-scheduling): coarse chunks
 //!   up front amortize queue traffic, and the geometrically shrinking
 //!   tail keeps one expensive chunk from straggling the scope.
-//! * **One level of parallelism** — workers set a thread-local flag, and
-//!   nested `map` calls run sequentially inside a worker. An outer batch
-//!   sweep (`classify_suite`) therefore parallelizes across automata
-//!   while each inner lattice walk stays sequential, instead of
-//!   oversubscribing the machine with `threads²` threads.
 //! * **Panic transparency** — a panicking worker re-raises its payload on
 //!   the caller thread after the scope joins, so the first failure
 //!   surfaces unchanged (see the poison-recovery notes on
@@ -37,13 +32,7 @@
 //! counts can be passed via the `_with` variants (the thread-scaling
 //! series of `tab_parallel` does).
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-thread_local! {
-    /// Set inside pool workers so nested maps degrade to sequential.
-    static IN_POOL: Cell<bool> = const { Cell::new(false) };
-}
 
 /// The effective worker count: `HIERARCHY_THREADS` when set to a positive
 /// integer, else the machine's available parallelism (1 if unknown).
@@ -64,12 +53,6 @@ fn available() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Whether the current thread is a pool worker (nested maps run
-/// sequentially there).
-pub fn in_worker() -> bool {
-    IN_POOL.with(Cell::get)
 }
 
 /// Order-preserving parallel map over a slice with the default worker
@@ -94,21 +77,11 @@ where
     map_indices_with(threads, items.len(), |i| f(&items[i]))
 }
 
-/// Order-preserving parallel map over `0..n` with the default worker
-/// count.
-pub fn map_indices<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    map_indices_with(thread_count(), n, f)
-}
-
 /// Order-preserving parallel map over `0..n`: `result[i] = f(i)`.
 ///
 /// Spawns at most `threads` scoped workers pulling chunks of indices from
-/// a shared queue; with `threads <= 1`, a single item, or when already
-/// inside a pool worker it runs inline with no thread spawned at all.
+/// a shared queue; with `threads <= 1` or a single item it runs inline
+/// with no thread spawned at all.
 ///
 /// # Panics
 ///
@@ -120,7 +93,7 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let threads = threads.min(n);
-    if threads <= 1 || in_worker() {
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
     let cursor = AtomicUsize::new(0);
@@ -131,7 +104,6 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
-                    IN_POOL.with(|c| c.set(true));
                     let mut produced: Vec<(usize, R)> = Vec::new();
                     loop {
                         // Guided self-scheduling: claim half an even
@@ -221,20 +193,6 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 257);
         assert_eq!(out, (0..257).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn nested_maps_degrade_to_sequential() {
-        // The inner map inside a worker must not spawn its own scope;
-        // observable effect: it still computes correctly.
-        let out = map_indices_with(4, 8, |i| {
-            assert!(in_worker());
-            map_indices_with(4, 8, |j| i * j).iter().sum::<usize>()
-        });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 28);
-        }
-        assert!(!in_worker(), "flag is per-thread, caller is not a worker");
     }
 
     #[test]

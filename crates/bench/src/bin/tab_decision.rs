@@ -109,7 +109,8 @@ fn main() {
     // --- Analysis-context counters: SCC passes when the six class
     //     memberships plus the Rabin index are decided independently
     //     (a fresh context per query, i.e. the pre-context behaviour)
-    //     versus through one shared full-verdict walk.
+    //     versus through one shared full verdict. `stats_total` counts
+    //     the quotient context the queries are routed to as well.
     let mut ctx_rows = Vec::new();
     println!(
         "\n{:>7} {:>6} {:>12} {:>12} {:>10} {:>10}",
@@ -129,12 +130,12 @@ fn main() {
         ] {
             let fresh = Analysis::new(aut.clone());
             let _ = query(&fresh);
-            independent += fresh.stats().scc_passes;
+            independent += fresh.stats_total().scc_passes;
         }
         let shared = Analysis::new(aut.clone());
         let _ = shared.classification();
         let _ = shared.rabin_index();
-        let stats = shared.stats();
+        let stats = shared.stats_total();
         let budget = 1u64 << aut.acceptance().atom_sets().len();
         println!(
             "{n:>7} {k:>6} {independent:>12} {:>12} {:>10} {budget:>10}",

@@ -12,14 +12,15 @@
 //! * **Seeded random Streett suites** — the usual `random_streett`
 //!   batches at 64/128/256 states.
 //!
-//! A structural finding this experiment documents: the *number* of SCC
-//! passes is invariant under the quotient. The minimizer seeds its
-//! partition with acceptance-atom signatures, so every occupied color
-//! set of the lattice walk stays occupied in the quotient — the walk
-//! visits the same lattice points and runs the same number of Tarjan
-//! passes, each over strictly fewer states. The honest per-pass saving
-//! is therefore the `scc_state_visits` counter (states swept per pass,
-//! summed), which this table reports next to the raw pass counts.
+//! A finding this experiment documents: the quotient saves states, not
+//! SCC passes. The minimizer seeds its partition with acceptance-atom
+//! signatures, so every loop of the quotient is the image of a raw loop
+//! meeting the same atoms, and the classification asks both for
+//! restrictions of the same form `reachable − (union of atoms)`; the
+//! pass counts tie on every row of the current tables, each quotient
+//! pass sweeping fewer states. The honest per-pass saving is therefore
+//! the `scc_state_visits` counter (states swept per pass, summed), which
+//! this table reports next to the raw pass counts.
 //!
 //! `--smoke` runs the full formula set and a shrunken random suite, and
 //! skips the JSON artifact so the committed `BENCH_minimize.json` always
@@ -38,7 +39,7 @@ use std::fmt::Write as _;
 
 /// One raw-vs-quotient measurement of `classification()` end to end
 /// (context construction — including the minimization itself on the
-/// quotient side — plus the lattice walk).
+/// quotient side — plus the classification).
 struct Row {
     states_before: usize,
     states_after: usize,
@@ -211,10 +212,10 @@ fn main() {
             agg.states_after < agg.states_before,
         );
         // On sparse random Streett automata most of the state reduction
-        // is unreachable or dead states, which the raw lattice walk never
-        // sweeps either — so sweeps can tie exactly. Non-increase is the
-        // honest invariant here; the strict claim belongs to the paper
-        // formulas above, where the tester's redundancy is live.
+        // is unreachable or dead states, which the raw classification
+        // never sweeps either — so sweeps can tie exactly. Non-increase
+        // is the honest invariant here; the strict claim belongs to the
+        // paper formulas above, where the tester's redundancy is live.
         expect(
             "the quotient never increases total states swept by SCC passes",
             agg.quot.scc_state_visits <= agg.raw.scc_state_visits,
@@ -232,9 +233,9 @@ fn main() {
     let _ = writeln!(json, "  \"verdicts_identical\": true,");
     let _ = writeln!(
         json,
-        "  \"note\": \"SCC pass *count* is invariant under the signature-seeded \
-         quotient (the occupied color lattice is preserved); each pass sweeps \
-         strictly fewer states, reported as scc_pass_state_visits.\","
+        "  \"note\": \"The signature-seeded quotient keeps every loop's atom \
+         signature, so it saves SCC states, not SCC passes: each pass sweeps \
+         fewer states, reported as scc_pass_state_visits.\","
     );
     json.push_str("  \"paper_formulas\": [\n");
     for (i, (src, r)) in paper_rows.iter().enumerate() {

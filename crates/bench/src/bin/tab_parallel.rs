@@ -1,8 +1,7 @@
 //! TAB-PAR — thread-scaling of the parallel classification engine: the
-//! batch suite (`classify_suite_with`, one automaton per work item) and
-//! the in-automaton color-lattice sweep (`HIERARCHY_THREADS` workers
-//! sharing one `Analysis` context), both asserted verdict-identical to
-//! the sequential classifier at every thread count.
+//! batch suite (`classify_suite_with`, one automaton per work item),
+//! asserted verdict-identical to the sequential classifier at every
+//! thread count.
 //!
 //! Emits `BENCH_parallel.json` with the scaling series. Speedups are
 //! measured wall-clock, so they are only meaningful on multi-core hosts;
@@ -12,7 +11,6 @@
 
 use hierarchy_bench::{expect, header, timed};
 use hierarchy_core::automata::alphabet::Alphabet;
-use hierarchy_core::automata::analysis::Analysis;
 use hierarchy_core::automata::classify;
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::automata::random;
@@ -70,41 +68,6 @@ fn main() {
         }
     }
 
-    // --- In-automaton sweep: one large automaton, the 2^m lattice points
-    //     fanned out across HIERARCHY_THREADS workers sharing a single
-    //     fresh Analysis context per run.
-    let (big, _) = random::random_streett(&mut rng, &sigma, 256, 4, 0.2);
-    let budget = 1u64 << big.acceptance().atom_sets().len();
-    let mut sweep_rows = Vec::new();
-    let mut sweep_baseline = None;
-    println!(
-        "\n{:>7} {:>6} {:>8} {:>12} {:>10} {:>10}",
-        "states", "pairs", "threads", "classify ms", "scc pass", "budget"
-    );
-    for &threads in &series {
-        std::env::set_var("HIERARCHY_THREADS", threads.to_string());
-        let ctx = Analysis::new(big.clone());
-        let (verdict, ms) = timed(|| ctx.classification().clone());
-        // stats_total: with the quotient-first pipeline the lattice walk
-        // runs inside the quotient context — count its passes too.
-        let passes = ctx.stats_total().scc_passes;
-        expect(
-            "the parallel sweep stays within the 2^m lattice pass budget",
-            passes <= budget,
-        );
-        let baseline = sweep_baseline.get_or_insert_with(|| verdict.clone());
-        expect(
-            "sweep verdicts are identical to the sequential sweep",
-            verdict == *baseline,
-        );
-        println!(
-            "{:>7} {:>6} {threads:>8} {ms:>12.3} {passes:>10} {budget:>10}",
-            256, 4
-        );
-        sweep_rows.push((threads, ms, passes));
-    }
-    std::env::remove_var("HIERARCHY_THREADS");
-
     // --- Scaling expectation: wall-clock speedup needs physical cores.
     match speedup_at_4_on_256 {
         Some(speedup) if host_cores >= 4 => expect(
@@ -130,16 +93,6 @@ fn main() {
             "    {{\"states\": {n}, \"pairs\": {k}, \"batch\": {batch}, \
              \"threads\": {threads}, \"suite_ms\": {ms:.3}, \
              \"speedup_vs_1\": {speedup:.3}}}{sep}"
-        );
-    }
-    json.push_str("  ],\n  \"lattice_sweep\": [\n");
-    for (i, (threads, ms, passes)) in sweep_rows.iter().enumerate() {
-        let sep = if i + 1 == sweep_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"states\": 256, \"pairs\": 4, \"threads\": {threads}, \
-             \"classify_ms\": {ms:.3}, \"scc_passes\": {passes}, \
-             \"pass_budget\": {budget}}}{sep}"
         );
     }
     json.push_str("  ]\n}\n");

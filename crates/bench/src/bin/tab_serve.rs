@@ -2,7 +2,8 @@
 //! latency and sustained throughput through the full JSON-RPC path.
 //!
 //! A one-shot CLI pays the whole [`Analysis`] construction — SCC
-//! sweeps, color lattice, products — on **every** query. The daemon
+//! sweeps, the alternating cycle decomposition, products — on **every**
+//! query. The daemon
 //! ([`hierarchy_serve::Service`]) pays it once per artifact: the store
 //! keeps the context alive, so repeat queries are memo lookups plus
 //! JSON framing. This table ingests a seeded random Streett suite

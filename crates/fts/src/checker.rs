@@ -296,6 +296,7 @@ impl Product {
                 let d = d.map_sets(lift);
                 refine(
                     all.difference(&d.avoid),
+                    None,
                     |x| sccs.sccs(Some(x)),
                     |r| {
                         let mut cut = d.violations(r);
@@ -304,7 +305,7 @@ impl Product {
                         }
                         cut
                     },
-                    |r| {
+                    |r, _| {
                         let mut legs: Vec<Leg> = d
                             .waypoints(&r)
                             .into_iter()

@@ -624,7 +624,7 @@ fn print_audit(audit: &hierarchy_lint::SuiteAudit) {
         },
         if audit.deep_checks_skipped > 0 {
             format!(
-                " ({} deep check{} skipped at the state or atom cap)",
+                " ({} deep check{} skipped at the state cap)",
                 audit.deep_checks_skipped,
                 if audit.deep_checks_skipped == 1 {
                     ""

@@ -206,10 +206,8 @@ fn semantic_lints(alphabet: &Alphabet, formula: &Formula, ctx: &Analysis) -> Vec
         }
     }
 
-    // LOGIC005: written class strictly above the semantic class (skipped
-    // when the automaton has more acceptance atoms than classification
-    // takes).
-    if let Some(syntactic) = SyntacticClass::of(formula).filter(|_| ctx.classifiable()) {
+    // LOGIC005: written class strictly above the semantic class.
+    if let Some(syntactic) = SyntacticClass::of(formula) {
         let written = class_level(syntactic);
         let semantic = semantic_level(ctx);
         if semantic < written {

@@ -37,8 +37,7 @@
 //! polynomial in the (quotiented) state counts; the conjunction used by
 //! `SUITE001`/`SUITE004` is folded with per-step minimization under
 //! [`AuditOptions::conjunction_cap`] and skipped honestly (counted in
-//! [`SuiteAudit::deep_checks_skipped`]) when the cap is hit, or when a
-//! `SUITE004` fold has more acceptance atoms than classification takes.
+//! [`SuiteAudit::deep_checks_skipped`]) when the cap is hit.
 //!
 //! [`structural_hash`]: hierarchy_automata::canonical::structural_hash
 
@@ -46,7 +45,7 @@ use crate::diagnostic::{Diagnostic, Location, Severity};
 use crate::registry;
 use hierarchy_automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_automata::canonical::{self, hash_canonical, ArtifactHash, LanguageEq};
-use hierarchy_automata::classify::{Classification, MAX_LATTICE_ATOMS};
+use hierarchy_automata::classify::Classification;
 use hierarchy_automata::minimize::minimize;
 use hierarchy_automata::omega::OmegaAutomaton;
 use hierarchy_automata::par;
@@ -118,8 +117,7 @@ pub struct SuiteAudit {
     /// for this audit (a warm re-audit shows up as `inclusion_hits`).
     pub stats: AnalysisStats,
     /// Members whose conjunction-based checks were skipped because the
-    /// folded product exceeded [`AuditOptions::conjunction_cap`], or its
-    /// `SUITE004` fold exceeded [`MAX_LATTICE_ATOMS`].
+    /// folded product exceeded [`AuditOptions::conjunction_cap`].
     pub deep_checks_skipped: usize,
 }
 
@@ -134,13 +132,6 @@ pub enum AuditError {
         /// Name of the first member that deviates from it.
         offender: String,
     },
-    /// A member has more distinct acceptance atoms than classification
-    /// takes ([`MAX_LATTICE_ATOMS`]); the histogram and `SUITE004` need
-    /// every member's class.
-    Unclassifiable {
-        /// Name of the first such member.
-        member: String,
-    },
 }
 
 impl fmt::Display for AuditError {
@@ -149,11 +140,6 @@ impl fmt::Display for AuditError {
             AuditError::AlphabetMismatch { first, offender } => write!(
                 f,
                 "suite members {first:?} and {offender:?} read different alphabets"
-            ),
-            AuditError::Unclassifiable { member } => write!(
-                f,
-                "suite member {member:?} has more distinct acceptance atoms than \
-                 classification takes ({MAX_LATTICE_ATOMS})"
             ),
         }
     }
@@ -254,13 +240,6 @@ pub fn audit_suite_ctx(
     let hashes: Vec<ArtifactHash> = par::map_with(jobs, items, |(_, c)| {
         hash_canonical(&c.minimization().quotient)
     });
-    // Checked on the quotients just minimized, before any member is
-    // classified.
-    if let Some(&(name, _)) = items.iter().find(|(_, c)| !c.classifiable()) {
-        return Err(AuditError::Unclassifiable {
-            member: name.to_string(),
-        });
-    }
     let oracle_calls = AtomicU64::new(0);
 
     // Pairwise subsumption matrix, hash prefilter first: hash-equal
@@ -470,11 +449,6 @@ pub fn audit_suite_ctx(
                     if redundant[i].is_none() && redundant_deep.is_none() && own_rank > 0 {
                         let relative = rest.complement().union(items[i].1.automaton());
                         let rel = Analysis::new(relative);
-                        if !rel.classifiable() {
-                            // The fold has more acceptance atoms than the
-                            // classifier takes: skipped like a capped fold.
-                            return (redundant_deep, None, true);
-                        }
                         let rel_class = rel.classification();
                         if class_rank(rel_class) < own_rank {
                             overkill_deep = Some(

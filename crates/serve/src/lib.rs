@@ -35,8 +35,7 @@
 //! with the standard codes (`-32700` parse, `-32600` invalid request,
 //! `-32601` unknown method, `-32602` invalid params) plus the daemon's
 //! own range: `-32001` unknown artifact, `-32002` bad artifact (HOA
-//! parse, formula compile, unknown program, or an automaton beyond the
-//! classifier's acceptance-atom limit), `-32003` artifact kind or
+//! parse, formula compile, unknown program), `-32003` artifact kind or
 //! alphabet mismatch.
 //!
 //! Methods: `ingest`, `classify`, `lint`, `include`, `check`, `audit`,
@@ -62,14 +61,13 @@ use hierarchy_core::automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_core::automata::canonical::ArtifactHash;
 use hierarchy_core::automata::lasso::Lasso;
 use hierarchy_core::automata::omega::OmegaAutomaton;
-use hierarchy_core::automata::{classify, hoa, inclusion, par};
+use hierarchy_core::automata::{hoa, inclusion, par};
 use hierarchy_core::fts::absint::{self, DomainKind};
 use hierarchy_core::fts::checker::check_with_invariants;
 use hierarchy_core::fts::CheckError;
 use hierarchy_core::lang::{operators, FinitaryProperty};
 use hierarchy_core::lint::{
-    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditError,
-    AuditOptions,
+    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditOptions,
 };
 use hierarchy_core::prelude::Alphabet;
 use hierarchy_core::{HierarchyClass, Property};
@@ -102,9 +100,8 @@ pub mod code {
     /// The named artifact is not in the store (never ingested, or
     /// evicted).
     pub const UNKNOWN_ARTIFACT: i64 = -32001;
-    /// The submitted artifact is malformed or unsupported (HOA parse
-    /// error, formula compile error, unknown catalogue program, bad regex,
-    /// or more acceptance atoms than classification takes).
+    /// The submitted artifact is malformed (HOA parse error, formula
+    /// compile error, unknown catalogue program, bad regex).
     pub const BAD_ARTIFACT: i64 = -32002;
     /// The artifact exists but has the wrong kind for the method, or
     /// two operands observe different alphabets.
@@ -486,16 +483,10 @@ impl Service {
             ctxs.push(require_automaton(entry)?);
         }
         let items: Vec<(&str, &Analysis)> = names.iter().map(String::as_str).zip(ctxs).collect();
-        // An alphabet mismatch between two members is the daemon's
-        // operand-mismatch code; a member classification cannot take is
-        // an unsupported artifact.
-        let audit = audit_suite_ctx(&items, &opts).map_err(|e| {
-            let code = match e {
-                AuditError::AlphabetMismatch { .. } => code::KIND_MISMATCH,
-                AuditError::Unclassifiable { .. } => code::BAD_ARTIFACT,
-            };
-            RpcError::new(code, e.to_string())
-        })?;
+        // The only audit-level failure is an alphabet mismatch between
+        // two members — the daemon's operand-mismatch code.
+        let audit = audit_suite_ctx(&items, &opts)
+            .map_err(|e| RpcError::new(code::KIND_MISMATCH, e.to_string()))?;
         let members: Vec<Json> = (0..audit.names.len())
             .map(|i| {
                 Json::obj([
@@ -718,17 +709,6 @@ fn require_automaton(entry: &Entry) -> Result<&Analysis, RpcError> {
 
 fn classify_entry(entry: &Entry, warm: bool) -> RpcResult {
     let ctx = require_automaton(entry)?;
-    if !ctx.classifiable() {
-        return Err(RpcError::new(
-            code::BAD_ARTIFACT,
-            format!(
-                "artifact {} has more distinct acceptance atoms than classification \
-                 takes ({})",
-                entry.hash,
-                classify::MAX_LATTICE_ATOMS
-            ),
-        ));
-    }
     let before = ctx.stats_total();
     let c = ctx.classification().clone();
     let delta = ctx.stats_total().delta_since(before);

@@ -801,12 +801,11 @@ fn golden_error_shapes() {
     daemon.shutdown();
 }
 
-// ---- the classifier's atom limit --------------------------------------
+// ---- seventeen acceptance atoms ----------------------------------------
 
 /// `G F p` over {p} as a 17-state generalized-Büchi automaton with 17
 /// `Inf` sets (state `i` moves to `i + 1 mod 17` on `p`): one of the
-/// plainest recurrence inputs, with one acceptance atom more than
-/// classification takes.
+/// plainest recurrence inputs, with seventeen acceptance atoms.
 fn seventeen_inf_sets() -> OmegaAutomaton {
     let sigma = Alphabet::of_propositions(["p"]).unwrap();
     let acc = (0..17)
@@ -822,13 +821,14 @@ fn seventeen_inf_sets() -> OmegaAutomaton {
     )
 }
 
-/// Classification, its batch form and the suite audit answer a typed
-/// -32002 for an automaton beyond the atom limit, and the daemon goes on
-/// answering: lint, inclusion and the classification of another
-/// artifact are byte-exact against the library.
+/// Classification, its batch form and the suite audit answer the
+/// seventeen-atom automaton (a recurrence property) byte-exact against
+/// the library, and the daemon goes on answering: lint, inclusion and
+/// the classification of another artifact are byte-exact too.
 #[test]
-fn golden_atom_limit_is_a_typed_error() {
-    let mut daemon = Daemon::spawn(&[]);
+fn golden_seventeen_atoms_classify() {
+    // `--jobs 1` pins the audit worker count to the reference's.
+    let mut daemon = Daemon::spawn(&["--jobs", "1"]);
     let aut = seventeen_inf_sets();
     let hash = aut.content_hash().to_string();
     let fp = compile("F p", &["p"]);
@@ -839,24 +839,33 @@ fn golden_atom_limit_is_a_typed_error() {
     );
     daemon.request(&ingest_formula_request(2, "F p", &["p"]));
 
-    let too_many = |id: i64, subject: &str| {
-        format!(
-            "{{\"id\":{id},\"error\":{{\"code\":-32002,\"message\":\"{subject} has more \
-             distinct acceptance atoms than classification takes (16)\"}}}}"
-        )
-    };
+    let reference = vec![(hash.clone(), Analysis::new(aut.clone()))];
     let got = daemon.request(&format!(
         "{{\"id\":3,\"method\":\"classify\",\"params\":{{\"artifact\":\"{hash}\"}}}}"
     ));
-    assert_eq!(got, too_many(3, &format!("artifact {hash}")));
+    assert_eq!(got, golden_classify(3, &reference[0].1, false));
+    assert!(got.contains("\"class\":\"recurrence\""), "{got}");
+    assert!(got.contains("\"reactivity_index\":1"), "{got}");
+    assert_eq!(reference[0].1.rabin_index(), 1);
     let got = daemon.request(&format!(
         "{{\"id\":4,\"method\":\"classify_batch\",\"params\":{{\"artifacts\":[\"{hash}\"]}}}}"
     ));
-    assert_eq!(got, too_many(4, &format!("artifact {hash}")));
+    let one = Json::parse(&golden_classify(4, &reference[0].1, true)).unwrap();
+    let want = Json::obj([
+        ("id", Json::Int(4)),
+        (
+            "result",
+            Json::obj([(
+                "results",
+                Json::Arr(vec![one.get("result").unwrap().clone()]),
+            )]),
+        ),
+    ]);
+    assert_eq!(got, want.to_string(), "batch golden");
     let got = daemon.request(&format!(
         "{{\"id\":5,\"method\":\"audit\",\"params\":{{\"artifacts\":[\"{hash}\"]}}}}"
     ));
-    assert_eq!(got, too_many(5, &format!("suite member \\\"{hash}\\\"")));
+    assert_eq!(got, golden_audit(5, &reference, true), "audit golden");
 
     let diags = lint_automaton_ctx(&Analysis::new(aut.clone()));
     let want = Json::obj([

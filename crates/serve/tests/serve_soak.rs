@@ -351,7 +351,7 @@ fn soak_tcp_clients_agree_with_library_and_counters_stay_monotone() {
 }
 
 /// `G F p` over {p} as a 17-state generalized-Büchi automaton with 17
-/// `Inf` sets: one acceptance atom more than classification takes.
+/// `Inf` sets: a recurrence property with seventeen acceptance atoms.
 fn seventeen_inf_sets() -> OmegaAutomaton {
     let sigma = Alphabet::of_propositions(["p"]).unwrap();
     let acc = (0..17)
@@ -367,11 +367,11 @@ fn seventeen_inf_sets() -> OmegaAutomaton {
     )
 }
 
-/// Over TCP, the classifier's atom limit is a typed -32002 on classify,
-/// classify_batch and audit, and the same connection goes on answering
-/// lint, include and stats.
+/// Over TCP, classify, classify_batch and audit answer the
+/// seventeen-atom automaton (a recurrence property), and the same
+/// connection goes on answering lint, include and stats.
 #[test]
-fn atom_limit_errors_keep_the_tcp_connection_open() {
+fn seventeen_atoms_classify_over_tcp() {
     let (mut child, stdin, _stdout, addr) = spawn_listening();
     let mut stream = TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -392,6 +392,7 @@ fn atom_limit_errors_keep_the_tcp_connection_open() {
     let fp = artifact(&send(
         "{\"id\":2,\"method\":\"ingest\",\"params\":{\"kind\":\"formula\",\"props\":[\"p\"],\"source\":\"F p\"}}".to_string(),
     ));
+    let class = |resp: &Json| resp.get("class").and_then(Json::as_str).map(str::to_string);
     for (id, method, params) in [
         (3, "classify", format!("{{\"artifact\":\"{hash}\"}}")),
         (
@@ -405,19 +406,13 @@ fn atom_limit_errors_keep_the_tcp_connection_open() {
             "{{\"id\":{id},\"method\":\"{method}\",\"params\":{params}}}"
         ));
         assert_eq!(resp.get("id").and_then(Json::as_int), Some(id));
-        let error = resp.get("error").expect("typed error");
-        assert_eq!(
-            error.get("code").and_then(Json::as_int),
-            Some(-32002),
-            "{method}"
-        );
-        assert!(
-            error
-                .get("message")
-                .and_then(Json::as_str)
-                .is_some_and(|m| m.ends_with("than classification takes (16)")),
-            "{method} names the limit"
-        );
+        let result = resp.get("result").expect("an answer, not an error");
+        let verdict = match method {
+            "classify" => result,
+            "classify_batch" => &result.get("results").and_then(Json::as_arr).unwrap()[0],
+            _ => &result.get("members").and_then(Json::as_arr).unwrap()[0],
+        };
+        assert_eq!(class(verdict).as_deref(), Some("recurrence"), "{method}");
     }
 
     let lint = send(format!(

@@ -8,8 +8,13 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test --offline --workspace --quiet
+# The cross-validation suite in the release profile too: its pass counts
+# are read with `stats_total`, which must see the quotient context's
+# passes when no debug tripwire re-runs the raw automaton.
+cargo test --release --offline -p temporal-properties \
+  --test analysis_cross_validation --quiet
 # Re-run the cross-validation suite with the worker pool forced on, so the
-# parallel classification path is exercised even on single-core hosts.
+# batch classification path is exercised even on single-core hosts.
 HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test analysis_cross_validation --test parallel_stress --quiet
 # The abstract-interpretation differential suite (cartesian + relational
@@ -71,10 +76,10 @@ HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-lint \
 # its expect() lines.
 HIERARCHY_THREADS=2 cargo run --release --offline -p hierarchy-bench \
   --bin tab_audit -- --smoke > /dev/null
-# The brute-force oracle suite is the accepting-cycle kernel's independent
-# reference (emptiness, liveness, persistent-cycle sets, lasso replay);
-# re-run it with the worker pool forced on, since the Analysis live path
-# shares SCC passes with the parallel lattice walk.
+# The brute-force oracle suite is the independent reference of the
+# accepting-cycle kernel (emptiness, liveness, persistent-cycle sets,
+# lasso replay) and of the alternating cycle decomposition (the chain
+# queries and both indices); re-run it with the worker pool forced on.
 HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test bruteforce_oracle --quiet
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -8,13 +8,16 @@
 //! index of the complement, the chain queries on a raw context with no
 //! quotient routing, and the safety closure from the automaton's own
 //! live states. Agreement checks the kernel safety/guarantee queries and
-//! the single-walk full verdict against genuinely different algorithms.
+//! the full verdict against genuinely different algorithms.
 
 use temporal_properties::automata::analysis::Analysis;
+use temporal_properties::automata::bitset::BitSet;
 use temporal_properties::automata::classify;
 use temporal_properties::automata::omega::OmegaAutomaton;
+use temporal_properties::automata::random::random_parity;
 use temporal_properties::automata::random::rng::{Rng, SeedableRng, StdRng};
-use temporal_properties::automata::streett::{StreettPair, StreettPairs};
+use temporal_properties::automata::streett::{self, StreettPair, StreettPairs};
+use temporal_properties::automata::StateId;
 use temporal_properties::prelude::*;
 
 fn sigma() -> Alphabet {
@@ -157,7 +160,8 @@ fn classify_suite_agrees_with_individual_classification() {
 
 /// The full verdict runs strictly fewer SCC passes than the sum of the
 /// individual queries' passes on fresh contexts — the point of sharing
-/// the color-lattice walk.
+/// one context. The passes are counted with `stats_total`, which covers
+/// the quotient context the queries are routed to.
 #[test]
 fn full_verdict_beats_sum_of_individual_queries() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -176,13 +180,13 @@ fn full_verdict_beats_sum_of_individual_queries() {
     ] {
         let fresh = Analysis::new(aut.clone());
         let _ = query(&fresh);
-        sum_passes += fresh.stats().scc_passes;
+        sum_passes += fresh.stats_total().scc_passes;
     }
 
     let shared = Analysis::new(aut.clone());
     let _ = shared.classification();
     let _ = shared.rabin_index();
-    let full_passes = shared.stats().scc_passes;
+    let full_passes = shared.stats_total().scc_passes;
     assert!(
         full_passes < sum_passes,
         "full verdict ({full_passes} passes) must beat independent \
@@ -219,6 +223,71 @@ fn classification_stays_within_lattice_pass_budget() {
     }
     assert_eq!(ctx.stats().scc_passes, passes, "no new passes on repeat");
     assert!(ctx.stats().scc_hits > 0, "repeats must hit the cache");
+}
+
+/// A 64-state parity automaton with 24 priorities (23 acceptance atoms)
+/// classifies in at most 169 SCC passes: the alternating cycle
+/// decomposition restricts to `reachable − (E_{<a} ∪ O_{<b})`, even
+/// levels below `a` and odd levels below `b`, so at most 13 · 13
+/// restrictions arise. Its indices are dual to its complement's.
+#[test]
+fn parity_with_24_priorities_classifies_within_169_passes() {
+    let sigma = sigma();
+    let mut rng = StdRng::seed_from_u64(2);
+    let aut = random_parity(&mut rng, &sigma, 64, 23);
+    assert_eq!(aut.acceptance().atom_sets().len(), 23);
+    let ctx = Analysis::new_raw(aut.clone());
+    let verdict = ctx.classification().clone();
+    let passes = ctx.stats().scc_passes;
+    assert!(passes <= 169, "{passes} SCC passes");
+    let co = Analysis::new_raw(aut.complement());
+    assert_eq!(verdict.reactivity_index, co.rabin_index());
+    assert_eq!(ctx.rabin_index(), co.reactivity_index());
+    assert_ne!(
+        verdict.reactivity_index,
+        ctx.rabin_index(),
+        "the seed is chosen so the two indices differ"
+    );
+}
+
+/// The Rabin "clique" with `k` pairs: `2k` states, symbol `j` leads to
+/// state `j`, acceptance `⋁ᵢ Fin{2i} ∧ Inf{2i+1}`.
+fn rabin_clique(k: usize) -> OmegaAutomaton {
+    let sigma = Alphabet::new((0..2 * k).map(|j| format!("s{j}"))).unwrap();
+    let pairs: Vec<(BitSet, BitSet)> = (0..k)
+        .map(|i| (BitSet::from_iter([2 * i]), BitSet::from_iter([2 * i + 1])))
+        .collect();
+    OmegaAutomaton::build(
+        &sigma,
+        2 * k,
+        0,
+        |_, s| s.index() as StateId,
+        streett::rabin(&pairs),
+    )
+}
+
+/// The Rabin clique with `k` pairs has Rabin index `k` and reactivity
+/// index `k − 1` (the index counts the completed rejecting ⊆ accepting
+/// pairs of a chain; the clique's longest such chain is topped by one
+/// more rejecting loop, which it does not count). Overlapping loops share sub-loops, so the subtree
+/// below each region is computed once: at `k = 9` the decomposition
+/// takes 2,815 SCC passes and serves 4,090 requests from the memo.
+#[test]
+fn rabin_clique_indices_and_region_memo() {
+    for k in 2..=8 {
+        let ctx = Analysis::new_raw(rabin_clique(k));
+        assert_eq!(ctx.reactivity_index(), k - 1, "k = {k}");
+        assert_eq!(ctx.rabin_index(), k, "k = {k}");
+    }
+    let ctx = Analysis::new_raw(rabin_clique(9));
+    assert_eq!(ctx.reactivity_index(), 8);
+    let stats = ctx.stats();
+    assert!(
+        stats.scc_hits <= 4 * stats.scc_passes,
+        "{} hits for {} passes",
+        stats.scc_hits,
+        stats.scc_passes
+    );
 }
 
 /// Repeated Property-level queries hit the context caches: the second

@@ -332,11 +332,12 @@ fn twenty_property_scenario_reports_injections_exactly() {
 }
 
 /// Eleven formulas over {p, q, r} whose `SUITE004` fold for one member,
-/// `¬rest ∪ L_i`, has seventeen acceptance atoms: one more than
-/// classification takes. The audit skips that fold and counts it, as it
-/// counts a fold over the state cap, instead of panicking.
+/// `¬rest ∪ L_i`, has seventeen acceptance atoms. Classification takes
+/// any number of atoms, so no deep check is skipped, and the audit
+/// reports exactly the suite's three implied members (`SUITE001`) and
+/// three duplicates (`SUITE002`).
 #[test]
-fn suite_fold_beyond_the_atom_limit_is_skipped_and_counted() {
+fn suite_fold_with_seventeen_atoms_is_checked() {
     let sigma = Alphabet::of_propositions(["p", "q", "r"]).unwrap();
     let sources = [
         "q U p | !p",
@@ -359,9 +360,24 @@ fn suite_fold_beyond_the_atom_limit_is_skipped_and_counted() {
         })
         .collect();
     let audit = audit_suite(&suite, &AuditOptions::default()).expect("one alphabet");
-    assert!(
-        audit.deep_checks_skipped >= 1,
-        "the unclassifiable fold is counted as skipped"
-    );
+    assert_eq!(audit.deep_checks_skipped, 0, "every fold is classified");
     assert_eq!(audit.names.len(), sources.len());
+    let findings: Vec<(usize, &str)> = audit
+        .member_diagnostics
+        .iter()
+        .enumerate()
+        .flat_map(|(i, diags)| diags.iter().map(move |d| (i, d.code)))
+        .collect();
+    assert_eq!(
+        findings,
+        [
+            (1, "SUITE001"),
+            (2, "SUITE001"),
+            (5, "SUITE002"),
+            (6, "SUITE002"),
+            (9, "SUITE001"),
+            (10, "SUITE002"),
+        ]
+    );
+    assert!(audit.suite_diagnostics.is_empty());
 }

@@ -1,8 +1,8 @@
 //! Brute-force oracle for the classification procedures and the
 //! accepting-cycle kernel.
 //!
-//! The color-lattice construction in `hierarchy_automata::classify` and
-//! the iterated-SCC refinement in `hierarchy_automata::emptiness` avoid
+//! The alternating cycle decomposition in `hierarchy_automata::classify`
+//! and the iterated-SCC refinement in `hierarchy_automata::emptiness` avoid
 //! enumerating the (exponentially many) accessible cycles. This suite
 //! *does* enumerate them — every subset of every reachable SCC that
 //! induces a strongly connected subgraph with at least one edge — builds
@@ -172,30 +172,69 @@ fn classifier_matches_bruteforce_oracle() {
         assert_eq!(fresh.is_guarantee(), guarantee, "guarantee query, case {i}");
         assert_eq!(c.is_guarantee, guarantee, "guarantee, case {i}");
         outcomes[usize::from(safety)][usize::from(guarantee)] += 1;
-        assert_eq!(
-            c.is_recurrence,
-            oracle.is_recurrence(),
-            "recurrence, case {i}"
-        );
-        assert_eq!(
-            c.is_persistence,
-            oracle.is_persistence(),
-            "persistence, case {i}"
-        );
-        assert_eq!(
-            c.is_simple_reactivity,
-            oracle.is_simple_reactivity(),
-            "simple reactivity, case {i}"
-        );
-        assert_eq!(
-            c.reactivity_index,
-            oracle.reactivity_index(),
-            "reactivity index, case {i}"
-        );
+        assert_chain_queries(&aut, &oracle, &format!("case {i}"));
     }
     assert!(
         outcomes.iter().flatten().all(|&n| n > 0),
         "every safety/guarantee combination occurs: {outcomes:?}"
+    );
+}
+
+/// Recurrence, persistence, simple reactivity and the reactivity index
+/// of the full verdict against the oracle, and the Rabin index against
+/// the oracle's reactivity index of the complement.
+fn assert_chain_queries(aut: &OmegaAutomaton, oracle: &Oracle, case: &str) {
+    let ctx = Analysis::new(aut.clone());
+    let c = ctx.classification();
+    assert_eq!(
+        c.is_recurrence,
+        oracle.is_recurrence(),
+        "recurrence, {case}"
+    );
+    assert_eq!(
+        c.is_persistence,
+        oracle.is_persistence(),
+        "persistence, {case}"
+    );
+    assert_eq!(
+        c.is_simple_reactivity,
+        oracle.is_simple_reactivity(),
+        "simple reactivity, {case}"
+    );
+    assert_eq!(
+        c.reactivity_index,
+        oracle.reactivity_index(),
+        "reactivity index, {case}"
+    );
+    assert_eq!(
+        ctx.rabin_index(),
+        Oracle::new(&aut.complement()).reactivity_index(),
+        "Rabin index, {case}"
+    );
+}
+
+/// The chain queries and both indices on parity, Rabin and random
+/// boolean (Emerson–Lei) conditions over 4–6 states.
+#[test]
+fn chain_queries_match_bruteforce_oracle_beyond_streett() {
+    let sigma = Alphabet::new(["a", "b"]).unwrap();
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut beyond_simple = 0;
+    for i in 0..600usize {
+        let n = 4 + i % 3;
+        let aut = match i % 3 {
+            0 => random_parity(&mut rng, &sigma, n, 1 + (i / 3 % 4) as u32),
+            1 => random_rabin(&mut rng, &sigma, n, 1 + i / 3 % 3, 0.35),
+            _ => random_structure(&mut rng, &sigma, n)
+                .with_acceptance(random_acceptance(&mut rng, n, 2)),
+        };
+        let oracle = Oracle::new(&aut);
+        beyond_simple += usize::from(!oracle.is_simple_reactivity());
+        assert_chain_queries(&aut, &oracle, &format!("case {i}"));
+    }
+    assert!(
+        beyond_simple > 0,
+        "the sweep reaches beyond simple reactivity"
     );
 }
 

@@ -150,13 +150,12 @@ fn reduce_and_hoa_on_compiled_formulas() {
     assert!(hoa.contains(&format!("States: {}", p.automaton().num_states())));
 }
 
-/// A 17-state generalized-Büchi automaton with 17 `Inf` sets, one atom
-/// more than the classifier's color-lattice walk takes: `G F c1` over
-/// the mutual-exclusion observations, advancing `i → i + 1 mod 17` on
-/// every symbol where `c1` holds. Safety, guarantee, the closure, the
-/// topological predicates, the Prop 5.1 safety construction and
-/// invariant-first checking are kernel queries and answer; only the full
-/// verdict is out of reach.
+/// A 17-state generalized-Büchi automaton with 17 `Inf` sets: `G F c1`
+/// over the mutual-exclusion observations, advancing `i → i + 1 mod 17`
+/// on every symbol where `c1` holds. The full verdict, safety, guarantee,
+/// the closure, the topological predicates, the Prop 5.1 safety
+/// construction and invariant-first checking all answer, whatever the
+/// number of acceptance atoms.
 #[test]
 fn seventeen_inf_sets_are_answered_without_the_lattice() {
     use temporal_properties::automata::paper_checks;
@@ -178,12 +177,19 @@ fn seventeen_inf_sets_are_answered_without_the_lattice() {
     );
 
     let ctx = Analysis::new(aut.clone());
-    assert!(!ctx.classifiable());
+    let c = ctx.classification();
+    assert!(c.is_recurrence && !c.is_persistence && c.is_simple_reactivity);
+    assert_eq!(c.strictest_class_name(), "recurrence");
+    assert_eq!((c.reactivity_index, ctx.rabin_index()), (1, 1));
     assert!(!ctx.is_safety() && !ctx.is_guarantee());
     assert!(ctx.safety_closure().is_universal(), "G F c1 is dense");
     assert!(!closure::is_closed(&aut) && !closure::is_open(&aut));
     assert_eq!(paper_checks::safety_automaton(&aut), None);
     let complement = Analysis::new(aut.complement());
+    assert_eq!(
+        complement.classification().strictest_class_name(),
+        "persistence"
+    );
     assert!(!complement.is_safety() && !complement.is_guarantee());
 
     let (_, program) = absint::catalogue()
