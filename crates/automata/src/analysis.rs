@@ -36,8 +36,10 @@
 //!   above. [`Analysis::rabin_index`] reads the same two depths. None of
 //!   them limits the number of acceptance atoms.
 //! * [`Analysis::product_with`] — pairwise products keyed by the other
-//!   operand, so repeated inclusion/equivalence queries against the same
-//!   automaton build the product once.
+//!   operand as given, so repeated queries against the same automaton
+//!   build the product once; [`Analysis::is_subset_of`] and
+//!   [`Analysis::equivalent`] memoize their verdicts the same way. A hit
+//!   costs the key; only a miss minimizes the operand.
 //!
 //! Each question has one entry point here; the free functions that remain
 //! elsewhere ([`crate::classify::classify`], the topology predicates, the
@@ -69,6 +71,7 @@ use crate::minimize::{minimize, Minimization};
 use crate::omega::OmegaAutomaton;
 use crate::scc::SccDecomposition;
 use crate::StateId;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -208,28 +211,6 @@ pub enum ProductOp {
     Difference,
 }
 
-/// Cache key identifying the *other* operand of a product: its transition
-/// table, initial state, and acceptance condition (the alphabet is forced
-/// equal to ours by an assertion).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ProductKey {
-    delta: Vec<StateId>,
-    initial: StateId,
-    acceptance: Acceptance,
-    op: ProductOp,
-}
-
-impl ProductKey {
-    fn of(other: &OmegaAutomaton, op: ProductOp) -> ProductKey {
-        ProductKey {
-            delta: delta_table(other),
-            initial: other.initial(),
-            acceptance: other.acceptance().clone(),
-            op,
-        }
-    }
-}
-
 fn delta_table(aut: &OmegaAutomaton) -> Vec<StateId> {
     let mut delta = Vec::with_capacity(aut.num_states() * aut.alphabet().len());
     for q in 0..aut.num_states() as StateId {
@@ -250,19 +231,25 @@ enum OracleQuery {
     Equivalent,
 }
 
-/// Cache key of a memoized inclusion/equivalence verdict: the *other*
-/// operand's structure plus which question was asked.
+/// Cache key of a memo entry about the *other* operand of a query, as
+/// the caller passed it: its transition table, initial state and
+/// acceptance condition (the alphabet must equal ours; the product
+/// asserts it), plus which question `Q` was asked of it ([`ProductOp`]
+/// for a product, [`OracleQuery`] for a verdict). Equal keys mean the
+/// same automaton, hence the same language, so a hit is answered before
+/// the operand is quotiented, at the cost of hashing the key. Two raw
+/// operands with one quotient take one entry each.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct InclusionKey {
+struct OperandKey<Q> {
     delta: Vec<StateId>,
     initial: StateId,
     acceptance: Acceptance,
-    query: OracleQuery,
+    query: Q,
 }
 
-impl InclusionKey {
-    fn of(other: &OmegaAutomaton, query: OracleQuery) -> InclusionKey {
-        InclusionKey {
+impl<Q> OperandKey<Q> {
+    fn of(other: &OmegaAutomaton, query: Q) -> OperandKey<Q> {
+        OperandKey {
             delta: delta_table(other),
             initial: other.initial(),
             acceptance: other.acceptance().clone(),
@@ -332,10 +319,10 @@ pub struct Analysis {
     live_for: Mutex<HashMap<Acceptance, LiveSets>>,
     classification: OnceLock<Classification>,
     counter_freedom: OnceLock<CounterFreedom>,
-    products: Mutex<HashMap<ProductKey, Arc<OmegaAutomaton>>>,
+    products: Mutex<HashMap<OperandKey<ProductOp>, Arc<OmegaAutomaton>>>,
     /// Memoized verdicts of the direct inclusion/equivalence oracle,
-    /// keyed by the other operand (quotiented when the pipeline is on).
-    inclusions: Mutex<HashMap<InclusionKey, bool>>,
+    /// keyed by the other operand as given (never its quotient).
+    inclusions: Mutex<HashMap<OperandKey<OracleQuery>, bool>>,
 }
 
 impl Clone for Analysis {
@@ -742,13 +729,13 @@ impl Analysis {
     /// `(other, op)` pair, so repeated inclusion or equivalence queries
     /// against the same operand build the product automaton once.
     ///
-    /// When the quotient-first pipeline is active, *both* operands are
-    /// quotiented before the product is built (and the memo key is the
-    /// quotiented operand, so repeated queries still hit the cache —
-    /// minimization is deterministic). The product is then language-equal
-    /// to the raw one, which is all any consumer observes: every caller
-    /// asks language-level questions (emptiness for inclusion, or wraps
-    /// the product as a new property).
+    /// The memo is keyed by `other` as given, so a hit costs the key,
+    /// not a minimization. On a miss with the quotient-first pipeline
+    /// active, *both* operands are quotiented before the product is
+    /// built. The product is then language-equal to the raw one, which
+    /// is all any consumer observes: every caller asks language-level
+    /// questions (emptiness for inclusion, or wraps the product as a new
+    /// property).
     ///
     /// # Panics
     ///
@@ -759,19 +746,7 @@ impl Analysis {
             other.alphabet(),
             "product operands must share an alphabet"
         );
-        let lhs = self.effective_automaton();
-        let rhs_min;
-        let rhs = if self.quotient_enabled {
-            rhs_min = minimize(other);
-            if rhs_min.reduced() {
-                &rhs_min.quotient
-            } else {
-                other
-            }
-        } else {
-            other
-        };
-        let key = ProductKey::of(rhs, op);
+        let key = OperandKey::of(other, op);
         if let Some(hit) = lock_recover(&self.products).get(&key) {
             self.stats.product_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
@@ -779,10 +754,12 @@ impl Analysis {
         // Compute outside the lock; a racing duplicate build is harmless
         // (last write wins, both results are identical).
         self.stats.products_built.fetch_add(1, Ordering::Relaxed);
+        let lhs = self.effective_automaton();
+        let rhs = self.effective_operand(other);
         let built = Arc::new(match op {
-            ProductOp::Intersection => lhs.intersection(rhs),
-            ProductOp::Union => lhs.union(rhs),
-            ProductOp::Difference => lhs.difference(rhs),
+            ProductOp::Intersection => lhs.intersection(&rhs),
+            ProductOp::Union => lhs.union(&rhs),
+            ProductOp::Difference => lhs.difference(&rhs),
         });
         lock_recover(&self.products).insert(key, Arc::clone(&built));
         built
@@ -796,12 +773,27 @@ impl Analysis {
             .map_or(&self.aut, |q| q.automaton())
     }
 
+    /// The same for the other operand of a query: `other`'s quotient
+    /// when the pipeline is on and minimization shrinks it, `other`
+    /// itself otherwise.
+    fn effective_operand<'a>(&self, other: &'a OmegaAutomaton) -> Cow<'a, OmegaAutomaton> {
+        if self.quotient_enabled {
+            let min = minimize(other);
+            if min.reduced() {
+                return Cow::Owned(min.quotient);
+            }
+        }
+        Cow::Borrowed(other)
+    }
+
     /// Language inclusion `L(self) ⊆ L(other)`, decided by the direct
     /// product-graph oracle of [`crate::inclusion`] (no complement, no
-    /// DNF) on the quotiented operands when the quotient-first pipeline
-    /// is enabled, memoized per operand. In debug builds every verdict
-    /// is cross-checked against the classical complement+product oracle
-    /// on the *raw* operands — one tripwire covering both the
+    /// DNF), memoized per operand. The memo is keyed by `other` as
+    /// given, so a repeat query costs the key alone, not a minimization.
+    /// On a miss the oracle runs on both quotients when the
+    /// quotient-first pipeline is enabled. In debug builds every oracle
+    /// verdict is cross-checked against the classical complement+product
+    /// oracle on the *raw* operands — one tripwire covering both the
     /// quotient-first routing and the new algorithm.
     pub fn is_subset_of(&self, other: &OmegaAutomaton) -> bool {
         self.inclusion_verdict(other, OracleQuery::Included)
@@ -816,27 +808,17 @@ impl Analysis {
     }
 
     fn inclusion_verdict(&self, other: &OmegaAutomaton, query: OracleQuery) -> bool {
-        let lhs = self.effective_automaton();
-        let rhs_min;
-        let rhs = if self.quotient_enabled {
-            rhs_min = minimize(other);
-            if rhs_min.reduced() {
-                &rhs_min.quotient
-            } else {
-                other
-            }
-        } else {
-            other
-        };
-        let key = InclusionKey::of(rhs, query);
+        let key = OperandKey::of(other, query);
         if let Some(&hit) = lock_recover(&self.inclusions).get(&key) {
             self.stats.inclusion_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
         self.stats.inclusion_checks.fetch_add(1, Ordering::Relaxed);
+        let lhs = self.effective_automaton();
+        let rhs = self.effective_operand(other);
         let res = match query {
-            OracleQuery::Included => crate::inclusion::included(lhs, rhs),
-            OracleQuery::Equivalent => crate::inclusion::equivalent(lhs, rhs),
+            OracleQuery::Included => crate::inclusion::included(lhs, &rhs),
+            OracleQuery::Equivalent => crate::inclusion::equivalent(lhs, &rhs),
         };
         debug_assert_eq!(
             res,
@@ -1042,6 +1024,31 @@ mod tests {
         let s = ctx.stats();
         assert_eq!(s.inclusion_checks, 2);
         assert_eq!(s.inclusion_hits, 2);
+        // An operand that minimization reduces (state 2 is unreachable)
+        // is keyed as given: one check, then a hit on the repeat.
+        let b = sigma.symbol("b").unwrap();
+        let padded = OmegaAutomaton::build(
+            &sigma,
+            3,
+            0,
+            |_, s| if s == b { 1 } else { 0 },
+            Acceptance::fin([1]),
+        );
+        assert!(minimize(&padded).reduced());
+        let want = ctx.automaton().is_subset_of_via_complement(&padded);
+        assert_eq!(ctx.is_subset_of(&padded), want);
+        assert_eq!(ctx.is_subset_of(&padded), want);
+        let s = ctx.stats();
+        assert_eq!(s.inclusion_checks, 3);
+        assert_eq!(s.inclusion_hits, 3);
+        // Same transition table as `other`, another acceptance (□◇a):
+        // a different key, so a fresh check, not a hit.
+        let inf_a = last_sym(&sigma, Acceptance::inf([0]));
+        let want = ctx.automaton().is_subset_of_via_complement(&inf_a);
+        assert_eq!(ctx.is_subset_of(&inf_a), want);
+        let s = ctx.stats();
+        assert_eq!(s.inclusion_checks, 4);
+        assert_eq!(s.inclusion_hits, 3);
     }
 
     #[test]

@@ -136,9 +136,9 @@ fn main() {
             });
         }
 
-        // Cold pass: the first classify per artifact builds the color
-        // lattice from scratch — this is what a one-shot CLI pays every
-        // time.
+        // Cold pass: the first classify per artifact builds its SCCs and
+        // the alternating cycle decomposition from scratch — this is
+        // what a one-shot CLI pays every time.
         let mut suite = Suite {
             states: n,
             artifacts: artifacts.len(),

@@ -56,6 +56,9 @@
 //! The witness is the kernel's targeted tour, linear in the violating
 //! product region, but extracting it rebuilds the product outside the
 //! memo, so a service only pays it on request.
+//!
+//! Each stored entry memoizes its `lint` answer, so a warm `lint` or
+//! `lint_batch` reads the report instead of linting again.
 
 use hierarchy_core::automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_core::automata::canonical::ArtifactHash;
@@ -66,14 +69,12 @@ use hierarchy_core::fts::absint::{self, DomainKind};
 use hierarchy_core::fts::checker::check_with_invariants;
 use hierarchy_core::fts::CheckError;
 use hierarchy_core::lang::{operators, FinitaryProperty};
-use hierarchy_core::lint::{
-    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditOptions,
-};
+use hierarchy_core::lint::{audit_suite_ctx, report_to_json, AuditOptions};
 use hierarchy_core::prelude::Alphabet;
 use hierarchy_core::{HierarchyClass, Property};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 pub mod json;
 pub mod store;
@@ -142,6 +143,17 @@ impl Service {
             store: Mutex::new(Store::new(capacity)),
             jobs: jobs.max(1),
         }
+    }
+
+    /// Locks the store, recovering from poisoning, so a panic under the
+    /// lock on one connection cannot break every later request on every
+    /// connection. Recovery is sound because no `Store` method leaves a
+    /// half-made change: each mutation is a single map insert or removal
+    /// plus counter bumps, and the work that can panic (hashing, the
+    /// ingest equivalence sweep) runs before the insert. An alias whose
+    /// target is gone resolves as a miss.
+    fn store(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Handles one request line, returning the response line (without
@@ -270,7 +282,7 @@ impl Service {
                             format!("unknown catalogue program {name:?}"),
                         )
                     })?;
-                let ingested = self.store.lock().unwrap().ingest_program(program);
+                let ingested = self.store().ingest_program(program);
                 Ok(ingest_result(&ingested, Json::str(name)))
             }
             other => Err(RpcError::new(
@@ -282,7 +294,7 @@ impl Service {
 
     fn ingest_automaton(&self, aut: OmegaAutomaton, origin: &'static str) -> Json {
         let states = aut.num_states();
-        let ingested = self.store.lock().unwrap().ingest_automaton(aut, origin);
+        let ingested = self.store().ingest_automaton(aut, origin);
         ingest_result(&ingested, Json::Int(states as i64))
     }
 
@@ -296,9 +308,7 @@ impl Service {
                 format!("{key} must be a 32-digit hex hash"),
             )
         })?;
-        self.store
-            .lock()
-            .unwrap()
+        self.store()
             .resolve(hash)
             .ok_or_else(|| RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}")))
     }
@@ -459,7 +469,7 @@ impl Service {
         }
         let mut entries = Vec::with_capacity(hexes.len());
         {
-            let mut store = self.store.lock().unwrap();
+            let mut store = self.store();
             for h in hexes {
                 let hex = h.as_str().ok_or_else(|| {
                     RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
@@ -552,7 +562,7 @@ impl Service {
     // ---- store management -------------------------------------------
 
     fn rpc_stats(&self) -> RpcResult {
-        let store = self.store.lock().unwrap();
+        let store = self.store();
         let s = store.stats();
         let artifacts: Vec<Json> = store
             .list()
@@ -586,7 +596,7 @@ impl Service {
         let hash = ArtifactHash::parse(hex).ok_or_else(|| {
             RpcError::new(code::INVALID_PARAMS, "artifact must be a 32-digit hex hash")
         })?;
-        let evicted = self.store.lock().unwrap().evict(hash);
+        let evicted = self.store().evict(hash);
         Ok(Json::obj([("evicted", Json::Bool(evicted))]))
     }
 
@@ -601,7 +611,7 @@ impl Service {
             })?;
         let mut entries = Vec::with_capacity(hexes.len());
         {
-            let mut store = self.store.lock().unwrap();
+            let mut store = self.store();
             for h in hexes {
                 let hex = h.as_str().ok_or_else(|| {
                     RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
@@ -643,9 +653,11 @@ impl Service {
             if line.trim().is_empty() {
                 continue;
             }
-            let response = self.handle_line(&line);
+            // One write per response: a separate newline write would sit
+            // behind Nagle until the client's delayed ACK.
+            let mut response = self.handle_line(&line);
+            response.push('\n');
             writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
             writer.flush()?;
         }
         Ok(())
@@ -653,9 +665,12 @@ impl Service {
 
     /// Accept loop: serves every connection on its own thread, all
     /// sharing this service's store. Runs until the listener errors.
+    /// Connections run with `TCP_NODELAY`, so each response leaves at
+    /// once, whatever the client's ACK policy.
     pub fn listen(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
         loop {
             let (stream, _) = listener.accept()?;
+            let _ = stream.set_nodelay(true);
             let service = Arc::clone(self);
             std::thread::spawn(move || {
                 let reader = std::io::BufReader::new(match stream.try_clone() {
@@ -738,17 +753,15 @@ fn classify_entry(entry: &Entry, warm: bool) -> RpcResult {
 }
 
 fn lint_entry(entry: &Entry, warm: bool) -> RpcResult {
-    let diagnostics = match (entry.analysis(), entry.program()) {
-        (Some(ctx), _) => lint_automaton_ctx(ctx),
-        (_, Some(program)) => lint_abstract_program(program)
-            .map_err(|e| RpcError::new(code::BAD_ARTIFACT, e.to_string()))?,
-        _ => unreachable!("entry is always an automaton or a program"),
-    };
+    let (count, report) = entry
+        .lint()
+        .as_ref()
+        .map_err(|e| RpcError::new(code::BAD_ARTIFACT, e.clone()))?;
     Ok(Json::obj([
         ("artifact", Json::str(entry.hash.to_string())),
         ("kind", Json::str(entry.kind())),
-        ("count", Json::Int(diagnostics.len() as i64)),
-        ("diagnostics", Json::Raw(report_to_json(&diagnostics))),
+        ("count", Json::Int(*count as i64)),
+        ("diagnostics", Json::Raw(report.clone())),
         ("warm", Json::Bool(warm)),
     ]))
 }
@@ -1034,6 +1047,85 @@ mod tests {
         assert_eq!(
             results[1].get("class").and_then(Json::as_str),
             Some("guarantee")
+        );
+    }
+
+    /// Four `lint_batch` workers on one cold entry share its lint memo:
+    /// every result carries the library's report, exactly one of them
+    /// is the cold query, and a repeat batch answers four identical warm
+    /// results.
+    #[test]
+    fn lint_batch_workers_share_one_lint_report() {
+        let svc = Service::new(8, 2);
+        let h = ingest_formula(&svc, "G (p -> F q)");
+        let req = format!(
+            "{{\"id\":1,\"method\":\"lint_batch\",\"params\":{{\"artifacts\":[\"{h}\",\"{h}\",\"{h}\",\"{h}\"]}}}}"
+        );
+        let sigma = Alphabet::of_propositions(["p", "q"]).unwrap();
+        let aut = Property::parse(&sigma, "G (p -> F q)")
+            .unwrap()
+            .automaton()
+            .clone();
+        let diags = hierarchy_core::lint::lint_automaton_ctx(&Analysis::new(aut));
+        let results = |line: &str| {
+            let resp = Json::parse(&svc.handle_line(line)).unwrap();
+            resp.get("result")
+                .and_then(|r| r.get("results"))
+                .and_then(Json::as_arr)
+                .expect("lint batch succeeds")
+                .to_vec()
+        };
+        let cold = results(&req);
+        assert_eq!(cold.len(), 4);
+        for r in &cold {
+            assert_eq!(
+                r.get("count").and_then(Json::as_int),
+                Some(diags.len() as i64)
+            );
+            assert_eq!(
+                r.get("diagnostics").map(Json::to_string),
+                Some(report_to_json(&diags))
+            );
+        }
+        let cold_count = cold
+            .iter()
+            .filter(|r| r.get("warm").and_then(Json::as_bool) == Some(false))
+            .count();
+        assert_eq!(cold_count, 1, "one worker made the first query");
+        let warm = results(&req);
+        let first = warm[0].to_string();
+        assert!(first.contains("\"warm\":true"), "got {first}");
+        assert!(warm.iter().all(|r| r.to_string() == first));
+    }
+
+    /// A panic while one request holds the store lock poisons the mutex;
+    /// later requests recover the guard and go on answering.
+    #[test]
+    fn store_lock_recovers_from_poisoning() {
+        let svc = Service::new(8, 1);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _store = svc.store();
+            panic!("a request dies holding the store lock");
+        }));
+        assert!(died.is_err());
+        assert!(svc.store.lock().is_err(), "mutex must actually be poisoned");
+
+        let resp = Json::parse(&svc.handle_line("{\"id\":1,\"method\":\"stats\"}")).unwrap();
+        assert_eq!(
+            resp.get("result")
+                .and_then(|r| r.get("entries"))
+                .and_then(Json::as_int),
+            Some(0)
+        );
+        let hash = ingest_formula(&svc, "G F p");
+        let req =
+            format!("{{\"id\":2,\"method\":\"classify\",\"params\":{{\"artifact\":\"{hash}\"}}}}");
+        let resp = Json::parse(&svc.handle_line(&req)).unwrap();
+        assert_eq!(
+            resp.get("result")
+                .and_then(|r| r.get("class"))
+                .and_then(Json::as_str),
+            Some("recurrence")
         );
     }
 

@@ -20,10 +20,11 @@ use hierarchy_core::automata::analysis::Analysis;
 use hierarchy_core::automata::canonical::{self, ArtifactHash};
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::fts::absint::Program;
+use hierarchy_core::lint::{lint_abstract_program, lint_automaton_ctx, report_to_json};
 use hierarchy_core::Servable;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Aggregate store counters, all monotone over a daemon's lifetime
 /// (eviction does not roll anything back).
@@ -64,9 +65,21 @@ pub struct Entry {
     /// Number of queries served from this entry (not counting the
     /// ingests that created or deduplicated onto it).
     pub queries: AtomicU64,
+    /// The memoized lint answer (see [`Entry::lint`]).
+    lint: OnceLock<Result<(usize, String), String>>,
 }
 
 impl Entry {
+    fn new(hash: ArtifactHash, payload: Payload, origin: &'static str) -> Arc<Entry> {
+        Arc::new(Entry {
+            hash,
+            payload,
+            origin,
+            queries: AtomicU64::new(0),
+            lint: OnceLock::new(),
+        })
+    }
+
     /// The artifact kind tag (`"automaton"` / `"program"`).
     pub fn kind(&self) -> &'static str {
         match &self.payload {
@@ -89,6 +102,23 @@ impl Entry {
             Payload::Automaton(_) => None,
             Payload::Program(p) => Some(p),
         }
+    }
+
+    /// The entry's lint answer — the diagnostic count and the report as
+    /// JSON, or the lint error's message — computed on first use. An
+    /// entry is immutable and content-addressed, so the answer is a pure
+    /// function of it: the memo lives and dies with the entry, and
+    /// concurrent first callers share one computation.
+    pub(crate) fn lint(&self) -> &Result<(usize, String), String> {
+        self.lint.get_or_init(|| {
+            let diagnostics = match &self.payload {
+                Payload::Automaton(ctx) => lint_automaton_ctx(ctx),
+                Payload::Program(program) => {
+                    lint_abstract_program(program).map_err(|e| e.to_string())?
+                }
+            };
+            Ok((diagnostics.len(), report_to_json(&diagnostics)))
+        })
     }
 }
 
@@ -254,12 +284,11 @@ impl Store {
                 evicted: Vec::new(),
             };
         }
-        let entry = Arc::new(Entry {
+        let entry = Entry::new(
             hash,
-            payload: Payload::Automaton(Box::new(Analysis::new(aut))),
+            Payload::Automaton(Box::new(Analysis::new(aut))),
             origin,
-            queries: AtomicU64::new(0),
-        });
+        );
         let stamp = self.tick();
         self.entries.insert(hash, (Arc::clone(&entry), stamp));
         let evicted = self.evict_lru(hash);
@@ -287,12 +316,7 @@ impl Store {
                 evicted: Vec::new(),
             };
         }
-        let entry = Arc::new(Entry {
-            hash,
-            payload: Payload::Program(Box::new(program)),
-            origin: "program",
-            queries: AtomicU64::new(0),
-        });
+        let entry = Entry::new(hash, Payload::Program(Box::new(program)), "program");
         let stamp = self.tick();
         self.entries.insert(hash, (Arc::clone(&entry), stamp));
         let evicted = self.evict_lru(hash);

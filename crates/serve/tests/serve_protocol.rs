@@ -12,6 +12,7 @@ use hierarchy_core::fts::absint::{self, DomainKind};
 use hierarchy_core::fts::checker::check_with_invariants;
 use hierarchy_core::lint::{
     audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditOptions,
+    Diagnostic,
 };
 use hierarchy_core::prelude::*;
 use hierarchy_core::{HierarchyClass, Property};
@@ -130,6 +131,29 @@ fn golden_ingest(id: i64, aut: &OmegaAutomaton, known: bool) -> String {
         ),
     ])
     .to_string()
+}
+
+/// A `lint` response: the artifact's diagnostics as the library
+/// reports them.
+fn golden_lint(id: i64, hash: &str, kind: &str, diags: &[Diagnostic], warm: bool) -> String {
+    Json::obj([
+        ("id", Json::Int(id)),
+        (
+            "result",
+            Json::obj([
+                ("artifact", Json::str(hash)),
+                ("kind", Json::str(kind)),
+                ("count", Json::Int(diags.len() as i64)),
+                ("diagnostics", Json::Raw(report_to_json(diags))),
+                ("warm", Json::Bool(warm)),
+            ]),
+        ),
+    ])
+    .to_string()
+}
+
+fn lint_request(id: i64, hash: &str) -> String {
+    format!("{{\"id\":{id},\"method\":\"lint\",\"params\":{{\"artifact\":\"{hash}\"}}}}")
 }
 
 fn stats_json(s: &hierarchy_core::automata::analysis::AnalysisStats) -> Json {
@@ -251,24 +275,12 @@ fn golden_lint_include_and_evict() {
     // Lint: bytes replayed through the same lint + report_to_json path.
     let reference = Analysis::new(gp.clone());
     let diags = lint_automaton_ctx(&reference);
-    let want = Json::obj([
-        ("id", Json::Int(10)),
-        (
-            "result",
-            Json::obj([
-                ("artifact", Json::str(gp_hash.clone())),
-                ("kind", Json::str("automaton")),
-                ("count", Json::Int(diags.len() as i64)),
-                ("diagnostics", Json::Raw(report_to_json(&diags))),
-                ("warm", Json::Bool(false)),
-            ]),
-        ),
-    ])
-    .to_string();
-    let got = daemon.request(&format!(
-        "{{\"id\":10,\"method\":\"lint\",\"params\":{{\"artifact\":\"{gp_hash}\"}}}}"
-    ));
-    assert_eq!(got, want, "lint golden");
+    let got = daemon.request(&lint_request(10, &gp_hash));
+    assert_eq!(
+        got,
+        golden_lint(10, &gp_hash, "automaton", &diags, false),
+        "lint golden"
+    );
 
     // include: G p ⊆ G F p strictly; the reverse, asked with
     // "witness":true, carries a lasso whose symbols replay from the
@@ -356,6 +368,15 @@ fn golden_lint_include_and_evict() {
             "{{\"id\":15,\"error\":{{\"code\":-32001,\"message\":\"unknown artifact {gp_hash}\"}}}}"
         )
     );
+    // The lint memo goes with the entry: after a re-ingest the lint is
+    // cold again, with the same diagnostics.
+    daemon.request(&ingest_formula_request(16, "G p", &["p"]));
+    let got = daemon.request(&lint_request(17, &gp_hash));
+    assert_eq!(
+        got,
+        golden_lint(17, &gp_hash, "automaton", &diags, false),
+        "lint golden after re-ingest"
+    );
 
     daemon.shutdown();
 }
@@ -381,26 +402,16 @@ fn golden_program_check_and_batches() {
         )
     );
 
-    // Program lint golden.
+    // Program lint golden, then the same bytes from the warm repeat.
     let diags = lint_abstract_program(&program).unwrap();
-    let got = daemon.request(&format!(
-        "{{\"id\":2,\"method\":\"lint\",\"params\":{{\"artifact\":\"{prog_hash}\"}}}}"
-    ));
-    let want = Json::obj([
-        ("id", Json::Int(2)),
-        (
-            "result",
-            Json::obj([
-                ("artifact", Json::str(prog_hash.clone())),
-                ("kind", Json::str("program")),
-                ("count", Json::Int(diags.len() as i64)),
-                ("diagnostics", Json::Raw(report_to_json(&diags))),
-                ("warm", Json::Bool(false)),
-            ]),
-        ),
-    ])
-    .to_string();
-    assert_eq!(got, want, "program lint golden");
+    for warm in [false, true] {
+        let got = daemon.request(&lint_request(2, &prog_hash));
+        assert_eq!(
+            got,
+            golden_lint(2, &prog_hash, "program", &diags, warm),
+            "program lint golden"
+        );
+    }
 
     // check: mutual exclusion discharged in the abstract; golden stats
     // replayed through the same checker entry point.
@@ -411,6 +422,16 @@ fn golden_program_check_and_batches() {
         "G !(c1 & c2)",
         &["c1", "c2", "t1", "t2"],
     ));
+    // Automaton lint golden, cold then warm.
+    let mux_diags = lint_automaton_ctx(&Analysis::new(mux.clone()));
+    for warm in [false, true] {
+        let got = daemon.request(&lint_request(20, &mux_hash));
+        assert_eq!(
+            got,
+            golden_lint(20, &mux_hash, "automaton", &mux_diags, warm),
+            "automaton lint golden"
+        );
+    }
     let sigma = mux.alphabet().clone();
     let (verdict, stats) =
         check_with_invariants(&program, &sigma, &mux, DomainKind::ValueSets).unwrap();
@@ -868,24 +889,12 @@ fn golden_seventeen_atoms_classify() {
     assert_eq!(got, golden_audit(5, &reference, true), "audit golden");
 
     let diags = lint_automaton_ctx(&Analysis::new(aut.clone()));
-    let want = Json::obj([
-        ("id", Json::Int(6)),
-        (
-            "result",
-            Json::obj([
-                ("artifact", Json::str(hash.clone())),
-                ("kind", Json::str("automaton")),
-                ("count", Json::Int(diags.len() as i64)),
-                ("diagnostics", Json::Raw(report_to_json(&diags))),
-                ("warm", Json::Bool(true)),
-            ]),
-        ),
-    ])
-    .to_string();
-    let got = daemon.request(&format!(
-        "{{\"id\":6,\"method\":\"lint\",\"params\":{{\"artifact\":\"{hash}\"}}}}"
-    ));
-    assert_eq!(got, want, "lint golden");
+    let got = daemon.request(&lint_request(6, &hash));
+    assert_eq!(
+        got,
+        golden_lint(6, &hash, "automaton", &diags, true),
+        "lint golden"
+    );
 
     let got = daemon.request(&format!(
         "{{\"id\":7,\"method\":\"include\",\"params\":{{\"lhs\":\"{hash}\",\"rhs\":\"{fp_hash}\"}}}}"

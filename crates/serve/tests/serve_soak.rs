@@ -15,6 +15,7 @@ use hierarchy_serve::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 4;
 const ITERATIONS: usize = 60;
@@ -60,9 +61,12 @@ fn expectations() -> Vec<Expected> {
         .collect()
 }
 
+/// Sends one request line in a single write (so the client's own Nagle
+/// never holds back a trailing newline) and reads its response.
 fn request_over(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
-    writeln!(stream, "{line}").expect("send");
-    stream.flush().unwrap();
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
     let mut response = String::new();
     reader.read_line(&mut response).expect("receive");
     assert!(response.ends_with('\n'), "connection died on {line:?}");
@@ -440,6 +444,34 @@ fn seventeen_atoms_classify_over_tcp() {
     assert!(
         stats.get("result").is_some(),
         "the connection is still open"
+    );
+
+    drop(stdin);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+}
+
+/// A plain client (no quick ACK) waits for no delayed ACK: each response
+/// leaves in one write on a `TCP_NODELAY` socket, so ten sequential
+/// requests take milliseconds. A newline written on its own would sit
+/// behind Nagle until the client's delayed ACK, about 40 ms a request.
+#[test]
+fn sequential_tcp_requests_do_not_wait_for_delayed_acks() {
+    let (mut child, stdin, _stdout, addr) = spawn_listening();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let start = Instant::now();
+    for id in 0..10 {
+        let resp = request_over(
+            &mut stream,
+            &mut reader,
+            &format!("{{\"id\":{id},\"method\":\"stats\"}}"),
+        );
+        assert_eq!(resp.get("id").and_then(Json::as_int), Some(id));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "ten sequential requests took {elapsed:?}"
     );
 
     drop(stdin);

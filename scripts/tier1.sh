@@ -59,6 +59,15 @@ cargo run --release --offline -p hierarchy-bench --bin tab_inclusion -- --smoke 
 HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-serve --quiet
 HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test content_hash --quiet
+# The repository benchmark's correctness gate on both workloads: a traced
+# smoke run exits non-zero on a wrong verdict or on a mismatch between
+# the daemon's per-response `stats` blocks and the library's counters
+# (the only check of the latter, so a response-level cache cannot break
+# it silently). It reuses the release build above.
+for workload in warm-query audit-cli; do
+  CARGO_TARGET_DIR=target python3 perfbench/run.py --workload "$workload" \
+    --seed 1 --seconds 2 --trace 1 --smoke > /dev/null
+done
 # Smoke the daemon benchmark: verdict identity against direct library
 # calls and the warm-vs-cold latency gate are its expect() lines.
 cargo run --release --offline -p hierarchy-bench --bin tab_serve -- --smoke \
