@@ -65,7 +65,7 @@ use crate::bitset::BitSet;
 use crate::classify::{self, Classification};
 use crate::counterfree::{self, CounterFreedom};
 use crate::emptiness;
-use crate::flat::FlatAutomaton;
+use crate::flat::FlatGraph;
 use crate::lasso::Lasso;
 use crate::minimize::{minimize, Minimization};
 use crate::omega::OmegaAutomaton;
@@ -293,9 +293,9 @@ pub struct Analysis {
     /// [`Analysis::new_raw`] for when it is not).
     quotient_enabled: bool,
     stats: StatCells,
-    /// The flat CSR transition core — built once, consumed by every
+    /// The deduplicated successor graph — built once, walked by every
     /// Tarjan pass in place of the automaton's per-symbol enumeration.
-    flat: OnceLock<Arc<FlatAutomaton>>,
+    graph: OnceLock<Arc<FlatGraph>>,
     /// The partition-refinement minimization of `aut` (lazy).
     minimization: OnceLock<Arc<Minimization>>,
     /// The analysis context of the quotient automaton, when quotienting
@@ -331,7 +331,7 @@ impl Clone for Analysis {
             aut: self.aut.clone(),
             quotient_enabled: self.quotient_enabled,
             stats: StatCells::from_snapshot(self.stats.snapshot()),
-            flat: self.flat.clone(),
+            graph: self.graph.clone(),
             minimization: self.minimization.clone(),
             quotient: self.quotient.clone(),
             reachable: self.reachable.clone(),
@@ -372,7 +372,7 @@ impl Analysis {
             aut,
             quotient_enabled,
             stats: StatCells::default(),
-            flat: OnceLock::new(),
+            graph: OnceLock::new(),
             minimization: OnceLock::new(),
             quotient: OnceLock::new(),
             reachable: OnceLock::new(),
@@ -392,12 +392,16 @@ impl Analysis {
         &self.aut
     }
 
-    /// The flat CSR transition core of the automaton (built on first
-    /// use). All Tarjan passes of this context walk its deduplicated
-    /// successor graph instead of re-enumerating `step()` per symbol.
-    pub fn flat(&self) -> &FlatAutomaton {
-        self.flat
-            .get_or_init(|| Arc::new(FlatAutomaton::of(&self.aut)))
+    /// The automaton's successor graph in CSR form (built on first use).
+    /// All Tarjan passes of this context walk it instead of
+    /// re-enumerating `step()` per symbol.
+    fn graph(&self) -> &FlatGraph {
+        self.graph.get_or_init(|| {
+            let aut = &self.aut;
+            Arc::new(FlatGraph::from_fn(aut.num_states(), |q| {
+                aut.alphabet().symbols().map(move |s| aut.step(q, s))
+            }))
+        })
     }
 
     /// The partition-refinement minimization of the automaton (computed
@@ -459,9 +463,9 @@ impl Analysis {
             self.stats
                 .scc_state_visits
                 .fetch_add(swept, Ordering::Relaxed);
-            // Walk the flat CSR core: same DFS order as the automaton
-            // (dedup is order-preserving), contiguous successor slices.
-            Arc::new(crate::scc::tarjan_scc(self.flat().graph(), allowed))
+            // Walk the CSR graph: same DFS order as the automaton (dedup
+            // is order-preserving), contiguous successor slices.
+            Arc::new(crate::scc::tarjan_scc(self.graph(), allowed))
         });
         if !computed_here {
             self.stats.scc_hits.fetch_add(1, Ordering::Relaxed);

@@ -153,15 +153,14 @@ pub fn classify(aut: &OmegaAutomaton) -> Classification {
 ///
 /// Verdicts are returned in input order and are identical to calling
 /// [`classify`] on each automaton — the batch only changes the schedule,
-/// never the result. `spec-lint --jobs`, the seeded sweeps of
-/// `tab_decision`/`tab_lint`, and the `tab_parallel` scaling series all
-/// go through here.
+/// never the result. The seeded sweep of `tab_decision` goes through
+/// here.
 pub fn classify_suite(auts: &[OmegaAutomaton]) -> Vec<Classification> {
     classify_suite_with(crate::par::thread_count(), auts)
 }
 
-/// [`classify_suite`] with an explicit worker count (the thread-scaling
-/// experiment pins 1/2/4/N workers).
+/// [`classify_suite`] with an explicit worker count (the
+/// cross-validation suite pins 1, 2, 3 and 8 workers).
 pub fn classify_suite_with(threads: usize, auts: &[OmegaAutomaton]) -> Vec<Classification> {
     crate::par::map_with(threads, auts, classify)
 }

@@ -18,7 +18,8 @@
 //! fragment of HOA v1 this crate works with: the alphabet is rebuilt as
 //! the valuation alphabet `2^AP` over the declared propositions (≤ 6),
 //! every valuation must have exactly one outgoing edge per state, and
-//! acceptance is an arbitrary boolean combination of `Inf`/`Fin` atoms.
+//! acceptance is an arbitrary boolean combination of `Inf`/`Fin` atoms,
+//! parenthesized at most [`MAX_DEPTH`] deep.
 //! `omega_to_hoa` output round-trips exactly whenever the source
 //! alphabet has power-of-two size (proposition alphabets by name;
 //! letter alphabets through the synthetic `bitN` propositions);
@@ -32,6 +33,11 @@ use crate::omega::OmegaAutomaton;
 use crate::AutomatonError;
 use crate::StateId;
 use std::fmt::Write as _;
+
+/// The deepest parentheses may nest in an `Acceptance:` formula. The
+/// parser recurses once per level; an exported parity condition nests one
+/// level per priority.
+pub const MAX_DEPTH: usize = 256;
 
 /// Renders a deterministic ω-automaton in HOA v1 format.
 pub fn omega_to_hoa(aut: &OmegaAutomaton) -> String {
@@ -215,6 +221,8 @@ struct FormulaCursor<'a> {
     src: &'a str,
     pos: usize,
     num_sets: usize,
+    /// Parentheses open at `pos`.
+    depth: usize,
 }
 
 impl<'a> FormulaCursor<'a> {
@@ -280,7 +288,14 @@ impl<'a> FormulaCursor<'a> {
 
     fn parse_atom(&mut self) -> Result<SetFormula, AutomatonError> {
         if self.eat("(") {
+            if self.depth == MAX_DEPTH {
+                return Err(err(format!(
+                    "acceptance formula nests deeper than {MAX_DEPTH}"
+                )));
+            }
+            self.depth += 1;
             let inner = self.parse_or()?;
+            self.depth -= 1;
             if !self.eat(")") {
                 return Err(err("unbalanced parenthesis in acceptance formula"));
             }
@@ -452,6 +467,7 @@ pub fn hoa_to_omega(src: &str) -> Result<OmegaAutomaton, AutomatonError> {
                     src: formula_part,
                     pos: 0,
                     num_sets,
+                    depth: 0,
                 };
                 let formula = cursor.parse_or()?;
                 cursor.skip_ws();
@@ -814,6 +830,34 @@ mod tests {
                 matches!(hoa_to_omega(src), Err(AutomatonError::HoaParse { .. })),
                 "{what} should be an HoaParse error"
             );
+        }
+    }
+
+    /// The acceptance formula's parentheses nest at most `MAX_DEPTH` deep;
+    /// the parse runs on a thread with the 2 MiB stack of a daemon
+    /// connection.
+    #[test]
+    fn acceptance_nesting_is_bounded() {
+        let doc = |depth: usize| {
+            format!(
+                "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"p\"\n\
+                 Acceptance: 1 {}Inf(0){}\n--BODY--\nState: 0 {{0}}\n[t] 0\n--END--\n",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        let parse = |src: String| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || hoa_to_omega(&src).map(drop).map_err(|e| e.to_string()))
+                .unwrap()
+                .join()
+                .unwrap()
+        };
+        assert_eq!(parse(doc(MAX_DEPTH)), Ok(()));
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            let e = parse(doc(depth)).unwrap_err();
+            assert!(e.contains("nests deeper than"), "{e}");
         }
     }
 

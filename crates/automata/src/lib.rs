@@ -102,7 +102,7 @@ pub mod prelude {
     pub use crate::canonical::{hash_bytes, structural_hash, ArtifactHash};
     pub use crate::classify;
     pub use crate::dfa::Dfa;
-    pub use crate::flat::{FlatAutomaton, FlatGraph};
+    pub use crate::flat::FlatGraph;
     pub use crate::inclusion::ParityView;
     pub use crate::lasso::Lasso;
     pub use crate::minimize::{minimize, Minimization};

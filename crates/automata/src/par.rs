@@ -12,7 +12,7 @@
 //!
 //! Design:
 //!
-//! * **Scoped workers** — every [`map`]/[`map_indices_with`] call spawns
+//! * **Scoped workers** — every [`map_with`]/[`map_indices_with`] call spawns
 //!   its workers inside [`std::thread::scope`], so borrowed inputs
 //!   (`&[T]`, a shared [`crate::analysis::Analysis`]) flow into workers
 //!   without `Arc` plumbing, and no thread outlives the call.
@@ -26,11 +26,11 @@
 //!   surfaces unchanged (see the poison-recovery notes on
 //!   [`crate::analysis::Analysis`] for why the caches stay usable).
 //!
-//! The worker count comes from the `HIERARCHY_THREADS` environment
-//! variable when set (a positive integer; `1` forces the sequential
-//! path), else from [`std::thread::available_parallelism`]. Explicit
-//! counts can be passed via the `_with` variants (the thread-scaling
-//! series of `tab_parallel` does).
+//! Every map takes its worker count explicitly. Callers pass
+//! [`thread_count`]: the `HIERARCHY_THREADS` environment variable when
+//! set (a positive integer; `1` forces the sequential path), else
+//! [`std::thread::available_parallelism`], or a count of their own
+//! (`spec-lint --jobs`, `spec-serve --jobs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -53,17 +53,6 @@ fn available() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Order-preserving parallel map over a slice with the default worker
-/// count ([`thread_count`]).
-pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_with(thread_count(), items, f)
 }
 
 /// Order-preserving parallel map over a slice with an explicit worker

@@ -28,50 +28,6 @@ impl<G: Successors + ?Sized> Successors for &G {
     }
 }
 
-/// An explicit adjacency-list graph (used for products and tests).
-#[derive(Debug, Clone)]
-pub struct AdjGraph {
-    /// `succs[q]` lists the successors of state `q`.
-    pub succs: Vec<Vec<StateId>>,
-}
-
-impl AdjGraph {
-    /// Builds an adjacency graph over states `0..n` by enumerating each
-    /// state's successors with `succs_of`.
-    pub fn from_fn<I>(n: usize, mut succs_of: impl FnMut(StateId) -> I) -> Self
-    where
-        I: IntoIterator<Item = StateId>,
-    {
-        AdjGraph {
-            succs: (0..n as StateId)
-                .map(|q| succs_of(q).into_iter().collect())
-                .collect(),
-        }
-    }
-
-    /// Materializes any [`Successors`] implementation into an explicit
-    /// adjacency list (useful to snapshot a derived graph once and reuse
-    /// it across many restricted SCC passes).
-    pub fn from_graph<G: Successors>(graph: &G) -> Self {
-        AdjGraph::from_fn(graph.num_states(), |q| {
-            let mut v = Vec::new();
-            graph.for_each_successor(q, &mut |t| v.push(t));
-            v
-        })
-    }
-}
-
-impl Successors for AdjGraph {
-    fn num_states(&self) -> usize {
-        self.succs.len()
-    }
-    fn for_each_successor(&self, q: StateId, f: &mut dyn FnMut(StateId)) {
-        for &t in &self.succs[q as usize] {
-            f(t);
-        }
-    }
-}
-
 /// The result of an SCC decomposition.
 #[derive(Debug, Clone)]
 pub struct SccDecomposition {
@@ -246,13 +202,12 @@ impl<G: Successors> SccCache<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::FlatGraph;
 
-    fn graph(edges: &[(u32, u32)], n: usize) -> AdjGraph {
-        let mut succs = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            succs[a as usize].push(b);
-        }
-        AdjGraph { succs }
+    fn graph(edges: &[(u32, u32)], n: usize) -> FlatGraph {
+        FlatGraph::from_fn(n, |q| {
+            edges.iter().filter(move |&&(a, _)| a == q).map(|&(_, b)| b)
+        })
     }
 
     #[test]
@@ -326,11 +281,11 @@ mod tests {
 
     #[test]
     fn from_fn_matches_manual_construction() {
-        let manual = graph(&[(0, 1), (1, 0), (1, 2)], 3);
-        let built = AdjGraph::from_fn(3, |q| manual.succs[q as usize].clone());
-        assert_eq!(built.succs, manual.succs);
-        let snap = AdjGraph::from_graph(&manual);
-        assert_eq!(snap.succs, manual.succs);
+        let g = graph(&[(0, 1), (1, 0), (1, 2)], 3);
+        assert_eq!(g.num_states(), 3);
+        assert_eq!(g.successors(0), &[1]);
+        assert_eq!(g.successors(1), &[0, 2]);
+        assert_eq!(g.successors(2), &[] as &[StateId]);
     }
 
     #[test]

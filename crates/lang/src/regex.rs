@@ -14,10 +14,17 @@
 //! `a+b` is the union `a ∪ b`, while `a+` and `(ab)+` use the postfix plus,
 //! and `a++b` is `a⁺ ∪ b`. `.` denotes any single symbol (the paper's `Σ`).
 //! Symbols are single characters that must name a symbol of the alphabet;
-//! whitespace is ignored.
+//! whitespace is ignored. Parentheses and the expression tree nest at most
+//! [`MAX_DEPTH`] deep.
 
 use hierarchy_automata::alphabet::{Alphabet, Symbol};
 use std::fmt;
+
+/// The deepest an expression may nest: open parentheses (the parser
+/// recurses once per level) and the height of the expression tree (every
+/// later pass over it — the Thompson construction, printing, dropping —
+/// recurses once per level) are both bounded by it.
+pub const MAX_DEPTH: usize = 256;
 
 /// A regular-expression syntax tree over an alphabet's symbols.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,8 +71,9 @@ impl Regex {
             alphabet,
             chars: &chars,
             pos: 0,
+            open: 0,
         };
-        let expr = parser.union()?;
+        let (expr, _) = parser.union()?;
         if parser.pos != chars.len() {
             return Err(RegexError {
                 position: parser.pos,
@@ -158,7 +166,12 @@ struct Parser<'a> {
     alphabet: &'a Alphabet,
     chars: &'a [char],
     pos: usize,
+    /// Parentheses open at `pos`.
+    open: usize,
 }
+
+/// A parsed subexpression and the height of its tree.
+type Node = (Regex, usize);
 
 impl Parser<'_> {
     fn peek(&self) -> Option<char> {
@@ -169,7 +182,27 @@ impl Parser<'_> {
         c == '(' || c == '.' || self.alphabet.symbol(&c.to_string()).is_some()
     }
 
-    fn union(&mut self) -> Result<Regex, RegexError> {
+    fn too_deep(&self) -> RegexError {
+        RegexError {
+            position: self.pos,
+            message: format!("expression nests deeper than {MAX_DEPTH}"),
+        }
+    }
+
+    /// `xs` under one `Union` or `Concat` node (`wrap`), or the single
+    /// element itself.
+    fn list(&self, mut xs: Vec<Node>, wrap: fn(Vec<Regex>) -> Regex) -> Result<Node, RegexError> {
+        if xs.len() == 1 {
+            return Ok(xs.pop().expect("one element"));
+        }
+        let height = 1 + xs.iter().map(|x| x.1).max().unwrap_or(0);
+        if height > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((wrap(xs.into_iter().map(|x| x.0).collect()), height))
+    }
+
+    fn union(&mut self) -> Result<Node, RegexError> {
         let mut terms = vec![self.concat()?];
         while self.peek() == Some('+') {
             // Infix union only when something parseable follows; a trailing
@@ -177,14 +210,10 @@ impl Parser<'_> {
             self.pos += 1;
             terms.push(self.concat()?);
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("one term")
-        } else {
-            Regex::Union(terms)
-        })
+        self.list(terms, Regex::Union)
     }
 
-    fn concat(&mut self) -> Result<Regex, RegexError> {
+    fn concat(&mut self) -> Result<Node, RegexError> {
         let mut factors = Vec::new();
         while let Some(c) = self.peek() {
             if !self.starts_atom(c) {
@@ -192,59 +221,55 @@ impl Parser<'_> {
             }
             factors.push(self.factor()?);
         }
-        match factors.len() {
-            0 => Err(RegexError {
+        if factors.is_empty() {
+            return Err(RegexError {
                 position: self.pos,
                 message: match self.peek() {
                     Some(c) => format!("expected an atom, found {c:?}"),
                     None => "expected an atom, found end of input".to_string(),
                 },
-            }),
-            1 => Ok(factors.pop().expect("one factor")),
-            _ => Ok(Regex::Concat(factors)),
+            });
         }
+        self.list(factors, Regex::Concat)
     }
 
-    fn factor(&mut self) -> Result<Regex, RegexError> {
-        let mut atom = self.atom()?;
+    fn factor(&mut self) -> Result<Node, RegexError> {
+        let (mut atom, mut height) = self.atom()?;
         loop {
-            match self.peek() {
-                Some('*') => {
-                    self.pos += 1;
-                    atom = Regex::Star(Box::new(atom));
-                }
+            let wrap: fn(Box<Regex>) -> Regex = match self.peek() {
+                Some('*') => Regex::Star,
                 Some('+') => {
                     // Postfix plus only if no atom follows (else it is the
-                    // union operator handled by `union`).
+                    // union operator handled by `union`); `a++` = (a⁺)⁺ and
+                    // `a+*` = (a⁺)*.
                     match self.chars.get(self.pos + 1) {
                         Some(&c) if self.starts_atom(c) => break,
-                        Some('+') | Some('*') => {
-                            // `a++` = (a⁺)… continue postfix.
-                            self.pos += 1;
-                            atom = Regex::Plus(Box::new(atom));
-                        }
-                        Some(')') => {
-                            self.pos += 1;
-                            atom = Regex::Plus(Box::new(atom));
-                        }
-                        None => {
-                            self.pos += 1;
-                            atom = Regex::Plus(Box::new(atom));
-                        }
+                        Some('+' | '*' | ')') | None => Regex::Plus,
                         Some(_) => break,
                     }
                 }
                 _ => break,
+            };
+            if height == MAX_DEPTH {
+                return Err(self.too_deep());
             }
+            self.pos += 1;
+            atom = wrap(Box::new(atom));
+            height += 1;
         }
-        Ok(atom)
+        Ok((atom, height))
     }
 
-    fn atom(&mut self) -> Result<Regex, RegexError> {
+    fn atom(&mut self) -> Result<Node, RegexError> {
         match self.peek() {
             Some('(') => {
+                if self.open == MAX_DEPTH {
+                    return Err(self.too_deep());
+                }
                 self.pos += 1;
+                self.open += 1;
                 let inner = self.union()?;
+                self.open -= 1;
                 if self.peek() != Some(')') {
                     return Err(RegexError {
                         position: self.pos,
@@ -256,12 +281,12 @@ impl Parser<'_> {
             }
             Some('.') => {
                 self.pos += 1;
-                Ok(Regex::AnySym)
+                Ok((Regex::AnySym, 1))
             }
             Some(c) => match self.alphabet.symbol(&c.to_string()) {
                 Some(sym) => {
                     self.pos += 1;
-                    Ok(Regex::Sym(sym))
+                    Ok((Regex::Sym(sym), 1))
                 }
                 None => Err(RegexError {
                     position: self.pos,
@@ -349,6 +374,40 @@ mod tests {
         match r {
             Regex::Union(ts) => assert_eq!(ts.len(), 2),
             other => panic!("expected union, got {other:?}"),
+        }
+    }
+
+    /// Parses `input` over `{a, b}` on a thread with the 2 MiB stack of a
+    /// daemon connection, returning the error message if it is rejected.
+    fn parse_on_small_stack(input: String) -> Result<(), String> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                Regex::parse(&ab(), &input)
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        // A symbol is one level; each postfix operator adds one.
+        let stars = |n: usize| format!("a{}", "*".repeat(n));
+        assert_eq!(parse_on_small_stack(parens(MAX_DEPTH)), Ok(()));
+        assert_eq!(parse_on_small_stack(stars(MAX_DEPTH - 1)), Ok(()));
+        for hostile in [
+            parens(MAX_DEPTH + 1),
+            parens(5_000),
+            stars(MAX_DEPTH),
+            stars(100_000),
+            format!("{}a", "(a".repeat(5_000)),
+        ] {
+            let e = parse_on_small_stack(hostile).unwrap_err();
+            assert!(e.contains("nests deeper than"), "{e}");
         }
     }
 

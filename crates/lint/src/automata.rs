@@ -475,5 +475,10 @@ mod tests {
             passes,
             "linting after classification runs no new SCC passes"
         );
+        assert_eq!(
+            diags,
+            lint_automaton(ctx.automaton()),
+            "same report as a cold lint"
+        );
     }
 }

@@ -43,105 +43,18 @@ pub use logic::lint_formula;
 pub use registry::{rule, RuleInfo, CATALOGUE};
 pub use suite::{audit_suite, audit_suite_ctx, AuditError, AuditOptions, SuiteAudit};
 
-use hierarchy_automata::omega::OmegaAutomaton;
-use hierarchy_fts::system::TransitionSystem;
-use hierarchy_lang::finitary::FinitaryProperty;
-use hierarchy_lang::regex::Regex;
-
-/// Anything that can be linted without extra context.
-///
-/// Formulas are the exception: linting a [`Formula`](hierarchy_logic::ast::Formula)
-/// needs the alphabet it is read over, so use [`lint_formula`] directly.
-pub trait Lintable {
-    /// Runs every applicable rule and returns the findings.
-    fn lint(&self) -> Vec<Diagnostic>;
-}
-
-impl Lintable for OmegaAutomaton {
-    fn lint(&self) -> Vec<Diagnostic> {
-        lint_automaton(self)
-    }
-}
-
-/// Lints a batch of artifacts across the worker pool of
-/// [`hierarchy_automata::par`] (each artifact is one work item; the
-/// semantic rules inside an item run sequentially so the pool is never
-/// oversubscribed). Reports come back in input order and are identical
-/// to calling [`Lintable::lint`] on each item.
-///
-/// `jobs` is the worker count — pass
-/// [`hierarchy_automata::par::thread_count`] to honor the
-/// `HIERARCHY_THREADS` override, or an explicit count (`spec-lint
-/// --jobs N` does).
-pub fn lint_suite<T: Lintable + Sync>(items: &[T], jobs: usize) -> Vec<Vec<Diagnostic>> {
-    hierarchy_automata::par::map_with(jobs, items, Lintable::lint)
-}
-
-impl Lintable for TransitionSystem {
-    fn lint(&self) -> Vec<Diagnostic> {
-        lint_system(self)
-    }
-}
-
-impl Lintable for Regex {
-    fn lint(&self) -> Vec<Diagnostic> {
-        lint_regex(self)
-    }
-}
-
-impl Lintable for FinitaryProperty {
-    fn lint(&self) -> Vec<Diagnostic> {
-        lint_finitary(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hierarchy_automata::alphabet::Alphabet;
-
-    #[test]
-    fn lintable_dispatches_per_substrate() {
-        let sigma = Alphabet::new(["a", "b"]).unwrap();
-        let phi = FinitaryProperty::empty(&sigma);
-        assert_eq!(phi.lint()[0].code, "LANG003");
-        let r = Regex::parse(&sigma, "(a*)*").unwrap();
-        assert_eq!(r.lint()[0].code, "LANG002");
-    }
-
-    #[test]
-    fn lint_suite_agrees_with_sequential_lints() {
-        use hierarchy_automata::acceptance::Acceptance;
-        use hierarchy_automata::omega::OmegaAutomaton;
-        let sigma = Alphabet::new(["a", "b"]).unwrap();
-        let b = sigma.symbol("b").unwrap();
-        let auts: Vec<OmegaAutomaton> = (0..6)
-            .map(|i| {
-                OmegaAutomaton::build(
-                    &sigma,
-                    2 + i % 3,
-                    0,
-                    |q, s| if s == b { (q + 1) % 2 } else { q },
-                    if i % 2 == 0 {
-                        Acceptance::inf([1])
-                    } else {
-                        Acceptance::fin([0])
-                    },
-                )
-            })
-            .collect();
-        let sequential: Vec<_> = auts.iter().map(Lintable::lint).collect();
-        for jobs in [1, 2, 4] {
-            assert_eq!(lint_suite(&auts, jobs), sequential, "jobs={jobs}");
-        }
-    }
+    use hierarchy_lang::finitary::FinitaryProperty;
 
     #[test]
     fn every_emitted_code_is_catalogued() {
         // The per-module tests exercise the rules; here just pin that the
         // registry severities drive `is_clean`.
         let sigma = Alphabet::new(["a", "b"]).unwrap();
-        let diags = FinitaryProperty::sigma_plus(&sigma).lint();
+        let diags = lint_finitary(&FinitaryProperty::sigma_plus(&sigma));
         assert!(!diags.is_empty());
         for d in &diags {
             let r = rule(d.code).expect("code in catalogue");

@@ -952,6 +952,11 @@ mod tests {
             warm.stats.inclusion_hits > 0,
             "second audit on the same contexts must reuse the inclusion memo"
         );
+        assert_eq!(
+            (warm.stats.inclusion_checks, warm.stats.scc_passes),
+            (0, 0),
+            "a warm re-audit runs no inclusion oracle and no SCC pass"
+        );
         for jobs in [1, 2, 4] {
             let opts = AuditOptions {
                 jobs,

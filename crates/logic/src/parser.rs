@@ -16,10 +16,32 @@
 //! Identifiers name propositions (valuation alphabets) or letters (plain
 //! alphabets). The single-letter operator names `U W S B X F G Y Z O H` are
 //! reserved; `first` denotes the paper's initial-position formula `¬⊖T`.
+//!
+//! Three fixed bounds keep a hostile formula from exhausting the stack or
+//! the memory of the thread that parses and compiles it:
+//! [`MAX_NESTING`], [`MAX_HEIGHT`] and [`MAX_SIZE`]. A formula beyond one
+//! is a [`ParseError`].
 
 use crate::ast::Formula;
 use hierarchy_automata::alphabet::Alphabet;
 use std::fmt;
+
+/// The most parenthesized groups, prefix operators and right-nested `->`
+/// that may be open at one point of a formula. The parser recurses once
+/// per level.
+pub const MAX_NESTING: usize = 256;
+
+/// The most operators that may nest on one path of the formula tree,
+/// left-associative chains such as `p & q & …` included. Every pass over
+/// a formula (rewriting, the tester, printing, dropping) recurses once per
+/// level; in the release build a compile at this height fits a 2 MiB
+/// thread stack.
+pub const MAX_HEIGHT: usize = 4_096;
+
+/// The most nodes a formula may have once each `<->` is expanded into its
+/// two implications. The expansion copies both operands, so a chain of
+/// `<->` doubles the formula at every link.
+pub const MAX_SIZE: usize = 16_384;
 
 /// A formula syntax error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,6 +161,7 @@ pub fn parse(alphabet: &Alphabet, input: &str) -> Result<Formula, ParseError> {
         alphabet,
         tokens: &tokens,
         pos: 0,
+        depth: 0,
     };
     let f = p.iff()?;
     if p.pos != tokens.len() {
@@ -147,17 +170,23 @@ pub fn parse(alphabet: &Alphabet, input: &str) -> Result<Formula, ParseError> {
             message: format!("unexpected trailing input: {:?}", tokens[p.pos]),
         });
     }
-    Ok(f)
+    Ok(f.formula)
 }
 
 struct P<'a> {
     alphabet: &'a Alphabet,
     tokens: &'a [Token],
     pos: usize,
+    /// Levels of [`MAX_NESTING`] open at `pos`.
+    depth: usize,
 }
 
-const UNARY_OPS: [&str; 8] = ["X", "F", "G", "Y", "Z", "O", "H", "N"];
-const BINARY_OPS: [&str; 4] = ["U", "W", "S", "B"];
+/// A parsed subformula with its expanded size and its height.
+struct Node {
+    formula: Formula,
+    size: usize,
+    height: usize,
+}
 
 impl P<'_> {
     fn peek(&self) -> Option<&Token> {
@@ -171,94 +200,143 @@ impl P<'_> {
         }
     }
 
-    fn iff(&mut self) -> Result<Formula, ParseError> {
+    /// A node of `size` nodes whose deepest path has `height` operators,
+    /// within [`MAX_SIZE`] and [`MAX_HEIGHT`].
+    fn node(&self, formula: Formula, size: usize, height: usize) -> Result<Node, ParseError> {
+        if size > MAX_SIZE {
+            return Err(self.err(format!(
+                "formula has more than {MAX_SIZE} nodes once <-> is expanded"
+            )));
+        }
+        if height > MAX_HEIGHT {
+            return Err(self.err(format!("operators nest deeper than {MAX_HEIGHT}")));
+        }
+        Ok(Node {
+            formula,
+            size,
+            height,
+        })
+    }
+
+    /// Parses one level of [`MAX_NESTING`] with `f`.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Node, ParseError>) -> Result<Node, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!(
+                "parentheses, prefix operators and -> nest deeper than {MAX_NESTING}"
+            )));
+        }
+        self.depth += 1;
+        let node = f(self);
+        self.depth -= 1;
+        node
+    }
+
+    fn iff(&mut self) -> Result<Node, ParseError> {
         let mut left = self.implies()?;
         while self.peek() == Some(&Token::Iff) {
             self.pos += 1;
             let right = self.implies()?;
-            left = left.clone().implies(right.clone()).and(right.implies(left));
+            // (l → r) ∧ (r → l): both operands appear twice.
+            let (l, r) = (left.formula, right.formula);
+            left = self.node(
+                l.clone().implies(r.clone()).and(r.implies(l)),
+                5 + 2 * (left.size + right.size),
+                3 + left.height.max(right.height),
+            )?;
         }
         Ok(left)
     }
 
-    fn implies(&mut self) -> Result<Formula, ParseError> {
+    fn implies(&mut self) -> Result<Node, ParseError> {
         let left = self.or()?;
         if self.peek() == Some(&Token::Implies) {
             self.pos += 1;
-            let right = self.implies()?;
-            return Ok(left.implies(right));
+            let right = self.nested(Self::implies)?;
+            return self.node(
+                left.formula.implies(right.formula),
+                2 + left.size + right.size,
+                2 + left.height.max(right.height),
+            );
         }
         Ok(left)
     }
 
-    fn or(&mut self) -> Result<Formula, ParseError> {
+    /// `left op right` for a binary connective `op`.
+    fn binary_node(
+        &self,
+        left: Node,
+        right: Node,
+        op: fn(Formula, Formula) -> Formula,
+    ) -> Result<Node, ParseError> {
+        self.node(
+            op(left.formula, right.formula),
+            1 + left.size + right.size,
+            1 + left.height.max(right.height),
+        )
+    }
+
+    fn or(&mut self) -> Result<Node, ParseError> {
         let mut left = self.and()?;
         while self.peek() == Some(&Token::Or) {
             self.pos += 1;
-            left = left.or(self.and()?);
+            let right = self.and()?;
+            left = self.binary_node(left, right, Formula::or)?;
         }
         Ok(left)
     }
 
-    fn and(&mut self) -> Result<Formula, ParseError> {
+    fn and(&mut self) -> Result<Node, ParseError> {
         let mut left = self.binary()?;
         while self.peek() == Some(&Token::And) {
             self.pos += 1;
-            left = left.and(self.binary()?);
+            let right = self.binary()?;
+            left = self.binary_node(left, right, Formula::and)?;
         }
         Ok(left)
     }
 
-    fn binary(&mut self) -> Result<Formula, ParseError> {
+    fn binary(&mut self) -> Result<Node, ParseError> {
         let mut left = self.unary()?;
         while let Some(Token::Ident(name)) = self.peek() {
-            if !BINARY_OPS.contains(&name.as_str()) {
-                break;
-            }
-            let op = name.clone();
+            let op: fn(Formula, Formula) -> Formula = match name.as_str() {
+                "U" => Formula::until,
+                "W" => Formula::unless,
+                "S" => Formula::since,
+                "B" => Formula::wsince,
+                _ => break,
+            };
             self.pos += 1;
             let right = self.unary()?;
-            left = match op.as_str() {
-                "U" => left.until(right),
-                "W" => left.unless(right),
-                "S" => left.since(right),
-                "B" => left.wsince(right),
-                _ => unreachable!(),
-            };
+            left = self.binary_node(left, right, op)?;
         }
         Ok(left)
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseError> {
-        match self.peek() {
-            Some(Token::Not) => {
-                self.pos += 1;
-                Ok(self.unary()?.not())
-            }
-            Some(Token::Ident(name)) if UNARY_OPS.contains(&name.as_str()) => {
-                let op = name.clone();
-                self.pos += 1;
-                let inner = self.unary()?;
-                Ok(match op.as_str() {
-                    "X" | "N" => inner.next(),
-                    "F" => inner.eventually(),
-                    "G" => inner.always(),
-                    "Y" => inner.prev(),
-                    "Z" => inner.wprev(),
-                    "O" => inner.once(),
-                    "H" => inner.historically(),
-                    _ => unreachable!(),
-                })
-            }
-            _ => self.primary(),
-        }
+    fn unary(&mut self) -> Result<Node, ParseError> {
+        let op: fn(Formula) -> Formula = match self.peek() {
+            Some(Token::Not) => Formula::not,
+            Some(Token::Ident(name)) => match name.as_str() {
+                "X" | "N" => Formula::next,
+                "F" => Formula::eventually,
+                "G" => Formula::always,
+                "Y" => Formula::prev,
+                "Z" => Formula::wprev,
+                "O" => Formula::once,
+                "H" => Formula::historically,
+                _ => return self.primary(),
+            },
+            _ => return self.primary(),
+        };
+        self.pos += 1;
+        let inner = self.nested(Self::unary)?;
+        self.node(op(inner.formula), inner.size + 1, inner.height + 1)
     }
 
-    fn primary(&mut self) -> Result<Formula, ParseError> {
+    fn primary(&mut self) -> Result<Node, ParseError> {
         match self.peek().cloned() {
             Some(Token::LParen) => {
                 self.pos += 1;
-                let inner = self.iff()?;
+                let inner = self.nested(Self::iff)?;
                 if self.peek() != Some(&Token::RParen) {
                     return Err(self.err("expected ')'"));
                 }
@@ -267,17 +345,18 @@ impl P<'_> {
             }
             Some(Token::Ident(name)) => {
                 self.pos += 1;
-                match name.as_str() {
-                    "true" | "T" => Ok(Formula::True),
-                    "false" => Ok(Formula::False),
-                    "first" => Ok(Formula::first()),
+                let formula = match name.as_str() {
+                    "true" | "T" => Formula::True,
+                    "false" => Formula::False,
+                    "first" => return self.node(Formula::first(), 2, 1),
                     _ => Formula::atom(self.alphabet, &name).ok_or_else(|| ParseError {
                         position: self.pos - 1,
                         message: format!(
                             "{name:?} is neither a proposition nor a letter of the alphabet"
                         ),
-                    }),
-                }
+                    })?,
+                };
+                self.node(formula, 1, 0)
             }
             Some(tok) => Err(self.err(format!("unexpected token {tok:?}"))),
             None => Err(self.err("unexpected end of input")),
@@ -362,6 +441,77 @@ mod tests {
         assert!(parse(&sigma, "p # q").is_err());
         let e = parse(&sigma, "p %").unwrap_err();
         assert!(e.to_string().contains("formula error"));
+    }
+
+    /// Parses `input` on a thread with the 2 MiB stack of a daemon
+    /// connection, returning the error message if it is rejected.
+    fn parse_on_small_stack(input: String) -> Result<(), String> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&ap(), &input).map(drop).map_err(|e| e.to_string()))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    fn chain(operand: &str, op: &str, n: usize) -> String {
+        vec![operand; n].join(op)
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |n: usize| format!("{}p{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse_on_small_stack(parens(MAX_NESTING)), Ok(()));
+        assert_eq!(
+            parse_on_small_stack(format!("{}p", "!".repeat(MAX_NESTING))),
+            Ok(())
+        );
+        for hostile in [
+            parens(MAX_NESTING + 1),
+            parens(2_000),
+            parens(20_000),
+            format!("{}p", "!".repeat(20_000)),
+            format!("{}p", "X ".repeat(20_000)),
+            chain("p", " -> ", 20_000),
+        ] {
+            let e = parse_on_small_stack(hostile).unwrap_err();
+            assert!(e.contains("nest deeper than"), "{e}");
+        }
+    }
+
+    #[test]
+    fn height_is_bounded() {
+        // `p U p U …` nests one `U` per operand after the first.
+        assert_eq!(
+            parse_on_small_stack(chain("p", " U ", MAX_HEIGHT + 1)),
+            Ok(())
+        );
+        for hostile in [
+            chain("p", " U ", MAX_HEIGHT + 2),
+            chain("G F p", " & ", 10_000),
+        ] {
+            let e = parse_on_small_stack(hostile).unwrap_err();
+            assert!(e.contains("operators nest deeper than"), "{e}");
+        }
+        assert_eq!(parse_on_small_stack(chain("G F p", " & ", 3_000)), Ok(()));
+    }
+
+    #[test]
+    fn expanded_size_is_bounded() {
+        // `!` over 128 groups of 64 atoms: 1 + 128·127 + 127 nodes.
+        let groups = |negations: &str| {
+            let group = format!("({})", chain("p", " & ", 64));
+            format!("{negations}({})", chain(&group, " & ", 128))
+        };
+        assert_eq!(parse_on_small_stack(groups("!")), Ok(()));
+        let e = parse_on_small_stack(groups("!!")).unwrap_err();
+        assert!(e.contains("nodes once <-> is expanded"), "{e}");
+        // Each `<->` copies both operands, so 20 operands would expand to
+        // millions of nodes; the parser stops at the bound.
+        let start = std::time::Instant::now();
+        let e = parse_on_small_stack(chain("p", " <-> ", 20)).unwrap_err();
+        assert!(e.contains("nodes once <-> is expanded"), "{e}");
+        assert!(start.elapsed().as_secs() < 5);
     }
 
     #[test]

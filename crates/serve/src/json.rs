@@ -8,9 +8,17 @@
 //! minus two conveniences nothing zero-dependency needs: `\uXXXX`
 //! escapes for characters outside the two-character escape set are
 //! supported, but surrogate pairs are combined only when well-formed
-//! (lone surrogates are rejected).
+//! (lone surrogates are rejected). Arrays and objects nest at most
+//! [`MAX_DEPTH`] deep, so a hostile line cannot exhaust the stack of the
+//! thread that parses it.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts:
+/// far beyond any request or response of the protocol, and shallow
+/// enough that the parser's recursion fits a 2 MiB thread stack in every
+/// build profile.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,8 +97,10 @@ impl Json {
     /// Parses a JSON document (the whole string must be one value).
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -173,8 +183,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -214,62 +227,80 @@ impl<'a> Parser<'a> {
             Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut xs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(c) => Err(format!("unexpected byte {:?} at {}", c as char, self.pos)),
+        }
+    }
+
+    /// Parses one array or object with `f`, within [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.pos += 1;
+        let mut xs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(xs));
+        }
+        loop {
+            xs.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Json::Arr(xs));
                 }
-                loop {
-                    xs.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(xs));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs: Vec<(String, Json)> = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.pos += 1;
+        let mut pairs: Vec<(String, Json)> = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            if pairs.iter().any(|(k, _)| *k == key) {
+                return Err(format!("duplicate key {key:?}"));
+            }
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Json::Obj(pairs));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    if pairs.iter().any(|(k, _)| *k == key) {
-                        return Err(format!("duplicate key {key:?}"));
-                    }
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    pairs.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(pairs));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(format!("unexpected byte {:?} at {}", c as char, self.pos)),
         }
     }
 
@@ -277,10 +308,8 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Decode the next UTF-8 scalar from the remaining bytes.
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| "invalid UTF-8 in string".to_string())?;
-            let mut chars = rest.chars();
+            // `pos` sits on a character boundary of the source string.
+            let mut chars = self.src[self.pos..].chars();
             let c = chars.next().ok_or("unterminated string")?;
             self.pos += c.len_utf8();
             match c {
@@ -441,6 +470,47 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack of a daemon connection.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        on_small_stack(|| {
+            let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+            assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+            let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+            assert!(Json::parse(&objects).is_ok());
+            for hostile in [nest(MAX_DEPTH + 1), "[".repeat(20_000)] {
+                let e = Json::parse(&hostile).unwrap_err();
+                assert!(e.contains("nesting deeper than"), "{e}");
+            }
+        });
+    }
+
+    /// A string decodes in one pass over its bytes: 1 MB, multibyte
+    /// characters and escapes included, parses at once.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "aé😀\\n".repeat(1 << 17);
+        let line = format!("{{\"s\":\"{body}\"}}");
+        assert!(line.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(
+            v.get("s").and_then(Json::as_str),
+            Some("aé😀\n".repeat(1 << 17).as_str())
+        );
+        assert!(elapsed.as_secs() < 5, "took {elapsed:?}");
     }
 
     #[test]

@@ -891,6 +891,76 @@ mod tests {
         );
     }
 
+    /// A warm repeat does no analysis work: after one cold `classify`,
+    /// `lint`, `include` and `audit` over the entries, repeating them adds
+    /// no SCC pass, inclusion check or product to any entry's
+    /// `stats_total()`, and the warm `classify` and `audit` `stats`
+    /// blocks read zero work.
+    #[test]
+    fn warm_repeats_add_no_analysis_work() {
+        let svc = Service::new(8, 1);
+        let hashes: Vec<String> = ["G p", "F p", "G (p -> F q)", "G F p & F G q"]
+            .iter()
+            .map(|f| ingest_formula(&svc, f))
+            .collect();
+        let mut requests = Vec::new();
+        for (i, h) in hashes.iter().enumerate() {
+            let next = &hashes[(i + 1) % hashes.len()];
+            requests.push(format!(
+                "{{\"method\":\"classify\",\"params\":{{\"artifact\":\"{h}\"}}}}"
+            ));
+            requests.push(format!(
+                "{{\"method\":\"lint\",\"params\":{{\"artifact\":\"{h}\"}}}}"
+            ));
+            requests.push(format!(
+                "{{\"method\":\"include\",\"params\":{{\"lhs\":\"{h}\",\"rhs\":\"{next}\"}}}}"
+            ));
+        }
+        let list = hashes
+            .iter()
+            .map(|h| format!("\"{h}\""))
+            .collect::<Vec<_>>();
+        requests.push(format!(
+            "{{\"method\":\"audit\",\"params\":{{\"artifacts\":[{}]}}}}",
+            list.join(",")
+        ));
+        let work = || {
+            let mut store = svc.store();
+            hashes
+                .iter()
+                .map(|h| {
+                    let s = store.resolve(ArtifactHash::parse(h).unwrap()).unwrap();
+                    let s = s.analysis().unwrap().stats_total();
+                    (s.scc_passes, s.inclusion_checks, s.products_built)
+                })
+                .collect::<Vec<_>>()
+        };
+        for req in &requests {
+            assert!(svc.handle_line(req).contains("\"result\""), "{req}");
+        }
+        let cold = work();
+        assert!(cold.iter().any(|&(passes, _, _)| passes > 0));
+        for req in &requests {
+            let resp = Json::parse(&svc.handle_line(req)).unwrap();
+            let result = resp.get("result").expect("warm repeat succeeds");
+            if let Some(stats) = result.get("stats") {
+                for field in [
+                    "scc_passes",
+                    "scc_state_visits",
+                    "products_built",
+                    "inclusion_checks",
+                ] {
+                    assert_eq!(
+                        stats.get(field).and_then(Json::as_int),
+                        Some(0),
+                        "{field} of {req}"
+                    );
+                }
+            }
+            assert_eq!(work(), cold, "a warm {req} did analysis work");
+        }
+    }
+
     #[test]
     fn alpha_equivalent_formulas_dedup() {
         let svc = Service::new(8, 1);

@@ -63,15 +63,17 @@ HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
 # smoke run exits non-zero on a wrong verdict or on a mismatch between
 # the daemon's per-response `stats` blocks and the library's counters
 # (the only check of the latter, so a response-level cache cannot break
-# it silently). It reuses the release build above.
+# it silently). It reuses the release build above. The outputs feed the
+# counter check below.
+mkdir -p target/smoke
 for workload in warm-query audit-cli; do
   CARGO_TARGET_DIR=target python3 perfbench/run.py --workload "$workload" \
-    --seed 1 --seconds 2 --trace 1 --smoke > /dev/null
+    --seed 1 --seconds 2 --trace 1 --smoke > "target/smoke/$workload.out"
 done
-# Smoke the daemon benchmark: verdict identity against direct library
-# calls and the warm-vs-cold latency gate are its expect() lines.
-cargo run --release --offline -p hierarchy-bench --bin tab_serve -- --smoke \
-  > /dev/null
+# The smoke runs' deterministic counters must equal the last entry of the
+# committed trajectory (crates/bench/trajectory.jsonl); a change that
+# moves one appends an entry and says why in CHANGES.md.
+python3 scripts/counters.py
 # The suite-audit differential suite (subsumption matrix vs direct
 # oracles, duplicate classes, conflict pairs, worker-count identity) and
 # the seeded SUITE-rule defect injections, with the worker pool forced
@@ -80,11 +82,6 @@ HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test audit_soundness --quiet
 HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-lint \
   --test seeded_defects --quiet
-# Smoke the suite-audit benchmark: warm-beats-cold, report identity cold
-# vs warm and across worker counts, and the prefilter-majority gates are
-# its expect() lines.
-HIERARCHY_THREADS=2 cargo run --release --offline -p hierarchy-bench \
-  --bin tab_audit -- --smoke > /dev/null
 # The brute-force oracle suite is the independent reference of the
 # accepting-cycle kernel (emptiness, liveness, persistent-cycle sets,
 # lasso replay) and of the alternating cycle decomposition (the chain

@@ -233,6 +233,32 @@ fn duplicate_heavy_suite_never_reaches_the_oracle() {
     }
 }
 
+/// A mixed duplicate-heavy suite, 16 bisimilar copies of one machine
+/// among 4 distinct others: the hash decides every in-group pair, which
+/// is most of them, so the directed oracle runs stay below even the
+/// undirected pair count, and every copy joins the first member's class.
+#[test]
+fn mixed_duplicate_heavy_suite_is_mostly_decided_by_hash() {
+    let sigma = sigma();
+    let mut rng = StdRng::seed_from_u64(20260808);
+    let (base, _) = random_streett(&mut rng, &sigma, 8, 1, 0.3);
+    let mut suite: Vec<(String, OmegaAutomaton)> = (0..16)
+        .map(|i| (format!("copy{i}"), base.clone()))
+        .collect();
+    suite.extend((0..4).map(|i| {
+        (
+            format!("m{i}"),
+            random_streett(&mut rng, &sigma, 8, 1, 0.3).0,
+        )
+    }));
+    let audit = audit_suite(&suite, &AuditOptions::default()).unwrap();
+    let p = audit.prefilter;
+    assert_eq!(p.pairs, 190);
+    assert!(p.hash_decided * 2 > p.pairs, "{p:?}");
+    assert!(p.oracle_calls < p.pairs, "{p:?}");
+    assert!((0..16).all(|i| audit.representative[i] == 0));
+}
+
 /// The PR's acceptance scenario: a 20-property suite (15 mutual
 /// exclusions plus 5 progress properties spanning the hierarchy) audits
 /// clean; injecting one redundant member, one α-renamed duplicate and
