@@ -259,15 +259,16 @@ impl Property {
 
     /// The shared memoized analysis context backing this property. Use it
     /// directly for lower-level cached queries (SCCs, condensation, live
-    /// sets) or to inspect the cache counters via [`Analysis::stats`].
+    /// sets) or to inspect the cache counters via [`Analysis::stats_total`].
     pub fn analysis(&self) -> &Analysis {
         &self.analysis
     }
 
     /// A snapshot of the analysis-cache counters (SCC passes/hits,
-    /// products built/hits).
+    /// products built/hits, inclusion checks/hits), including the work
+    /// done on the minimized quotient ([`Analysis::stats_total`]).
     pub fn analysis_stats(&self) -> AnalysisStats {
-        self.analysis.stats()
+        self.analysis.stats_total()
     }
 
     /// The defining formula, when the property was built from one.

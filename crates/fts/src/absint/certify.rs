@@ -2,8 +2,8 @@
 //!
 //! The worklist solver *claims* its result is an inductive invariant;
 //! these checkers re-establish the claim from the definition, so a solver
-//! bug (a missed propagation, a bad join, an unsound widening) cannot
-//! silently produce a certificate that downstream layers then trust:
+//! bug (a missed propagation, a bad join) cannot silently produce a
+//! certificate that downstream layers then trust:
 //!
 //! * [`certify`] re-checks inductiveness transition-by-transition on the
 //!   concretized masks in the value-set domain: every initial valuation
@@ -11,14 +11,14 @@
 //!   branch, the abstract post of the location's mask environment lands
 //!   inside the target locations' mask environments. It shares only the
 //!   expression transfer functions with the solver — none of the
-//!   worklist, join or widening machinery.
+//!   worklist or join machinery.
 //! * [`certify_exhaustive`] goes further and uses *only* the concrete IR
 //!   semantics: it enumerates every concrete valuation denoted by the
 //!   invariant and steps it through every command, checking closure.
 //!   Nothing abstract is trusted at all; a state-count budget keeps it
 //!   test-sized.
 
-use super::domain::{assume, full_mask, ValueSetDomain};
+use super::domain::{assume, full_mask};
 use super::ir::{eval_guard, Program};
 use super::relation::{conditioned_env, num_pairs, pair_list, LocationRelations};
 use super::solve::{post_branch, Invariant};
@@ -156,13 +156,11 @@ fn certify_relational(
                         let Some(env) = conditioned_env(masks, rel, domains, x, vx, y, vy) else {
                             continue;
                         };
-                        let Some(env_g) = assume::<ValueSetDomain>(&cmd.guard, &env, domains)
-                        else {
+                        let Some(env_g) = assume(&cmd.guard, &env, domains) else {
                             continue;
                         };
                         for (bi, br) in cmd.branches.iter().enumerate() {
-                            let Some(env_b) = post_branch::<ValueSetDomain>(&env_g, br, domains)
-                            else {
+                            let Some(env_b) = post_branch(&env_g, br, domains) else {
                                 continue;
                             };
                             let fail = || CertificateError::NotInductive {
@@ -242,11 +240,11 @@ pub fn certify(prog: &Program, inv: &Invariant) -> Result<(), CertificateError> 
         }
         let env: &[u64] = &loc.values;
         for cmd in &prog.commands {
-            let Some(env_g) = assume::<ValueSetDomain>(&cmd.guard, env, domains) else {
+            let Some(env_g) = assume(&cmd.guard, env, domains) else {
                 continue;
             };
             for (bi, br) in cmd.branches.iter().enumerate() {
-                let Some(env_b) = post_branch::<ValueSetDomain>(&env_g, br, domains) else {
+                let Some(env_b) = post_branch(&env_g, br, domains) else {
                     continue;
                 };
                 let fail = || CertificateError::NotInductive {

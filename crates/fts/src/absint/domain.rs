@@ -1,20 +1,17 @@
-//! Abstract domains for the invariant engine.
+//! The value-set domain of the invariant engine.
 //!
-//! The three domains defined here are *cartesian* (one abstract value
-//! per variable, no relations between variables — the pair-relation
-//! domain lives in [`relation`](super::relation) on top of the value
-//! sets) and share a single transfer-function
-//! language: abstract values are lifted into [`AbsInt`] — a bounded
+//! An abstract environment holds one 64-bit mask per variable (bit `v`
+//! set ⇔ the variable may be `v`): the most precise *cartesian*
+//! abstraction of a `≤ 64`-value domain, with no relations between
+//! variables — the pair-relation domain lives in
+//! [`relation`](super::relation) on top of these masks. The lattice has
+//! height `dom` per variable and joins are bitwise-or, so the solver
+//! terminates without widening.
+//!
+//! The transfer functions lift masks into [`AbsInt`] — a bounded
 //! integer-set abstraction — where expression arithmetic and guard
-//! refinement happen, then cut back down to the domain
-//! ([`Domain::lift`] / [`Domain::cut`]). This keeps the domains honest
-//! about one semantics and keeps each domain implementation tiny:
-//!
-//! * [`ConstDomain`] — flat constant propagation (`⊥ ⊑ k ⊑ ⊤`);
-//! * [`IntervalDomain`] — intervals clipped to the declared domain, with
-//!   widening to the domain bounds;
-//! * [`ValueSetDomain`] — per-variable value sets as 64-bit masks (the
-//!   most precise cartesian abstraction of a `≤ 64`-value domain).
+//! refinement happen, then cut the result back to a mask over the
+//! declared domain ([`AbsInt::to_mask`]).
 
 use super::ir::{Cmp, Expr, Guard};
 
@@ -33,8 +30,8 @@ pub fn full_mask(dom: usize) -> u64 {
 
 /// A bounded abstraction of a set of integers: bottom, an explicit sorted
 /// set of at most `SET_CAP` (64) values, or an interval. This is the lingua
-/// franca of the transfer functions — every [`Domain`] lifts into it and
-/// cuts back out of it.
+/// franca of the transfer functions: masks lift into it and cut back out
+/// of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AbsInt {
     /// The empty set.
@@ -300,10 +297,6 @@ impl AbsInt {
 /// Which abstract domain to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainKind {
-    /// Flat constant propagation.
-    Constants,
-    /// Intervals clipped to the declared domain, with widening.
-    Intervals,
     /// Per-variable value sets (64-bit masks).
     ValueSets,
     /// Pair relations: joint value sets for every variable pair on top of
@@ -312,349 +305,76 @@ pub enum DomainKind {
 }
 
 impl DomainKind {
-    /// All domains, in increasing precision order.
-    pub const ALL: [DomainKind; 4] = [
-        DomainKind::Constants,
-        DomainKind::Intervals,
-        DomainKind::ValueSets,
-        DomainKind::Relational,
-    ];
-
-    /// The cartesian (non-relational) domains, in increasing precision
-    /// order — the subset whose invariants are plain per-variable masks.
-    pub const CARTESIAN: [DomainKind; 3] = [
-        DomainKind::Constants,
-        DomainKind::Intervals,
-        DomainKind::ValueSets,
-    ];
+    /// Both domains, in increasing precision order.
+    pub const ALL: [DomainKind; 2] = [DomainKind::ValueSets, DomainKind::Relational];
 
     /// A stable lowercase name for reports.
     pub fn name(self) -> &'static str {
         match self {
-            DomainKind::Constants => "constants",
-            DomainKind::Intervals => "intervals",
             DomainKind::ValueSets => "value-sets",
             DomainKind::Relational => "relational",
         }
     }
 }
 
-/// A cartesian abstract domain over one finite-domain variable.
-///
-/// `dom` parameters are the declared domain size of the variable the
-/// value abstracts; every abstract value denotes a subset of
-/// `{0, …, dom−1}`.
-pub trait Domain {
-    /// The abstract value type.
-    type Val: Clone + PartialEq + std::fmt::Debug;
-    /// The corresponding [`DomainKind`] tag.
-    const KIND: DomainKind;
-    /// The empty set.
-    fn bottom() -> Self::Val;
-    /// Is this the empty set?
-    fn is_bottom(v: &Self::Val) -> bool;
-    /// The full domain `{0, …, dom−1}`.
-    fn top(dom: usize) -> Self::Val;
-    /// The singleton `{x}`.
-    fn singleton(x: usize) -> Self::Val;
-    /// Least upper bound.
-    fn join(a: &Self::Val, b: &Self::Val, dom: usize) -> Self::Val;
-    /// Widening (defaults to join; intervals jump to the domain bounds).
-    fn widen(a: &Self::Val, b: &Self::Val, dom: usize) -> Self::Val {
-        Self::join(a, b, dom)
-    }
-    /// Partial-order test `a ⊑ b`.
-    fn leq(a: &Self::Val, b: &Self::Val) -> bool;
-    /// Lifts into the shared transfer-function abstraction.
-    fn lift(v: &Self::Val, dom: usize) -> AbsInt;
-    /// Cuts a transfer result back down, restricted to `{0, …, dom−1}`.
-    fn cut(ai: &AbsInt, dom: usize) -> Self::Val;
-    /// The concretization as a bit mask over `{0, …, dom−1}`.
-    fn mask(v: &Self::Val, dom: usize) -> u64;
-}
-
-/// The flat lattice of constant propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flat {
-    /// No value.
-    Bot,
-    /// Exactly this value.
-    Val(usize),
-    /// Any value in the domain.
-    Top,
-}
-
-/// Flat constant propagation.
-pub struct ConstDomain;
-
-impl Domain for ConstDomain {
-    type Val = Flat;
-    const KIND: DomainKind = DomainKind::Constants;
-
-    fn bottom() -> Flat {
-        Flat::Bot
-    }
-
-    fn is_bottom(v: &Flat) -> bool {
-        matches!(v, Flat::Bot)
-    }
-
-    fn top(dom: usize) -> Flat {
-        if dom == 1 {
-            Flat::Val(0)
-        } else {
-            Flat::Top
-        }
-    }
-
-    fn singleton(x: usize) -> Flat {
-        Flat::Val(x)
-    }
-
-    fn join(a: &Flat, b: &Flat, _dom: usize) -> Flat {
-        match (a, b) {
-            (Flat::Bot, v) | (v, Flat::Bot) => *v,
-            (Flat::Val(x), Flat::Val(y)) if x == y => Flat::Val(*x),
-            _ => Flat::Top,
-        }
-    }
-
-    fn leq(a: &Flat, b: &Flat) -> bool {
-        match (a, b) {
-            (Flat::Bot, _) => true,
-            (_, Flat::Top) => true,
-            (Flat::Val(x), Flat::Val(y)) => x == y,
-            _ => false,
-        }
-    }
-
-    fn lift(v: &Flat, dom: usize) -> AbsInt {
-        match v {
-            Flat::Bot => AbsInt::Bot,
-            Flat::Val(x) => AbsInt::singleton(*x as i64),
-            Flat::Top => AbsInt::range(0, dom as i64 - 1),
-        }
-    }
-
-    fn cut(ai: &AbsInt, dom: usize) -> Flat {
-        let mask = ai.to_mask(dom);
-        match mask.count_ones() {
-            0 => Flat::Bot,
-            1 => Flat::Val(mask.trailing_zeros() as usize),
-            _ => Flat::Top,
-        }
-    }
-
-    fn mask(v: &Flat, dom: usize) -> u64 {
-        match v {
-            Flat::Bot => 0,
-            Flat::Val(x) => {
-                if *x < dom {
-                    1u64 << x
-                } else {
-                    0
-                }
-            }
-            Flat::Top => full_mask(dom),
-        }
-    }
-}
-
-/// Intervals clipped to the declared domain (`None` is bottom).
-pub struct IntervalDomain;
-
-impl Domain for IntervalDomain {
-    type Val = Option<(usize, usize)>;
-    const KIND: DomainKind = DomainKind::Intervals;
-
-    fn bottom() -> Self::Val {
-        None
-    }
-
-    fn is_bottom(v: &Self::Val) -> bool {
-        v.is_none()
-    }
-
-    fn top(dom: usize) -> Self::Val {
-        Some((0, dom - 1))
-    }
-
-    fn singleton(x: usize) -> Self::Val {
-        Some((x, x))
-    }
-
-    fn join(a: &Self::Val, b: &Self::Val, _dom: usize) -> Self::Val {
-        match (a, b) {
-            (None, v) | (v, None) => *v,
-            (Some((al, ah)), Some((bl, bh))) => Some(((*al).min(*bl), (*ah).max(*bh))),
-        }
-    }
-
-    fn widen(a: &Self::Val, b: &Self::Val, dom: usize) -> Self::Val {
-        match (a, b) {
-            (None, v) | (v, None) => *v,
-            (Some((al, ah)), Some((bl, bh))) => {
-                // Unstable bounds jump straight to the declared domain
-                // bounds (the classic interval widening, with the clip
-                // playing the role of ±∞).
-                let lo = if bl < al { 0 } else { *al };
-                let hi = if bh > ah { dom - 1 } else { *ah };
-                Some((lo, hi))
-            }
-        }
-    }
-
-    fn leq(a: &Self::Val, b: &Self::Val) -> bool {
-        match (a, b) {
-            (None, _) => true,
-            (_, None) => false,
-            (Some((al, ah)), Some((bl, bh))) => bl <= al && ah <= bh,
-        }
-    }
-
-    fn lift(v: &Self::Val, _dom: usize) -> AbsInt {
-        match v {
-            None => AbsInt::Bot,
-            Some((lo, hi)) => AbsInt::range(*lo as i64, *hi as i64),
-        }
-    }
-
-    fn cut(ai: &AbsInt, dom: usize) -> Self::Val {
-        // Take the hull of the in-domain part (precise for value sets:
-        // {0, 5} cut to dom 3 is [0, 0], not [0, 2]).
-        let mask = ai.to_mask(dom);
-        if mask == 0 {
-            return None;
-        }
-        let lo = mask.trailing_zeros() as usize;
-        let hi = 63 - mask.leading_zeros() as usize;
-        Some((lo, hi))
-    }
-
-    fn mask(v: &Self::Val, dom: usize) -> u64 {
-        match v {
-            None => 0,
-            Some((lo, hi)) => {
-                let hi = (*hi).min(dom - 1);
-                (*lo..=hi).fold(0u64, |m, x| m | 1u64 << x)
-            }
-        }
-    }
-}
-
-/// Per-variable value sets as 64-bit masks (bit `i` ⇔ value `i`). The
-/// most precise cartesian domain for declared domains of at most 64
-/// values; no widening needed (the lattice has height `dom`).
-pub struct ValueSetDomain;
-
-impl Domain for ValueSetDomain {
-    type Val = u64;
-    const KIND: DomainKind = DomainKind::ValueSets;
-
-    fn bottom() -> u64 {
-        0
-    }
-
-    fn is_bottom(v: &u64) -> bool {
-        *v == 0
-    }
-
-    fn top(dom: usize) -> u64 {
-        full_mask(dom)
-    }
-
-    fn singleton(x: usize) -> u64 {
-        1u64 << x
-    }
-
-    fn join(a: &u64, b: &u64, _dom: usize) -> u64 {
-        a | b
-    }
-
-    fn leq(a: &u64, b: &u64) -> bool {
-        a & !b == 0
-    }
-
-    fn lift(v: &u64, _dom: usize) -> AbsInt {
-        AbsInt::from_mask(*v)
-    }
-
-    fn cut(ai: &AbsInt, dom: usize) -> u64 {
-        ai.to_mask(dom)
-    }
-
-    fn mask(v: &u64, dom: usize) -> u64 {
-        v & full_mask(dom)
-    }
-}
-
 /// Abstractly evaluates an expression in an environment of per-variable
-/// abstract values.
-pub fn eval_expr_abs<D: Domain>(e: &Expr, env: &[D::Val], domains: &[usize]) -> AbsInt {
+/// value masks.
+pub fn eval_expr_abs(e: &Expr, env: &[u64]) -> AbsInt {
     match e {
         Expr::Const(k) => AbsInt::singleton(*k),
-        Expr::Var(i) => D::lift(&env[*i], domains[*i]),
-        Expr::Add(a, b) => AbsInt::add(
-            &eval_expr_abs::<D>(a, env, domains),
-            &eval_expr_abs::<D>(b, env, domains),
-        ),
-        Expr::Sub(a, b) => AbsInt::sub(
-            &eval_expr_abs::<D>(a, env, domains),
-            &eval_expr_abs::<D>(b, env, domains),
-        ),
-        Expr::Mul(a, b) => AbsInt::mul(
-            &eval_expr_abs::<D>(a, env, domains),
-            &eval_expr_abs::<D>(b, env, domains),
-        ),
-        Expr::Mod(a, m) => AbsInt::modm(&eval_expr_abs::<D>(a, env, domains), *m as i64),
+        Expr::Var(i) => AbsInt::from_mask(env[*i]),
+        Expr::Add(a, b) => AbsInt::add(&eval_expr_abs(a, env), &eval_expr_abs(b, env)),
+        Expr::Sub(a, b) => AbsInt::sub(&eval_expr_abs(a, env), &eval_expr_abs(b, env)),
+        Expr::Mul(a, b) => AbsInt::mul(&eval_expr_abs(a, env), &eval_expr_abs(b, env)),
+        Expr::Mod(a, m) => AbsInt::modm(&eval_expr_abs(a, env), *m as i64),
     }
 }
 
-fn assume_into<D: Domain>(g: &Guard, env: &mut [D::Val], domains: &[usize]) -> bool {
+fn assume_into(g: &Guard, env: &mut [u64], domains: &[usize]) -> bool {
     match g {
         Guard::True => true,
         Guard::False => false,
-        Guard::Not(inner) => assume_into::<D>(&inner.negate(), env, domains),
-        Guard::And(a, b) => assume_into::<D>(a, env, domains) && assume_into::<D>(b, env, domains),
+        Guard::Not(inner) => assume_into(&inner.negate(), env, domains),
+        Guard::And(a, b) => assume_into(a, env, domains) && assume_into(b, env, domains),
         Guard::Or(a, b) => {
             let mut left = env.to_vec();
-            let lok = assume_into::<D>(a, &mut left, domains);
+            let lok = assume_into(a, &mut left, domains);
             let mut right = env.to_vec();
-            let rok = assume_into::<D>(b, &mut right, domains);
+            let rok = assume_into(b, &mut right, domains);
             match (lok, rok) {
                 (false, false) => false,
                 (true, false) => {
-                    env.clone_from_slice(&left);
+                    env.copy_from_slice(&left);
                     true
                 }
                 (false, true) => {
-                    env.clone_from_slice(&right);
+                    env.copy_from_slice(&right);
                     true
                 }
                 (true, true) => {
-                    for (i, slot) in env.iter_mut().enumerate() {
-                        *slot = D::join(&left[i], &right[i], domains[i]);
+                    for (slot, (l, r)) in env.iter_mut().zip(left.iter().zip(&right)) {
+                        *slot = l | r;
                     }
                     true
                 }
             }
         }
         Guard::Cmp(op, ea, eb) => {
-            let a = eval_expr_abs::<D>(ea, env, domains);
-            let b = eval_expr_abs::<D>(eb, env, domains);
+            let a = eval_expr_abs(ea, env);
+            let b = eval_expr_abs(eb, env);
             if !AbsInt::may_hold(*op, &a, &b) {
                 return false;
             }
             if let Expr::Var(x) = ea {
-                let v = D::cut(&AbsInt::refine(*op, &a, &b), domains[*x]);
-                if D::is_bottom(&v) {
+                let v = AbsInt::refine(*op, &a, &b).to_mask(domains[*x]);
+                if v == 0 {
                     return false;
                 }
                 env[*x] = v;
             }
             if let Expr::Var(y) = eb {
-                let v = D::cut(&AbsInt::refine(op.flip(), &b, &a), domains[*y]);
-                if D::is_bottom(&v) {
+                let v = AbsInt::refine(op.flip(), &b, &a).to_mask(domains[*y]);
+                if v == 0 {
                     return false;
                 }
                 env[*y] = v;
@@ -667,9 +387,9 @@ fn assume_into<D: Domain>(g: &Guard, env: &mut [D::Val], domains: &[usize]) -> b
 /// Restricts `env` to the states that may satisfy `g`; `None` when the
 /// guard is abstractly infeasible. Sound: every concrete state in `env`
 /// satisfying `g` survives.
-pub fn assume<D: Domain>(g: &Guard, env: &[D::Val], domains: &[usize]) -> Option<Vec<D::Val>> {
+pub fn assume(g: &Guard, env: &[u64], domains: &[usize]) -> Option<Vec<u64>> {
     let mut out = env.to_vec();
-    if assume_into::<D>(g, &mut out, domains) {
+    if assume_into(g, &mut out, domains) {
         Some(out)
     } else {
         None
@@ -679,9 +399,9 @@ pub fn assume<D: Domain>(g: &Guard, env: &[D::Val], domains: &[usize]) -> Option
 /// Three-valued guard evaluation over an abstract environment:
 /// `Some(true)` — every state satisfies `g`; `Some(false)` — no state
 /// does; `None` — undetermined.
-pub fn guard_status<D: Domain>(g: &Guard, env: &[D::Val], domains: &[usize]) -> Option<bool> {
-    let can_true = assume::<D>(g, env, domains).is_some();
-    let can_false = assume::<D>(&g.negate(), env, domains).is_some();
+pub fn guard_status(g: &Guard, env: &[u64], domains: &[usize]) -> Option<bool> {
+    let can_true = assume(g, env, domains).is_some();
+    let can_false = assume(&g.negate(), env, domains).is_some();
     match (can_true, can_false) {
         (true, true) => None,
         (true, false) => Some(true),
@@ -765,69 +485,41 @@ mod tests {
         }
     }
 
-    fn vs_env(masks: &[u64]) -> Vec<u64> {
-        masks.to_vec()
-    }
-
     #[test]
     fn assume_refines_variables() {
         let domains = &[4, 4];
         // x ∈ {0..3}, y ∈ {0..3}; assume x < y.
-        let env = vs_env(&[0b1111, 0b1111]);
-        let out =
-            assume::<ValueSetDomain>(&Guard::lt(Expr::v(0), Expr::v(1)), &env, domains).unwrap();
+        let env = vec![0b1111, 0b1111];
+        let out = assume(&Guard::lt(Expr::v(0), Expr::v(1)), &env, domains).unwrap();
         assert_eq!(out[0], 0b0111); // x ≤ 2
         assert_eq!(out[1], 0b1110); // y ≥ 1
                                     // x == 2 ∧ x == 3 is infeasible.
-        assert!(assume::<ValueSetDomain>(
-            &Guard::var_eq(0, 2).and(Guard::var_eq(0, 3)),
-            &env,
-            domains,
-        )
-        .is_none());
+        assert!(assume(&Guard::var_eq(0, 2).and(Guard::var_eq(0, 3)), &env, domains,).is_none());
         // Or joins both sides.
-        let out =
-            assume::<ValueSetDomain>(&Guard::var_eq(0, 1).or(Guard::var_eq(0, 3)), &env, domains)
-                .unwrap();
+        let out = assume(&Guard::var_eq(0, 1).or(Guard::var_eq(0, 3)), &env, domains).unwrap();
         assert_eq!(out[0], 0b1010);
     }
 
     #[test]
     fn guard_status_is_three_valued() {
         let domains = &[4];
-        let env = vs_env(&[0b0011]); // x ∈ {0, 1}
+        let env = vec![0b0011]; // x ∈ {0, 1}
         assert_eq!(
-            guard_status::<ValueSetDomain>(&Guard::lt(Expr::v(0), Expr::c(2)), &env, domains),
+            guard_status(&Guard::lt(Expr::v(0), Expr::c(2)), &env, domains),
             Some(true)
         );
         assert_eq!(
-            guard_status::<ValueSetDomain>(&Guard::var_eq(0, 3), &env, domains),
+            guard_status(&Guard::var_eq(0, 3), &env, domains),
             Some(false)
         );
-        assert_eq!(
-            guard_status::<ValueSetDomain>(&Guard::var_eq(0, 1), &env, domains),
-            None
-        );
+        assert_eq!(guard_status(&Guard::var_eq(0, 1), &env, domains), None);
     }
 
     #[test]
-    fn interval_widening_hits_domain_bounds() {
-        let old = Some((1, 2));
-        let grown = Some((1, 3));
-        assert_eq!(IntervalDomain::widen(&old, &grown, 10), Some((1, 9)));
-        let shrunk_low = Some((0, 2));
-        assert_eq!(IntervalDomain::widen(&old, &shrunk_low, 10), Some((0, 2)));
-        assert_eq!(IntervalDomain::widen(&old, &old, 10), old);
-    }
-
-    #[test]
-    fn cut_is_precise_per_domain() {
+    fn to_mask_clips_to_the_domain() {
         let ai = AbsInt::from_vals(vec![0, 5]);
-        assert_eq!(ConstDomain::cut(&ai, 3), Flat::Val(0));
-        assert_eq!(IntervalDomain::cut(&ai, 3), Some((0, 0)));
-        assert_eq!(ValueSetDomain::cut(&ai, 3), 0b001);
-        assert_eq!(ConstDomain::cut(&ai, 6), Flat::Top);
-        assert_eq!(IntervalDomain::cut(&ai, 6), Some((0, 5)));
-        assert_eq!(ValueSetDomain::cut(&ai, 6), 0b100001);
+        assert_eq!(ai.to_mask(3), 0b001);
+        assert_eq!(ai.to_mask(6), 0b100001);
+        assert_eq!(AbsInt::range(-2, 9).to_mask(4), 0b1111);
     }
 }

@@ -6,7 +6,7 @@
 //! observations), so `Program::to_builder(..).build()` reproduces the
 //! explicit system and the abstract engine gets a transparent view of the
 //! same semantics. All three use their first program counter as the
-//! analysis `pc`, which is what lets the cartesian domains prove
+//! analysis `pc`, which is what lets the value-set domain prove
 //! mutual exclusion (the grant/enter guard refinement survives the
 //! location partition).
 
@@ -104,8 +104,8 @@ pub fn token_ring_abs(fair_pass: bool) -> Program {
 /// Peterson's algorithm as a declarative program: `pc1, pc2 ∈ {0:N,
 /// 1:flag set, 2:waiting, 3:C}`, `tb ∈ {0: turn=1, 1: turn=2}`. Matches
 /// [`programs::peterson`](crate::programs::peterson). Its mutual
-/// exclusion needs the `tb`/`pc2` correlation, which the cartesian
-/// domains cannot express — the honest fallback case for the checker.
+/// exclusion needs the `tb`/`pc2` correlation, which the value-set
+/// domain cannot express — the honest fallback case for the checker.
 pub fn peterson_abs() -> Program {
     let mut p = Program::new();
     let pc1 = p.var("pc1", 4);
@@ -222,8 +222,8 @@ pub fn mux_sem_n(n: usize) -> Program {
 /// {0, 1}`, initially only `tok_0` set, `pass_i` moving the token one
 /// seat around the ring. Unlike [`token_ring_abs`] (one position
 /// variable), the single-token invariant here is a *correlation* between
-/// variables — `tok_i = 1` excludes `tok_j = 1` — which the cartesian
-/// domains provably lose and the relational domain keeps, making this
+/// variables — `tok_i = 1` excludes `tok_j = 1` — which the value-set
+/// domain provably loses and the relational domain keeps, making this
 /// the family whose mutual exclusion discharges statically only
 /// relationally. Observations: `c1 = tok_0`, `c2 = tok_1`.
 pub fn token_ring_n(n: usize) -> Program {

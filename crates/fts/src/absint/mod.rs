@@ -11,13 +11,12 @@
 //!   ([`Program`]), compilable to the closure-based
 //!   [`ProgramBuilder`](crate::builder::ProgramBuilder) so the abstract
 //!   and explicit engines share one semantics;
-//! * [`domain`] — three cartesian abstract domains (constant
-//!   propagation, clipped intervals with widening, per-variable value
-//!   sets) over a shared transfer-function core;
+//! * [`domain`] — the cartesian value-set domain (one 64-bit mask per
+//!   variable) and its transfer functions;
 //! * [`relation`] — the pair-relation domain on top of the value sets:
 //!   per-location joint value sets for every variable pair, keeping the
 //!   correlations (Peterson's `turn`/`pc`, a ring's token bits) the
-//!   cartesian domains provably lose;
+//!   per-variable masks provably lose;
 //! * [`solve`] — the chaotic-iteration worklist solver, producing a
 //!   per-location [`Invariant`] certificate with concretized masks;
 //! * [`certify`](mod@certify) — independent re-verification of a certificate:
@@ -43,10 +42,7 @@ pub mod relation;
 pub mod solve;
 
 pub use certify::{certify, certify_exhaustive, CertificateError};
-pub use domain::{
-    assume, guard_status, AbsInt, ConstDomain, Domain, DomainKind, Flat, IntervalDomain,
-    ValueSetDomain,
-};
+pub use domain::{assume, guard_status, AbsInt, DomainKind};
 pub use examples::{
     catalogue, dining_philosophers, mux_sem_abs, mux_sem_n, peterson_abs, random_program,
     token_ring_abs, token_ring_n,

@@ -4,7 +4,7 @@
 //! A cartesian invariant keeps one value set per variable and therefore
 //! cannot express a *correlation*: "`pc2 = 3` implies `tb = 1`" is
 //! invisible when `pc2` and `tb` are abstracted independently, which is
-//! exactly why the cartesian domains fail on Peterson's algorithm. This
+//! exactly why the value-set domain fails on Peterson's algorithm. This
 //! domain keeps, per location, a joint value set for **every unordered
 //! pair of variables** — the 2-decomposition of the reachable relation:
 //!
@@ -33,10 +33,10 @@
 //! learns `pc2 = 3`).
 //!
 //! The lattice of masks is finite (height `≤ 64` per row), joins are
-//! bitwise-or, so the chaotic iteration terminates without widening —
-//! like the value-set domain, `stats.widenings` stays `0`.
+//! bitwise-or, so the chaotic iteration terminates without widening,
+//! like the value-set domain.
 
-use super::domain::{assume, DomainKind, ValueSetDomain};
+use super::domain::{assume, DomainKind};
 use super::ir::Program;
 use super::solve::{post_branch, run, Invariant, SolveStats};
 use std::collections::VecDeque;
@@ -175,7 +175,7 @@ pub fn run_relational(prog: &Program) -> Invariant {
     let nvars = domains.len();
     let nlocs = prog.num_locations();
     if nvars < 2 {
-        let mut inv = run::<ValueSetDomain>(prog);
+        let mut inv = run(prog);
         inv.domain = DomainKind::Relational;
         inv.relations = Some(vec![LocationRelations { pairs: Vec::new() }; nlocs]);
         return inv;
@@ -230,14 +230,12 @@ pub fn run_relational(prog: &Program) -> Invariant {
                         else {
                             continue;
                         };
-                        let Some(env_g) = assume::<ValueSetDomain>(&cmd.guard, &env, domains)
-                        else {
+                        let Some(env_g) = assume(&cmd.guard, &env, domains) else {
                             continue;
                         };
                         for br in &cmd.branches {
                             stats.posts += 1;
-                            let Some(env_b) = post_branch::<ValueSetDomain>(&env_g, br, domains)
-                            else {
+                            let Some(env_b) = post_branch(&env_g, br, domains) else {
                                 continue;
                             };
                             match prog.pc {
@@ -293,7 +291,6 @@ mod tests {
     use super::super::ir::Guard;
     use super::super::solve::analyze;
     use super::*;
-    use crate::system::Fairness;
 
     #[test]
     fn pair_index_is_a_bijection() {
@@ -314,7 +311,7 @@ mod tests {
         let inv = analyze(&prog, DomainKind::Relational);
         // The critical location pc1 = 3 must know pc2 ≠ 3: the pair
         // (pc2, tb) pins tb = 1 whenever pc2 = 3, which kills the tb = 0
-        // disjunct of enter1 — a correlation no cartesian domain keeps.
+        // disjunct of enter1 — a correlation the value sets cannot keep.
         assert!(inv.location_reachable(3));
         assert_eq!(inv.locations[3].values[1] & 0b1000, 0, "{inv:?}");
         let both = Guard::var_eq(0, 3).and(Guard::var_eq(1, 3));
@@ -351,17 +348,5 @@ mod tests {
         assert_eq!(rel.locations, vs.locations);
         let rels = rel.relations.as_ref().unwrap();
         assert!(rels.iter().all(|r| r.pairs.is_empty()));
-    }
-
-    #[test]
-    fn relational_needs_no_widening() {
-        for prog in [
-            examples::peterson_abs(),
-            examples::mux_sem_abs(Fairness::Strong),
-            examples::dining_philosophers(3),
-        ] {
-            let inv = analyze(&prog, DomainKind::Relational);
-            assert_eq!(inv.stats.widenings, 0);
-        }
     }
 }

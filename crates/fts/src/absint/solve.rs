@@ -3,27 +3,21 @@
 //! [`analyze`] runs one abstract domain over a [`Program`] and returns an
 //! [`Invariant`]: for each *location* (a value of the program's `pc`
 //! variable, or a single global location) a per-variable
-//! over-approximation of the values that variable can take there,
-//! concretized to 64-bit masks so downstream consumers (the certificate
-//! checker, the lints, the model checker) need no knowledge of which
-//! domain produced it.
+//! over-approximation of the values that variable can take there, as
+//! 64-bit masks, so downstream consumers (the certificate checker, the
+//! lints, the model checker) need no knowledge of which domain produced
+//! it.
 //!
 //! The solver is the textbook one: seed the locations of the initial
 //! valuations, then repeatedly pop a location, push every command's
 //! abstract post through [`assume`] + assignment transfer, and join into
-//! the target locations until nothing changes. Intervals additionally
-//! widen once a location has been updated [`WIDEN_DELAY`] times, bounding
-//! the iteration count independently of domain sizes.
+//! the target locations until nothing changes. Joins are bitwise-or on
+//! masks of at most 64 values, so the iteration terminates without
+//! widening.
 
-use super::domain::{
-    assume, eval_expr_abs, guard_status, ConstDomain, Domain, DomainKind, IntervalDomain,
-    ValueSetDomain,
-};
+use super::domain::{assume, eval_expr_abs, guard_status, DomainKind};
 use super::ir::{Branch, Guard, Program};
 use std::collections::VecDeque;
-
-/// Joins at one location before widening kicks in (intervals only).
-pub const WIDEN_DELAY: usize = 3;
 
 /// Counters describing one solver run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,8 +26,6 @@ pub struct SolveStats {
     pub posts: usize,
     /// Joins against an existing location value.
     pub joins: usize,
-    /// Joins where widening changed the result.
-    pub widenings: usize,
     /// Worklist pops.
     pub iterations: usize,
 }
@@ -66,7 +58,7 @@ pub struct Invariant {
     pub locations: Vec<LocationInvariant>,
     /// Per-location pair relations — `Some` only for
     /// [`DomainKind::Relational`] certificates (see
-    /// [`relation`](super::relation)); the cartesian domains carry
+    /// [`relation`](super::relation)); value-set certificates carry
     /// `None` and denote plain per-variable masks.
     pub relations: Option<Vec<super::relation::LocationRelations>>,
     /// Solver counters.
@@ -137,13 +129,13 @@ impl Invariant {
     }
 
     /// Three-valued truth of a guard over the invariant at location `l`
-    /// (evaluated in the value-set domain on the concretized masks). An
-    /// unreachable location yields `Some(false)`.
+    /// (evaluated in the value-set domain on the masks). An unreachable
+    /// location yields `Some(false)`.
     pub fn guard_status(&self, l: usize, g: &Guard) -> Option<bool> {
         if !self.location_reachable(l) {
             return Some(false);
         }
-        guard_status::<ValueSetDomain>(g, &self.locations[l].values, &self.var_domains)
+        guard_status(g, &self.locations[l].values, &self.var_domains)
     }
 
     /// May the guard hold somewhere in the invariant at location `l`?
@@ -184,7 +176,7 @@ impl Invariant {
                         if let Some(env) =
                             super::relation::conditioned_env(masks, rel, domains, x, vx, y, vy)
                         {
-                            if assume::<ValueSetDomain>(g, &env, domains).is_some() {
+                            if assume(g, &env, domains).is_some() {
                                 admitted = true;
                                 break 'joints;
                             }
@@ -205,24 +197,15 @@ impl Invariant {
 /// pre-environment, then assign (simultaneously), cutting each result to
 /// its variable's domain. `None` when some assignment is abstractly
 /// guaranteed out-of-domain (the branch is never taken).
-pub(crate) fn post_branch<D: Domain>(
-    env: &[D::Val],
-    branch: &Branch,
-    domains: &[usize],
-) -> Option<Vec<D::Val>> {
-    let results: Vec<(usize, D::Val)> = branch
+pub(crate) fn post_branch(env: &[u64], branch: &Branch, domains: &[usize]) -> Option<Vec<u64>> {
+    let results: Vec<(usize, u64)> = branch
         .assigns
         .iter()
-        .map(|(x, e)| {
-            (
-                *x,
-                D::cut(&eval_expr_abs::<D>(e, env, domains), domains[*x]),
-            )
-        })
+        .map(|(x, e)| (*x, eval_expr_abs(e, env).to_mask(domains[*x])))
         .collect();
     let mut out = env.to_vec();
     for (x, v) in results {
-        if D::is_bottom(&v) {
+        if v == 0 {
             return None;
         }
         out[x] = v;
@@ -230,14 +213,11 @@ pub(crate) fn post_branch<D: Domain>(
     Some(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn merge<D: Domain>(
+fn merge(
     l: usize,
-    env: Vec<D::Val>,
-    state: &mut [Option<Vec<D::Val>>],
-    updates: &mut [usize],
+    env: Vec<u64>,
+    state: &mut [Option<Vec<u64>>],
     stats: &mut SolveStats,
-    domains: &[usize],
     worklist: &mut VecDeque<usize>,
     on_list: &mut [bool],
 ) {
@@ -248,101 +228,68 @@ fn merge<D: Domain>(
         }
         Some(old) => {
             stats.joins += 1;
-            let widen_now = updates[l] >= WIDEN_DELAY;
             let mut changed = false;
-            let mut next = Vec::with_capacity(env.len());
-            for (i, new_v) in env.iter().enumerate() {
-                let j = D::join(&old[i], new_v, domains[i]);
-                let v = if widen_now {
-                    let w = D::widen(&old[i], &j, domains[i]);
-                    if w != j {
-                        stats.widenings += 1;
-                    }
-                    w
-                } else {
-                    j
-                };
-                if v != old[i] {
+            for (o, v) in old.iter_mut().zip(env) {
+                if *o | v != *o {
+                    *o |= v;
                     changed = true;
                 }
-                next.push(v);
-            }
-            if changed {
-                *old = next;
             }
             changed
         }
     };
-    if changed {
-        updates[l] += 1;
-        if !on_list[l] {
-            on_list[l] = true;
-            worklist.push_back(l);
-        }
+    if changed && !on_list[l] {
+        on_list[l] = true;
+        worklist.push_back(l);
     }
 }
 
-pub(crate) fn run<D: Domain>(prog: &Program) -> Invariant {
+pub(crate) fn run(prog: &Program) -> Invariant {
     let domains = &prog.domains;
     let nlocs = prog.num_locations();
-    let mut state: Vec<Option<Vec<D::Val>>> = vec![None; nlocs];
-    let mut updates = vec![0usize; nlocs];
+    let mut state: Vec<Option<Vec<u64>>> = vec![None; nlocs];
     let mut on_list = vec![false; nlocs];
     let mut worklist = VecDeque::new();
     let mut stats = SolveStats::default();
     for init in &prog.inits {
         let l = prog.location_of(init);
-        let env: Vec<D::Val> = init.iter().map(|&v| D::singleton(v)).collect();
-        merge::<D>(
-            l,
-            env,
-            &mut state,
-            &mut updates,
-            &mut stats,
-            domains,
-            &mut worklist,
-            &mut on_list,
-        );
+        let env: Vec<u64> = init.iter().map(|&v| 1u64 << v).collect();
+        merge(l, env, &mut state, &mut stats, &mut worklist, &mut on_list);
     }
     while let Some(l) = worklist.pop_front() {
         on_list[l] = false;
         stats.iterations += 1;
         let env = state[l].clone().expect("worklist entries are reachable");
         for cmd in &prog.commands {
-            let Some(env_g) = assume::<D>(&cmd.guard, &env, domains) else {
+            let Some(env_g) = assume(&cmd.guard, &env, domains) else {
                 continue;
             };
             for br in &cmd.branches {
                 stats.posts += 1;
-                let Some(env_b) = post_branch::<D>(&env_g, br, domains) else {
+                let Some(env_b) = post_branch(&env_g, br, domains) else {
                     continue;
                 };
                 match prog.pc {
-                    None => merge::<D>(
+                    None => merge(
                         0,
                         env_b,
                         &mut state,
-                        &mut updates,
                         &mut stats,
-                        domains,
                         &mut worklist,
                         &mut on_list,
                     ),
                     Some(p) => {
-                        let mask = D::mask(&env_b[p], domains[p]);
                         for l2 in 0..domains[p] {
-                            if mask >> l2 & 1 == 0 {
+                            if env_b[p] >> l2 & 1 == 0 {
                                 continue;
                             }
                             let mut env_t = env_b.clone();
-                            env_t[p] = D::singleton(l2);
-                            merge::<D>(
+                            env_t[p] = 1u64 << l2;
+                            merge(
                                 l2,
                                 env_t,
                                 &mut state,
-                                &mut updates,
                                 &mut stats,
-                                domains,
                                 &mut worklist,
                                 &mut on_list,
                             );
@@ -353,20 +300,13 @@ pub(crate) fn run<D: Domain>(prog: &Program) -> Invariant {
         }
     }
     let locations = state
-        .iter()
+        .into_iter()
         .map(|slot| LocationInvariant {
-            values: match slot {
-                None => vec![0; domains.len()],
-                Some(env) => env
-                    .iter()
-                    .zip(domains)
-                    .map(|(v, &d)| D::mask(v, d))
-                    .collect(),
-            },
+            values: slot.unwrap_or_else(|| vec![0; domains.len()]),
         })
         .collect();
     Invariant {
-        domain: D::KIND,
+        domain: DomainKind::ValueSets,
         pc: prog.pc,
         var_domains: domains.clone(),
         locations,
@@ -381,9 +321,7 @@ pub(crate) fn run<D: Domain>(prog: &Program) -> Invariant {
 pub fn analyze(prog: &Program, kind: DomainKind) -> Invariant {
     debug_assert!(prog.validate().is_ok(), "analyze() needs a valid program");
     match kind {
-        DomainKind::Constants => run::<ConstDomain>(prog),
-        DomainKind::Intervals => run::<IntervalDomain>(prog),
-        DomainKind::ValueSets => run::<ValueSetDomain>(prog),
+        DomainKind::ValueSets => run(prog),
         DomainKind::Relational => super::relation::run_relational(prog),
     }
 }
@@ -422,21 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn constants_find_frozen_variables() {
-        let mut prog = examples::token_ring_abs(true);
-        let frozen = prog.var("frozen", 2);
-        for init in &mut prog.inits {
-            init.push(0);
-        }
-        let inv = analyze(&prog, DomainKind::Constants);
-        assert_eq!(inv.union_mask(frozen), 0b01);
-        // The live position variable is Top for constants.
-        assert_eq!(inv.union_mask(0), 0b111);
-    }
-
-    #[test]
-    fn intervals_widen_and_stay_sound() {
-        // A counter walking 0..=9; widening fires before the 10th join.
+    fn counter_grows_to_its_whole_domain() {
+        // A counter walking 0..=9: its value set gains one value per join
+        // and the iteration stops at the full domain.
         let mut prog = super::super::ir::Program::new();
         let x = prog.var("x", 10);
         prog.init(&[0]);
@@ -450,13 +376,8 @@ mod tests {
             }],
         );
         prog.command("idle", Fairness::None, Guard::True, vec![Branch::skip()]);
-        let inv = analyze(&prog, DomainKind::Intervals);
-        assert!(inv.stats.widenings > 0, "{:?}", inv.stats);
+        let inv = analyze(&prog, DomainKind::ValueSets);
         assert_eq!(inv.locations[0].values[x], (1 << 10) - 1);
-        // Value sets need no widening and reach the same fixpoint here.
-        let vs = analyze(&prog, DomainKind::ValueSets);
-        assert_eq!(vs.stats.widenings, 0);
-        assert_eq!(vs.locations[0].values[x], (1 << 10) - 1);
     }
 
     #[test]

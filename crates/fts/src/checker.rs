@@ -39,7 +39,7 @@
 //! release runs observe the tripwire too, instead of a `debug_assert!`
 //! that vanishes under `--release`.
 
-use crate::absint::{self, DomainKind, Invariant, Program, ValueSetDomain};
+use crate::absint::{self, DomainKind, Invariant, Program};
 use crate::error::CheckError;
 use crate::system::{Fairness, TransitionSystem};
 use hierarchy_automata::alphabet::{Alphabet, Symbol};
@@ -555,14 +555,11 @@ fn abstract_loc_succs(prog: &Program, inv: &Invariant) -> Vec<Vec<usize>> {
         let env = &inv.locations[l].values;
         let mut targets: BTreeSet<usize> = BTreeSet::new();
         for cmd in &prog.commands {
-            let Some(env_g) = absint::assume::<ValueSetDomain>(&cmd.guard, env, &prog.domains)
-            else {
+            let Some(env_g) = absint::assume(&cmd.guard, env, &prog.domains) else {
                 continue;
             };
             for br in &cmd.branches {
-                let Some(env_b) =
-                    absint::solve::post_branch::<ValueSetDomain>(&env_g, br, &prog.domains)
-                else {
+                let Some(env_b) = absint::solve::post_branch(&env_g, br, &prog.domains) else {
                     continue;
                 };
                 match prog.pc {
@@ -891,7 +888,7 @@ mod tests {
 
     #[test]
     fn peterson_mutex_falls_back_to_product() {
-        // The cartesian domains cannot correlate tb with pc2, so the
+        // The value-set domain cannot correlate tb with pc2, so the
         // abstract product reaches the dead state and the checker must
         // fall back to the explicit product — which still proves mutex,
         // and the prune filter must not remove any concrete node.

@@ -25,9 +25,8 @@
 
 use crate::diagnostic::{Diagnostic, Location};
 use crate::registry::{self, RuleInfo};
-use hierarchy_fts::absint::{
-    self, Domain, DomainKind, Invariant, IrError, Program, ValueSetDomain,
-};
+use hierarchy_fts::absint::domain::full_mask;
+use hierarchy_fts::absint::{self, DomainKind, Invariant, IrError, Program};
 use hierarchy_fts::builder::{BuildError, ProgramBuilder};
 use hierarchy_fts::system::{Fairness, TransitionSystem};
 
@@ -200,14 +199,10 @@ pub fn lint_abstract_program_ctx(program: &Program, inv: &Invariant) -> Vec<Diag
 
     // FTS005 needs no invariant: the guard is refuted over the full
     // domain envelope, so no valuation whatsoever satisfies it.
-    let top: Vec<u64> = program
-        .domains
-        .iter()
-        .map(|&d| <ValueSetDomain as Domain>::top(d))
-        .collect();
+    let top: Vec<u64> = program.domains.iter().map(|&d| full_mask(d)).collect();
     let mut unsat = vec![false; program.commands.len()];
     for (i, cmd) in program.commands.iter().enumerate() {
-        if absint::assume::<ValueSetDomain>(&cmd.guard, &top, &program.domains).is_none() {
+        if absint::assume(&cmd.guard, &top, &program.domains).is_none() {
             unsat[i] = true;
             out.push(
                 diag(
@@ -235,12 +230,7 @@ pub fn lint_abstract_program_ctx(program: &Program, inv: &Invariant) -> Vec<Diag
         }
         mask_feasible[i] = (0..nlocs).any(|l| {
             inv.location_reachable(l)
-                && absint::assume::<ValueSetDomain>(
-                    &cmd.guard,
-                    &inv.locations[l].values,
-                    &program.domains,
-                )
-                .is_some()
+                && absint::assume(&cmd.guard, &inv.locations[l].values, &program.domains).is_some()
         });
         if mask_feasible[i] {
             continue;
@@ -291,7 +281,7 @@ pub fn lint_abstract_program_ctx(program: &Program, inv: &Invariant) -> Vec<Diag
                      under the certified pair relations at every reachable location",
                 )
                 .with_suggestion(
-                    "proven dead by a variable correlation the cartesian domains cannot see",
+                    "proven dead by a variable correlation the per-variable masks cannot see",
                 ),
             );
         }
@@ -323,7 +313,7 @@ pub fn lint_abstract_program_ctx(program: &Program, inv: &Invariant) -> Vec<Diag
             continue;
         }
         let mask = inv.union_mask(x);
-        let full = <ValueSetDomain as Domain>::top(dom);
+        let full = full_mask(dom);
         if mask.count_ones() == 1 {
             out.push(
                 diag(

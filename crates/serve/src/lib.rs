@@ -160,17 +160,7 @@ impl Service {
     /// trailing newline). Never panics on malformed input.
     pub fn handle_line(&self, line: &str) -> String {
         let (id, outcome) = self.dispatch(line);
-        let body = match outcome {
-            Ok(result) => ("result", result),
-            Err(e) => (
-                "error",
-                Json::obj([
-                    ("code", Json::Int(e.code)),
-                    ("message", Json::str(e.message)),
-                ]),
-            ),
-        };
-        Json::obj([("id", id), (body.0, body.1)]).to_string()
+        response_line(id, outcome)
     }
 
     fn dispatch(&self, line: &str) -> (Json, RpcResult) {
@@ -313,6 +303,29 @@ impl Service {
             .ok_or_else(|| RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}")))
     }
 
+    /// Resolves a list of artifact hashes (the `artifacts` param of
+    /// `audit` and the batch methods) under one store lock.
+    fn resolve_list(&self, hexes: &[Json]) -> Result<Vec<Arc<Entry>>, RpcError> {
+        let mut store = self.store();
+        hexes
+            .iter()
+            .map(|h| {
+                let hex = h.as_str().ok_or_else(|| {
+                    RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
+                })?;
+                let hash = ArtifactHash::parse(hex).ok_or_else(|| {
+                    RpcError::new(
+                        code::INVALID_PARAMS,
+                        format!("{hex:?} is not a 32-digit hex hash"),
+                    )
+                })?;
+                store.resolve(hash).ok_or_else(|| {
+                    RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}"))
+                })
+            })
+            .collect()
+    }
+
     fn rpc_classify(&self, params: &Json) -> RpcResult {
         let entry = self.resolve(params, "artifact")?;
         let warm = Store::record_query(&entry) > 0;
@@ -373,17 +386,12 @@ impl Service {
         })?;
         let property = require_automaton(&prop_entry)?;
         let domain = match optional_str(params, "domain")?.unwrap_or("relational") {
-            "constants" => DomainKind::Constants,
-            "intervals" => DomainKind::Intervals,
             "value-sets" => DomainKind::ValueSets,
             "relational" => DomainKind::Relational,
             other => {
                 return Err(RpcError::new(
                     code::INVALID_PARAMS,
-                    format!(
-                        "domain must be constants, intervals, value-sets or relational, \
-                         got {other:?}"
-                    ),
+                    format!("domain must be value-sets or relational, got {other:?}"),
                 ))
             }
         };
@@ -467,25 +475,7 @@ impl Service {
                 opts.conjunction_cap = cap as usize;
             }
         }
-        let mut entries = Vec::with_capacity(hexes.len());
-        {
-            let mut store = self.store();
-            for h in hexes {
-                let hex = h.as_str().ok_or_else(|| {
-                    RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
-                })?;
-                let hash = ArtifactHash::parse(hex).ok_or_else(|| {
-                    RpcError::new(
-                        code::INVALID_PARAMS,
-                        format!("{hex:?} is not a 32-digit hex hash"),
-                    )
-                })?;
-                let entry = store.resolve(hash).ok_or_else(|| {
-                    RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}"))
-                })?;
-                entries.push(entry);
-            }
-        }
+        let entries = self.resolve_list(hexes)?;
         let warm: Vec<bool> = entries.iter().map(|e| Store::record_query(e) > 0).collect();
         let names: Vec<String> = entries.iter().map(|e| e.hash.to_string()).collect();
         let mut ctxs = Vec::with_capacity(entries.len());
@@ -609,25 +599,7 @@ impl Service {
             .ok_or_else(|| {
                 RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
             })?;
-        let mut entries = Vec::with_capacity(hexes.len());
-        {
-            let mut store = self.store();
-            for h in hexes {
-                let hex = h.as_str().ok_or_else(|| {
-                    RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
-                })?;
-                let hash = ArtifactHash::parse(hex).ok_or_else(|| {
-                    RpcError::new(
-                        code::INVALID_PARAMS,
-                        format!("{hex:?} is not a 32-digit hex hash"),
-                    )
-                })?;
-                let entry = store.resolve(hash).ok_or_else(|| {
-                    RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}"))
-                })?;
-                entries.push(entry);
-            }
-        }
+        let entries = self.resolve_list(hexes)?;
         // Fan the per-artifact work across the pool; each entry's warm
         // Analysis memoizes internally, so workers share one cache.
         let results = par::map_with(self.jobs, &entries, |entry| {
@@ -645,22 +617,34 @@ impl Service {
 
     /// Serves requests line-by-line from `reader`, writing one response
     /// line per request to `writer` (flushed after each response).
-    /// Returns when the reader reaches end-of-input. Blank lines are
-    /// skipped.
-    pub fn serve(&self, reader: impl BufRead, writer: &mut impl Write) -> std::io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+    /// Returns when the reader reaches end-of-input. Lines end at `\n` or
+    /// `\r\n`; blank lines are skipped, and a line that is not UTF-8
+    /// gets a parse error like any other line that is not JSON.
+    pub fn serve(&self, mut reader: impl BufRead, writer: &mut impl Write) -> std::io::Result<()> {
+        let mut raw = Vec::new();
+        loop {
+            raw.clear();
+            if reader.read_until(b'\n', &mut raw)? == 0 {
+                return Ok(());
             }
+            let line = match raw.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                None => &raw,
+            };
+            let mut response = match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => self.handle_line(text),
+                Err(e) => response_line(
+                    Json::Null,
+                    Err(RpcError::new(code::PARSE, format!("parse error: {e}"))),
+                ),
+            };
             // One write per response: a separate newline write would sit
             // behind Nagle until the client's delayed ACK.
-            let mut response = self.handle_line(&line);
             response.push('\n');
             writer.write_all(response.as_bytes())?;
             writer.flush()?;
         }
-        Ok(())
     }
 
     /// Accept loop: serves every connection on its own thread, all
@@ -685,6 +669,22 @@ impl Service {
 }
 
 // ---- shared response builders ---------------------------------------
+
+/// The response line (without trailing newline) for a request's id and
+/// outcome.
+fn response_line(id: Json, outcome: RpcResult) -> String {
+    let body = match outcome {
+        Ok(result) => ("result", result),
+        Err(e) => (
+            "error",
+            Json::obj([
+                ("code", Json::Int(e.code)),
+                ("message", Json::str(e.message)),
+            ]),
+        ),
+    };
+    Json::obj([("id", id), (body.0, body.1)]).to_string()
+}
 
 fn ingest_result(ingested: &Ingested, detail: Json) -> Json {
     let detail_key = match ingested.entry.kind() {
@@ -1311,16 +1311,84 @@ mod tests {
         }
     }
 
+    /// The three list-taking methods turn a bad artifact list into the
+    /// same error: a non-string element, a malformed hash and an unknown
+    /// hash each get one code and message whichever method reads them.
+    #[test]
+    fn artifact_lists_fail_alike_across_methods() {
+        let svc = Service::new(8, 1);
+        let gp = ingest_formula(&svc, "G p");
+        let unknown = "00112233445566778899aabbccddeeff";
+        let cases = [
+            (
+                format!("[\"{gp}\",7]"),
+                code::INVALID_PARAMS,
+                "artifacts must be an array of hashes".to_string(),
+            ),
+            (
+                format!("[\"{gp}\",\"zz\"]"),
+                code::INVALID_PARAMS,
+                "\"zz\" is not a 32-digit hex hash".to_string(),
+            ),
+            (
+                format!("[\"{gp}\",\"{unknown}\"]"),
+                code::UNKNOWN_ARTIFACT,
+                format!("unknown artifact {unknown}"),
+            ),
+        ];
+        for (list, want_code, want_message) in cases {
+            for method in ["classify_batch", "lint_batch", "audit"] {
+                let req = format!(
+                    "{{\"id\":1,\"method\":\"{method}\",\"params\":{{\"artifacts\":{list}}}}}"
+                );
+                let resp = Json::parse(&svc.handle_line(&req)).unwrap();
+                let error = resp
+                    .get("error")
+                    .unwrap_or_else(|| panic!("{method} {list}: {resp}"));
+                assert_eq!(
+                    error.get("code").and_then(Json::as_int),
+                    Some(want_code),
+                    "{method} {list}"
+                );
+                assert_eq!(
+                    error.get("message").and_then(Json::as_str),
+                    Some(want_message.as_str()),
+                    "{method} {list}"
+                );
+            }
+        }
+    }
+
+    /// Blank lines are skipped; `\r\n` ends a line like `\n`, and so
+    /// does end-of-input; a line that is not UTF-8 gets one parse error
+    /// and the loop goes on.
     #[test]
     fn serve_loop_and_eof() {
         let svc = Service::new(8, 1);
-        let input = b"\n{\"id\":7,\"method\":\"stats\"}\n".to_vec();
+        let input = b"\n{\"id\":1,\"method\":\"stats\",\"params\":{\"x\":\"\xff\"}}\n\
+                      \r\n{\"id\":2,\"method\":\"evict\",\"params\":{\"artifact\":\"zz\"}}\r\n\
+                      {\"id\":7,\"method\":\"stats\"}";
         let mut out = Vec::new();
         svc.serve(&input[..], &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 1, "blank line skipped, one response");
-        let resp = Json::parse(lines[0]).unwrap();
-        assert_eq!(resp.get("id").and_then(Json::as_int), Some(7));
+        assert_eq!(
+            lines.len(),
+            3,
+            "blank lines skipped, one response each: {text}"
+        );
+        assert_eq!(
+            lines[0],
+            "{\"id\":null,\"error\":{\"code\":-32700,\"message\":\"parse error: \
+             invalid utf-8 sequence of 1 bytes from index 40\"}}"
+        );
+        assert_eq!(
+            lines[1],
+            "{\"id\":2,\"error\":{\"code\":-32602,\"message\":\"artifact must be a \
+             32-digit hex hash\"}}"
+        );
+        let last = Json::parse(lines[2]).unwrap();
+        assert_eq!(last.get("id").and_then(Json::as_int), Some(7));
+        assert!(last.get("result").is_some(), "{last}");
     }
 }

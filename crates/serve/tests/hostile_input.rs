@@ -4,7 +4,8 @@
 //! stack). Each line is a shape that defeats an unbounded parser: nesting
 //! that overflows the JSON, LTL, regex or HOA parser's recursion, a
 //! formula thousands of operators deep that overflows every later pass
-//! over it, or a `<->` chain whose expansion doubles at each link.
+//! over it, a `<->` chain whose expansion doubles at each link, or a
+//! byte that is not UTF-8.
 
 use hierarchy_serve::code;
 use hierarchy_serve::json::Json;
@@ -30,7 +31,7 @@ fn formula(source: String) -> String {
 }
 
 /// The hostile lines and the error code each must get.
-fn hostile_lines() -> Vec<(&'static str, String, i64)> {
+fn hostile_lines() -> Vec<(&'static str, Vec<u8>, i64)> {
     let nested = |open: &str, inner: &str, close: &str, n: usize| {
         format!("{}{inner}{}", open.repeat(n), close.repeat(n))
     };
@@ -40,7 +41,7 @@ fn hostile_lines() -> Vec<(&'static str, String, i64)> {
          --BODY--\nState: 0 {{0}}\n[t] 0\n--END--\n",
         nested("(", "Inf(0)", ")", 100_000)
     );
-    vec![
+    let lines = vec![
         ("20,000 nested JSON arrays", "[".repeat(20_000), code::PARSE),
         (
             "a formula in 2,000 nested parentheses",
@@ -74,13 +75,23 @@ fn hostile_lines() -> Vec<(&'static str, String, i64)> {
             ])),
             code::BAD_ARTIFACT,
         ),
-    ]
+    ];
+    let mut lines: Vec<(&str, Vec<u8>, i64)> = lines
+        .into_iter()
+        .map(|(what, line, want)| (what, line.into_bytes(), want))
+        .collect();
+    lines.push((
+        "a string holding the byte 0xff",
+        b"{\"id\":1,\"method\":\"stats\",\"params\":{\"x\":\"\xff\"}}".to_vec(),
+        code::PARSE,
+    ));
+    lines
 }
 
 /// Sends each hostile line, then a `stats` request, over one channel;
 /// every hostile line must get its error code and every `stats` an
 /// answer.
-fn check_channel(channel: &str, send: &mut dyn FnMut(&str) -> Option<Json>) {
+fn check_channel(channel: &str, send: &mut dyn FnMut(&[u8]) -> Option<Json>) {
     for (what, line, want) in hostile_lines() {
         let resp = send(&line).unwrap_or_else(|| panic!("{channel}: daemon died on {what}"));
         assert_eq!(
@@ -90,7 +101,7 @@ fn check_channel(channel: &str, send: &mut dyn FnMut(&str) -> Option<Json>) {
             Some(want),
             "{channel}: {what} got {resp}"
         );
-        let stats = send("{\"id\":2,\"method\":\"stats\"}")
+        let stats = send(b"{\"id\":2,\"method\":\"stats\"}")
             .unwrap_or_else(|| panic!("{channel}: no answer after {what}"));
         assert!(stats.get("result").is_some(), "{channel}: {stats}");
     }
@@ -98,8 +109,8 @@ fn check_channel(channel: &str, send: &mut dyn FnMut(&str) -> Option<Json>) {
 
 /// Writes `line` in one write and reads one response line, or `None` when
 /// the channel closed.
-fn exchange(writer: &mut dyn Write, reader: &mut dyn BufRead, line: &str) -> Option<Json> {
-    writer.write_all(format!("{line}\n").as_bytes()).ok()?;
+fn exchange(writer: &mut dyn Write, reader: &mut dyn BufRead, line: &[u8]) -> Option<Json> {
+    writer.write_all(&[line, b"\n"].concat()).ok()?;
     writer.flush().ok()?;
     let mut response = String::new();
     reader.read_line(&mut response).ok()?;

@@ -542,6 +542,21 @@ fn golden_program_check_and_batches() {
         Some(diags.len() as i64)
     );
 
+    // `check` runs the value-set or the relational domain; any other
+    // name is an invalid param.
+    for (id, domain) in [(10, "constants"), (11, "intervals")] {
+        let got = daemon.request(&format!(
+            "{{\"id\":{id},\"method\":\"check\",\"params\":{{\"program\":\"{prog_hash}\",\"property\":\"{mux_hash}\",\"domain\":\"{domain}\"}}}}"
+        ));
+        assert_eq!(
+            got,
+            format!(
+                "{{\"id\":{id},\"error\":{{\"code\":-32602,\"message\":\"domain must be value-sets or relational, got \\\"{domain}\\\"\"}}}}"
+            ),
+            "domain golden"
+        );
+    }
+
     daemon.shutdown();
 }
 

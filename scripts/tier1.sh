@@ -17,27 +17,17 @@ cargo test --release --offline -p temporal-properties \
 # batch classification path is exercised even on single-core hosts.
 HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test analysis_cross_validation --test parallel_stress --quiet
-# The abstract-interpretation differential suite (cartesian + relational
+# The abstract-interpretation differential suite (value-set + relational
 # domains, paper programs, the parameterized N-process families, and the
-# random sweep), plus the same suite with the worker pool forced on (the
-# invariant engine itself is sequential, but spec-lint batches programs
-# through the pool).
+# random sweep).
 cargo test --offline -p temporal-properties --test absint_soundness --quiet
-HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
-  --test absint_soundness --quiet
 # The quotient-first differential suite (language preservation, verdict
-# and lint-report identity raw vs quotient, idempotence), plus the same
-# suite with the worker pool forced on.
+# and lint-report identity raw vs quotient, idempotence).
 cargo test --offline -p temporal-properties --test minimize_soundness --quiet
-HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
-  --test minimize_soundness --quiet
 # The direct-inclusion differential suite (Streett/Rabin/parity verdicts
 # vs the complement oracle, counterexample-lasso replay, structural
-# invariants), plus the same suite with the worker pool forced on (the
-# Analysis memo tables are thread-shared).
+# invariants).
 cargo test --offline -p temporal-properties --test inclusion_soundness --quiet
-HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
-  --test inclusion_soundness --quiet
 # Smoke the invariant-vs-explicit benchmark: its expect() lines are the
 # acceptance checks (verdict identity, safety discharge incl. Peterson
 # under the relational domain, the states-vs-N family series, certificates).
@@ -51,14 +41,11 @@ cargo run --release --offline -p hierarchy-bench --bin tab_minimize -- --smoke \
 # every seeded case is its expect() gate.
 cargo run --release --offline -p hierarchy-bench --bin tab_inclusion -- --smoke \
   > /dev/null
-# The serve daemon suites: protocol goldens over a pipe, the TCP
-# concurrency soak, and the content-hash property tests — plain (part of
-# the workspace run above) and with the worker pool forced on, since the
-# store, the batch endpoints, and the Analysis memo tables are all
-# thread-shared.
+# The serve daemon suites (protocol goldens over a pipe, the TCP
+# concurrency soak, hostile input) with the worker pool forced on, since
+# the batch endpoints fan out over it (the plain run is part of the
+# workspace run above).
 HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-serve --quiet
-HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
-  --test content_hash --quiet
 # The repository benchmark's correctness gate on both workloads: a traced
 # smoke run exits non-zero on a wrong verdict or on a mismatch between
 # the daemon's per-response `stats` blocks and the library's counters
@@ -82,12 +69,6 @@ HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test audit_soundness --quiet
 HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-lint \
   --test seeded_defects --quiet
-# The brute-force oracle suite is the independent reference of the
-# accepting-cycle kernel (emptiness, liveness, persistent-cycle sets,
-# lasso replay) and of the alternating cycle decomposition (the chain
-# queries and both indices); re-run it with the worker pool forced on.
-HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
-  --test bruteforce_oracle --quiet
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
 # The API docs build without a warning: every intra-doc link resolves to

@@ -292,9 +292,28 @@ fn rabin_clique_indices_and_region_memo() {
 
 /// Repeated Property-level queries hit the context caches: the second
 /// round of class/report/inclusion queries adds no SCC passes or product
-/// builds.
+/// builds. The counters include the quotient context's work, so the
+/// first reading shows the passes of a classification that ran there.
 #[test]
 fn property_queries_are_incremental() {
+    // □◇b as a doubled last-symbol tracker: states 0/2 after `a`, 1/3
+    // after `b`, each step switching copies. `minimize` merges the copies,
+    // so classification runs on the two-state quotient.
+    let b = sigma().symbol("b").unwrap();
+    let doubled = OmegaAutomaton::build(
+        &sigma(),
+        4,
+        0,
+        |q, s| (if q < 2 { 2 } else { 0 }) + StateId::from(s == b),
+        Acceptance::inf([1, 3]),
+    );
+    let prop = Property::from_automaton(doubled);
+    let _ = prop.class();
+    let first = prop.analysis_stats();
+    assert!(first.scc_passes > 0, "{first:?}");
+    let _ = prop.class();
+    assert_eq!(prop.analysis_stats().scc_passes, first.scc_passes);
+
     let mut rng = StdRng::seed_from_u64(41);
     let aut = rand_streett(&mut rng, 24, 2);
     let other = Property::from_automaton(rand_streett(&mut rng, 8, 1));
