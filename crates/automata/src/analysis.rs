@@ -40,6 +40,18 @@
 //!   build the product once; [`Analysis::is_subset_of`] and
 //!   [`Analysis::equivalent`] memoize their verdicts the same way. A hit
 //!   costs the key; only a miss minimizes the operand.
+//! * [`Analysis::accepted_lasso`] / [`Analysis::rejected_lasso`] — the
+//!   lasso sample: one word in the language and one outside it, each
+//!   drawn once. A lasso that one automaton accepts and another rejects
+//!   refutes inclusion with one deterministic run per side, so the
+//!   suite audit and [`crate::canonical::language_eq`] try the sample
+//!   before the inclusion oracle. The sample is drawn by the
+//!   automaton's own kernel run ([`OmegaAutomaton::accepted_lasso`] on
+//!   the automaton and on its complement), which keeps its own SCC
+//!   memo: drawn through [`Analysis::sccs`], it would move passes from
+//!   whichever query came next into whichever request drew the sample,
+//!   and per-request counters (the daemon's `stats` blocks) would depend
+//!   on the order requests arrived in.
 //!
 //! Each question has one entry point here; the free functions that remain
 //! elsewhere ([`crate::classify::classify`], the topology predicates, the
@@ -323,6 +335,9 @@ pub struct Analysis {
     /// Memoized verdicts of the direct inclusion/equivalence oracle,
     /// keyed by the other operand as given (never its quotient).
     inclusions: Mutex<HashMap<OperandKey<OracleQuery>, bool>>,
+    /// The lasso sample, `[rejected, accepted]` (see
+    /// [`Analysis::accepted_lasso`]).
+    lassos: [OnceLock<Option<Lasso>>; 2],
 }
 
 impl Clone for Analysis {
@@ -343,6 +358,7 @@ impl Clone for Analysis {
             counter_freedom: self.counter_freedom.clone(),
             products: Mutex::new(lock_recover(&self.products).clone()),
             inclusions: Mutex::new(lock_recover(&self.inclusions).clone()),
+            lassos: self.lassos.clone(),
         }
     }
 }
@@ -384,6 +400,7 @@ impl Analysis {
             counter_freedom: OnceLock::new(),
             products: Mutex::new(HashMap::new()),
             inclusions: Mutex::new(HashMap::new()),
+            lassos: [OnceLock::new(), OnceLock::new()],
         }
     }
 
@@ -715,11 +732,26 @@ impl Analysis {
         !self.live().contains(self.aut.initial() as usize)
     }
 
-    /// An accepted lasso, or `None` when the language is empty: the
-    /// kernel's targeted tour of the first accepting region, with the SCC
-    /// passes shared with everything else in the context.
-    pub fn accepted_lasso(&self) -> Option<Lasso> {
-        emptiness::lasso_within(&self.aut, self.reachable(), |x| self.sccs(Some(x)))
+    /// An accepted lasso, or `None` when the language is empty
+    /// (computed once): the kernel's targeted tour of the first
+    /// accepting region, by [`OmegaAutomaton::accepted_lasso`]. That run
+    /// keeps its own SCC memo, so the sample adds no pass, hit or other
+    /// count to [`Self::stats`] and leaves this context's memo tables as
+    /// they were; a later query's counters are the same whether or not
+    /// the sample was drawn first.
+    pub fn accepted_lasso(&self) -> Option<&Lasso> {
+        self.lassos[1]
+            .get_or_init(|| self.aut.accepted_lasso())
+            .as_ref()
+    }
+
+    /// A rejected lasso, or `None` when the language is universal
+    /// (computed once): the accepted lasso of the complement, drawn the
+    /// same way as [`Self::accepted_lasso`].
+    pub fn rejected_lasso(&self) -> Option<&Lasso> {
+        self.lassos[0]
+            .get_or_init(|| self.aut.complement().accepted_lasso())
+            .as_ref()
     }
 
     /// The counter-freedom verdict (memoized; uses the default monoid
@@ -912,6 +944,9 @@ mod tests {
             let ctx = Analysis::new(aut.clone());
             let free = classify::classify(&aut);
             assert_eq!(ctx.classification(), &free);
+            assert_eq!(free.is_simple_reactivity, free.reactivity_index == 1);
+            let co = Analysis::new(aut.complement());
+            assert_eq!(ctx.rabin_index(), co.reactivity_index());
         }
     }
 
@@ -944,9 +979,11 @@ mod tests {
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let _ = ctx.classification();
         let passes_after_classify = ctx.stats().scc_passes;
-        // Everything else reuses the same restrictions.
+        // Everything else reuses the same restrictions, and the lasso
+        // sample runs off the books.
         let _ = ctx.safety_closure();
         let _ = ctx.accepted_lasso();
+        let _ = ctx.rejected_lasso();
         let _ = ctx.condensation();
         let _ = ctx.rabin_index();
         assert_eq!(ctx.stats().scc_passes, passes_after_classify);
@@ -976,10 +1013,60 @@ mod tests {
             let _ = ctx.is_empty();
             let _ = ctx.is_universal();
             let _ = ctx.accepted_lasso();
+            let _ = ctx.rejected_lasso();
             let _ = ctx.safety_closure();
             let _ = ctx.rabin_index();
             assert_eq!(ctx.stats().scc_passes, passes, "case {i}: n={n}, k={k}");
         }
+    }
+
+    /// The lasso sample on seeded Streett, Rabin and parity automata, with
+    /// and without the quotient: the accepted lasso exists exactly for a
+    /// non-empty language and is accepted, the rejected one exists
+    /// exactly for a non-universal language and is rejected, repeats
+    /// return the same words, and drawing the sample moves no counter.
+    #[test]
+    fn lasso_sample_is_a_memoized_witness_off_the_books() {
+        use crate::random::{random_parity, random_rabin};
+        let sigma = ab();
+        let mut rng = StdRng::seed_from_u64(0x1A550);
+        let (mut accepted, mut rejected) = (0, 0);
+        for i in 0..180usize {
+            let n = 2 + i % 9;
+            let aut = match i % 3 {
+                0 => random_streett(&mut rng, &sigma, n, 1 + i % 3, 0.3).0,
+                1 => random_rabin(&mut rng, &sigma, n, 1 + i % 3, 0.3),
+                _ => random_parity(&mut rng, &sigma, n, 1 + (i % 4) as u32),
+            };
+            for ctx in [Analysis::new(aut.clone()), Analysis::new_raw(aut.clone())] {
+                let before = ctx.stats_total();
+                let (acc, rej) = (ctx.accepted_lasso().cloned(), ctx.rejected_lasso().cloned());
+                assert_eq!(
+                    ctx.stats_total(),
+                    before,
+                    "case {i}: the sample moved a counter"
+                );
+                assert_eq!(acc.is_none(), ctx.is_empty(), "case {i}");
+                assert_eq!(rej.is_none(), ctx.is_universal(), "case {i}");
+                if let Some(w) = &acc {
+                    assert!(aut.accepts(w), "case {i}: accepted lasso rejected");
+                    accepted += 1;
+                }
+                if let Some(w) = &rej {
+                    assert!(!aut.accepts(w), "case {i}: rejected lasso accepted");
+                    rejected += 1;
+                }
+                let after = ctx.stats_total();
+                assert_eq!(ctx.accepted_lasso(), acc.as_ref(), "case {i}");
+                assert_eq!(ctx.rejected_lasso(), rej.as_ref(), "case {i}");
+                assert_eq!(
+                    ctx.stats_total(),
+                    after,
+                    "case {i}: a repeat moved a counter"
+                );
+            }
+        }
+        assert!(accepted > 60 && rejected > 60, "{accepted} {rejected}");
     }
 
     #[test]
@@ -1114,7 +1201,7 @@ mod tests {
             assert_eq!(ctx.is_empty(), aut.is_empty());
             match (ctx.accepted_lasso(), aut.accepted_lasso()) {
                 (Some(w1), Some(w2)) => {
-                    assert!(aut.accepts(&w1) && aut.accepts(&w2));
+                    assert!(aut.accepts(w1) && aut.accepts(&w2));
                 }
                 (None, None) => {}
                 (a, b) => panic!("emptiness disagreement: {a:?} vs {b:?}"),

@@ -230,15 +230,25 @@ impl LanguageEq {
 }
 
 /// Decides language equality of `lhs` — with its precomputed
-/// [`structural_hash`] and a live [`Analysis`] context — against `rhs`,
-/// trying the canonical hash before falling back to the polynomial
-/// equivalence oracle. Returns `None` when the alphabets differ
-/// (equivalence is undefined across alphabets).
+/// [`structural_hash`] and a live [`Analysis`] context — against `rhs`
+/// in three steps: the canonical hash, then `lhs`'s lasso sample, then
+/// the polynomial equivalence oracle. Returns `None` when the alphabets
+/// differ (equivalence is undefined across alphabets).
+///
+/// The sample refutes before the oracle proves: when `rhs` rejects
+/// [`Analysis::accepted_lasso`](crate::analysis::Analysis::accepted_lasso)
+/// or accepts
+/// [`Analysis::rejected_lasso`](crate::analysis::Analysis::rejected_lasso),
+/// the languages are `Distinct` after two runs of `rhs` on a lasso, with
+/// no oracle run and no count in `lhs`'s
+/// [`AnalysisStats`](crate::analysis::AnalysisStats). Only pairs the
+/// sample cannot tell apart reach [`Analysis::equivalent`].
 ///
 /// This is the single implementation behind both the serve store's
 /// ingest-time equivalence sweep and the suite auditor's `SUITE002`
 /// duplicate rule, so the two paths cannot drift: hash-equal pairs are
-/// answered for free, and only hash-distinct pairs spend an oracle run.
+/// answered for free, most distinct pairs by the sample, and only the
+/// rest spend an oracle run.
 pub fn language_eq(
     lhs_hash: ArtifactHash,
     lhs: &Analysis,
@@ -250,6 +260,11 @@ pub fn language_eq(
     }
     if lhs_hash == rhs_hash {
         return Some(LanguageEq::HashEqual);
+    }
+    if lhs.accepted_lasso().is_some_and(|w| !rhs.accepts(w))
+        || lhs.rejected_lasso().is_some_and(|w| rhs.accepts(w))
+    {
+        return Some(LanguageEq::Distinct);
     }
     if lhs.equivalent(rhs) {
         Some(LanguageEq::OracleEqual)
@@ -401,6 +416,63 @@ mod tests {
             Some(LanguageEq::OracleEqual)
         );
         assert!(ctx.stats_total().inclusion_checks > 0);
+    }
+
+    /// The lasso sample refutes before the oracle proves: a pair the
+    /// sample separates is `Distinct` with no oracle run, while an equal
+    /// pair, and a distinct pair that both lassos of the left side miss,
+    /// still reach the oracle.
+    #[test]
+    fn language_eq_refutes_with_the_lasso_sample_before_the_oracle() {
+        let sigma = ab();
+        let b = sigma.symbol("b").unwrap();
+        let last_b = |acc| OmegaAutomaton::build(&sigma, 2, 0, |_, s| StateId::from(s == b), acc);
+        let inf_b = last_b(Acceptance::inf([1]));
+        let checks = |ctx: &Analysis| ctx.stats_total().inclusion_checks;
+
+        // □◇b against ◇□a: the accepted lasso of □◇b separates them.
+        let ctx = Analysis::new(inf_b.clone());
+        let fin_b = last_b(Acceptance::fin([1]));
+        assert!(!fin_b.accepts(ctx.accepted_lasso().unwrap()));
+        let verdict = language_eq(
+            structural_hash(&inf_b),
+            &ctx,
+            structural_hash(&fin_b),
+            &fin_b,
+        );
+        assert_eq!(verdict, Some(LanguageEq::Distinct));
+        assert_eq!(checks(&ctx), 0, "the sample settled it");
+        // □◇b against Σ^ω: the accepted lasso is in both, the rejected
+        // lasso a^ω only in Σ^ω.
+        let all = OmegaAutomaton::universal(&sigma);
+        let verdict = language_eq(structural_hash(&inf_b), &ctx, structural_hash(&all), &all);
+        assert_eq!(verdict, Some(LanguageEq::Distinct));
+        assert_eq!(checks(&ctx), 0, "the rejected lasso settled it");
+
+        // □◇b again as the one-pair Streett condition Inf{1} ∨ Fin{0,1}:
+        // the hashes differ, no lasso separates equal languages, and the
+        // oracle proves equality.
+        let streett = inf_b.with_acceptance(Acceptance::inf([1]).or(Acceptance::fin([0, 1])));
+        assert_ne!(structural_hash(&inf_b), structural_hash(&streett));
+        let verdict = language_eq(
+            structural_hash(&inf_b),
+            &ctx,
+            structural_hash(&streett),
+            &streett,
+        );
+        assert_eq!(verdict, Some(LanguageEq::OracleEqual));
+        assert_eq!(checks(&ctx), 1);
+
+        // □◇a ∧ □◇b against □◇b: the sample, (ba)^ω accepted and a^ω
+        // rejected, lands the same way on both, so the oracle runs and
+        // refutes.
+        let both = last_b(Acceptance::inf([0]).and(Acceptance::inf([1])));
+        let ctx = Analysis::new(inf_b.clone());
+        let (acc, rej) = (ctx.accepted_lasso().unwrap(), ctx.rejected_lasso().unwrap());
+        assert!(both.accepts(acc) && !both.accepts(rej), "the sample misses");
+        let verdict = language_eq(structural_hash(&inf_b), &ctx, structural_hash(&both), &both);
+        assert_eq!(verdict, Some(LanguageEq::Distinct));
+        assert_eq!(checks(&ctx), 1, "the oracle decided");
     }
 
     #[test]

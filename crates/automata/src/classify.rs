@@ -45,8 +45,13 @@
 //! * recurrence ⇔ no accepting node below depth 0;
 //! * persistence ⇔ no rejecting node below depth 0;
 //! * simple reactivity ⇔ `D_rej < 2`;
-//! * the reactivity index is `max(1, ⌊(D_rej + 1)/2⌋)`, and the Rabin
-//!   index is the same formula on `D_acc`.
+//! * the reactivity index is the number of rejecting loops on the chain
+//!   from a root down to the deepest rejecting node, `⌊D_rej/2⌋ + 1`
+//!   (1 when no node is rejecting), and the Rabin index is the same
+//!   formula on `D_acc`. So the index is 1 exactly for simple
+//!   reactivity, and the Rabin index of a language is the reactivity
+//!   index of its complement, whose decomposition is this one with
+//!   every status flipped.
 //!
 //! The children of a node are regions of the accepting-cycle kernel: for
 //! each disjunct of [`decompose`] of the children's condition, [`refine`]
@@ -256,9 +261,11 @@ pub(crate) fn acd_depths(
 }
 
 /// The alternation index read off the depth of the deepest node of one
-/// status: `max(1, ⌊(depth + 1)/2⌋)` (the module docs' formula).
+/// status: the loops of that status on the chain down to it,
+/// `⌊depth/2⌋ + 1`, or 1 when no node has the status (the module docs'
+/// formula).
 pub(crate) fn alternation_index(deepest: Option<usize>) -> usize {
-    deepest.map_or(1, |d| d.div_ceil(2).max(1))
+    deepest.map_or(1, |d| d / 2 + 1)
 }
 
 /// The walk behind [`acd_depths`], memoized per region.
@@ -576,7 +583,10 @@ mod tests {
         assert_eq!(depths(&OmegaAutomaton::empty(&sigma)), [Some(0), None]);
         assert_eq!(alternation_index(None), 1);
         assert_eq!(alternation_index(Some(0)), 1);
+        assert_eq!(alternation_index(Some(1)), 1);
+        assert_eq!(alternation_index(Some(2)), 2);
         assert_eq!(alternation_index(Some(3)), 2);
+        assert_eq!(alternation_index(Some(4)), 3);
     }
 }
 
@@ -614,6 +624,33 @@ mod rabin_index_tests {
             rabin(&two_pairs.complement()),
             classify(&two_pairs).reactivity_index
         );
+    }
+
+    /// Regression: the 3-state clique over {a,b,c} (letter `i` goes to
+    /// state `i`) with min-even parity on priorities 0, 1, 2. Its loops
+    /// nest accepting {0,1,2} ⊇ rejecting {1,2} ⊇ accepting {2}, a chain
+    /// one Rabin pair cannot carry, so the Rabin index is 2. The
+    /// complement is reactivity but not simple reactivity, with
+    /// reactivity index 2. An index that counts completed pairs reads 1
+    /// for both.
+    #[test]
+    fn parity_clique_indices_count_loops() {
+        let sigma = Alphabet::new(["a", "b", "c"]).unwrap();
+        let clique = OmegaAutomaton::build(
+            &sigma,
+            3,
+            0,
+            |_, s| s.index() as StateId,
+            Acceptance::parity_min_even(&[0, 1, 2]),
+        );
+        let ctx = Analysis::new(clique.clone());
+        assert!(ctx.is_simple_reactivity() && !ctx.is_recurrence() && !ctx.is_persistence());
+        assert_eq!((ctx.reactivity_index(), ctx.rabin_index()), (1, 2));
+        let co = Analysis::new(clique.complement());
+        let c = co.classification();
+        assert_eq!(c.strictest_class_name(), "reactivity");
+        assert!(!c.is_simple_reactivity);
+        assert_eq!((c.reactivity_index, co.rabin_index()), (2, 1));
     }
 }
 

@@ -453,17 +453,6 @@ pub(crate) fn scc_memo(aut: &OmegaAutomaton) -> impl FnMut(&BitSet) -> Arc<SccDe
     move |allowed| cache.sccs(Some(allowed))
 }
 
-/// The targeted tour of the first accepting region inside `restriction`
-/// (which must be reachable), or `None` when there is none.
-pub(crate) fn lasso_within(
-    aut: &OmegaAutomaton,
-    restriction: &BitSet,
-    sccs: impl FnMut(&BitSet) -> Arc<SccDecomposition>,
-) -> Option<Lasso> {
-    let disjuncts = decompose(aut.acceptance(), aut.num_states());
-    Some(first_witness(disjuncts, restriction, sccs)?.lasso(aut))
-}
-
 /// The set of states from which `targets` is reachable (including the
 /// targets themselves).
 pub fn backward_closure(aut: &OmegaAutomaton, targets: BitSet) -> BitSet {

@@ -194,34 +194,39 @@ impl OmegaAutomaton {
 
     /// The infinity set of the unique run over a lasso word.
     pub fn infinity_set(&self, word: &Lasso) -> BitSet {
-        // Drive the automaton along the spoke, then around the loop until
-        // the (state, loop-position) pair repeats; the states seen in that
-        // final period are exactly the infinity set.
-        let mut q = self.run(word.spoke().iter().copied());
-        // State after each full loop traversal; repeats within num_states+1
-        // traversals by pigeonhole.
-        let mut seen_entry: HashMap<StateId, usize> = HashMap::new();
-        let mut entries: Vec<StateId> = Vec::new();
-        loop {
-            if let Some(&first) = seen_entry.get(&q) {
-                // States visited between the two occurrences of `q` form the
-                // periodic part of the run.
-                let mut inf = BitSet::with_capacity(self.num_states);
-                let mut s = entries[first];
-                for _ in first..entries.len() {
-                    for &sym in word.cycle() {
-                        s = self.step(s, sym);
-                        inf.insert(s as usize);
-                    }
-                }
-                return inf;
-            }
-            seen_entry.insert(q, entries.len());
-            entries.push(q);
+        // After the spoke, the states at which the run enters the loop
+        // are the iterates of `round` (one traversal of the loop), so
+        // they are ultimately periodic. Brent's cycle search finds an
+        // entry state on their cycle and its period `period` with no
+        // table of the iterates; the states visited in `period`
+        // traversals from there are exactly the infinity set.
+        let round = |mut q: StateId| {
             for &sym in word.cycle() {
                 q = self.step(q, sym);
             }
+            q
+        };
+        let (mut power, mut period) = (1usize, 1usize);
+        let mut tortoise = self.run(word.spoke().iter().copied());
+        let mut hare = round(tortoise);
+        while tortoise != hare {
+            if power == period {
+                tortoise = hare;
+                power *= 2;
+                period = 0;
+            }
+            hare = round(hare);
+            period += 1;
         }
+        let mut inf = BitSet::with_capacity(self.num_states);
+        let mut q = hare;
+        for _ in 0..period {
+            for &sym in word.cycle() {
+                q = self.step(q, sym);
+                inf.insert(q as usize);
+            }
+        }
+        inf
     }
 
     /// Whether the automaton accepts the lasso word.
@@ -266,8 +271,10 @@ impl OmegaAutomaton {
     /// targeted tour of the first accepting region of the
     /// accepting-cycle kernel.
     pub fn accepted_lasso(&self) -> Option<Lasso> {
+        let disjuncts = emptiness::decompose(&self.acceptance, self.num_states);
         let reachable = self.reachable_states();
-        emptiness::lasso_within(self, &reachable, emptiness::scc_memo(self))
+        let witness = emptiness::first_witness(disjuncts, &reachable, emptiness::scc_memo(self))?;
+        Some(witness.lasso(self))
     }
 
     /// The complement automaton (same structure, negated acceptance).
@@ -616,6 +623,58 @@ mod tests {
             m.infinity_set(&lasso(&sigma, "b", "a")),
             BitSet::from_iter([0])
         );
+    }
+
+    /// `infinity_set` against a literal reference on random automata and
+    /// lassos: the loop entry states repeat within `num_states`
+    /// traversals of the loop, so after skipping that many the run is
+    /// periodic, and the next `num_states` traversals cover at least one
+    /// full period. The sweep must reach entry orbits with a tail (the
+    /// run re-enters its cycle mid-way) and periods of several
+    /// traversals.
+    #[test]
+    fn infinity_set_matches_a_literal_reference() {
+        use crate::random::rng::{Rng, SeedableRng, StdRng};
+        use crate::random::{random_acceptance, random_lasso, random_structure};
+        let sigma = Alphabet::new(["a", "b", "c"]).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x1A550);
+        let (mut tails, mut long_periods) = (0, 0);
+        for case in 0..500 {
+            let n = rng.gen_range(1..=12usize);
+            let acc = random_acceptance(&mut rng, n, 2);
+            let aut = random_structure(&mut rng, &sigma, n).with_acceptance(acc);
+            let word = random_lasso(&mut rng, &sigma, 5, 6);
+            let round = |q: StateId| word.cycle().iter().fold(q, |q, &s| aut.step(q, s));
+            let mut q = aut.run(word.spoke().iter().copied());
+            let mut entries = vec![q];
+            for _ in 0..n {
+                q = round(q);
+                entries.push(q);
+            }
+            let mut reference = BitSet::new();
+            for _ in 0..n {
+                for &sym in word.cycle() {
+                    q = aut.step(q, sym);
+                    reference.insert(q as usize);
+                }
+            }
+            // The first entry state that recurs starts the cycle.
+            let (tail, period) = (0..=n)
+                .find_map(|i| {
+                    let again = entries[i + 1..].iter().position(|&e| e == entries[i]);
+                    again.map(|p| (i, p + 1))
+                })
+                .unwrap();
+            tails += usize::from(tail > 0);
+            long_periods += usize::from(period > 1);
+            assert_eq!(aut.infinity_set(&word), reference, "case {case}");
+            assert_eq!(
+                aut.accepts(&word),
+                aut.acceptance().accepts_infinity_set(&reference),
+                "case {case}"
+            );
+        }
+        assert!(tails > 50 && long_periods > 50, "{tails} {long_periods}");
     }
 
     #[test]

@@ -610,12 +610,18 @@ fn print_audit(audit: &hierarchy_lint::SuiteAudit) {
     let n = audit.names.len();
     println!(
         "{n} member{} audited, {findings} finding{}{}; prefilter decided {}/{} pairs, \
-         {} oracle call{}{}",
+         lasso bank settled {} quer{}, {} oracle call{}{}",
         if n == 1 { "" } else { "s" },
         if findings == 1 { "" } else { "s" },
         if audit.is_clean() { " (clean)" } else { "" },
         audit.prefilter.hash_decided,
         audit.prefilter.pairs,
+        audit.prefilter.lasso_decided,
+        if audit.prefilter.lasso_decided == 1 {
+            "y"
+        } else {
+            "ies"
+        },
         audit.prefilter.oracle_calls,
         if audit.prefilter.oracle_calls == 1 {
             ""

@@ -11,12 +11,19 @@
 //! regexes, HOA artifacts):
 //!
 //! 1. **Subsumption lattice.** The full pairwise containment matrix
-//!    `subsumption[i][j] ⇔ L_i ⊆ L_j`, computed through the polynomial
-//!    inclusion oracle of [`Analysis::is_subset_of`] with a canonical-
-//!    hash prefilter: members with equal [`structural_hash`] canonical
-//!    forms are language-equal by construction, so their matrix cells
-//!    cost nothing. [`PrefilterStats`] records how many pairs the hash
-//!    decided versus how many oracle runs were issued, and the
+//!    `subsumption[i][j] ⇔ L_i ⊆ L_j`, filled in three steps. First the
+//!    canonical-hash prefilter: members with equal [`structural_hash`]
+//!    canonical forms are language-equal by construction, so both their
+//!    cells are `true`. Then the suite's *lasso bank*: every member's
+//!    lasso sample ([`Analysis::accepted_lasso`] and
+//!    [`Analysis::rejected_lasso`]), and one table of which members
+//!    accept which bank lasso; cell `(i, j)` is `false` when some lasso
+//!    is accepted by `i` and rejected by `j`, a witness of
+//!    `L_i ⊄ L_j`. Most non-inclusions fall here, since two distinct
+//!    languages tend to differ on the simple words a sample holds.
+//!    Last, the polynomial inclusion oracle of [`Analysis::is_subset_of`]
+//!    on the cells left. [`PrefilterStats`] records what the hash and
+//!    the bank decided and how many oracle runs were issued, and the
 //!    aggregated [`AnalysisStats`] delta shows the memo reuse
 //!    (`inclusion_hits`) when the same contexts are audited twice — the
 //!    warm-path payoff the serve daemon banks on.
@@ -28,13 +35,18 @@
 //!    α/language-equivalence (canonical hash first, oracle fallback —
 //!    shared with the serve store through
 //!    [`canonical::language_eq`]), `SUITE003` conflicting pair (product
-//!    emptiness: jointly unsatisfiable), `SUITE004` class overkill
+//!    emptiness: jointly unsatisfiable; a bank lasso both members accept
+//!    clears a pair without the oracle), `SUITE004` class overkill
 //!    relative to the suite, `SUITE005` dead atomic proposition.
 //! 4. **Hierarchy coverage.** A per-class histogram over the
 //!    safety–progress hierarchy, the raw material for `SUITE004`.
 //!
-//! Complexity budget: `n` members cost `O(n²)` pairwise queries, each
-//! polynomial in the (quotiented) state counts; the conjunction used by
+//! Complexity budget: `n` members cost `O(n²)` pairwise queries. The
+//! bank answers each with a lookup in the `n × |bank|` membership table
+//! (`|bank| ≤ 2n`), which costs at most `2n²` deterministic runs on a
+//! lasso per audit, warm or cold; the samples themselves are drawn once
+//! per context. Each cell the bank leaves costs one oracle query, polynomial
+//! in the (quotiented) state counts. The conjunction used by
 //! `SUITE001`/`SUITE004` is folded with per-step minimization under
 //! [`AuditOptions::conjunction_cap`] and skipped honestly (counted in
 //! [`SuiteAudit::deep_checks_skipped`]) when the cap is hit.
@@ -44,8 +56,10 @@
 use crate::diagnostic::{Diagnostic, Location, Severity};
 use crate::registry;
 use hierarchy_automata::analysis::{Analysis, AnalysisStats};
+use hierarchy_automata::bitset::BitSet;
 use hierarchy_automata::canonical::{self, hash_canonical, ArtifactHash, LanguageEq};
 use hierarchy_automata::classify::Classification;
+use hierarchy_automata::lasso::Lasso;
 use hierarchy_automata::minimize::minimize;
 use hierarchy_automata::omega::OmegaAutomaton;
 use hierarchy_automata::par;
@@ -75,7 +89,8 @@ impl Default for AuditOptions {
     }
 }
 
-/// What the canonical-hash prefilter saved on the pairwise matrix.
+/// What the two steps in front of the inclusion oracle — the
+/// canonical-hash prefilter and the suite's lasso bank — settled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefilterStats {
     /// Unordered member pairs considered (`n·(n−1)/2`).
@@ -83,6 +98,11 @@ pub struct PrefilterStats {
     /// Pairs fully decided by canonical-hash equality (both containment
     /// directions for free).
     pub hash_decided: u64,
+    /// Oracle queries the lasso bank made unnecessary: matrix cells
+    /// `(i, j)` refuted by a lasso `i` accepts and `j` rejects, plus
+    /// `SUITE003` candidate pairs cleared by a lasso both accept. Cells
+    /// count one per direction, so this is not a count of `pairs`.
+    pub lasso_decided: u64,
     /// Inclusion/equivalence oracle queries actually issued by the
     /// auditor (memoized ones still count — see
     /// [`AnalysisStats::inclusion_hits`] for the reuse).
@@ -241,15 +261,32 @@ pub fn audit_suite_ctx(
         hash_canonical(&c.minimization().quotient)
     });
     let oracle_calls = AtomicU64::new(0);
+    let lasso_decided = AtomicU64::new(0);
 
-    // Pairwise subsumption matrix, hash prefilter first: hash-equal
-    // members are language-equal by construction, so both directions
-    // are `true` without touching the oracle.
+    // The lasso bank: every member's sample (drawn once per context,
+    // off its counters), and per member the set of bank lassos it
+    // accepts.
+    let samples = par::map_with(jobs, items, |&(_, c)| {
+        [c.accepted_lasso(), c.rejected_lasso()]
+    });
+    let bank: Vec<&Lasso> = samples.iter().flatten().flatten().copied().collect();
+    let accepts: Vec<BitSet> = par::map_with(jobs, items, |(_, c)| {
+        let aut = c.automaton();
+        (0..bank.len()).filter(|&b| aut.accepts(bank[b])).collect()
+    });
+
+    // Pairwise subsumption matrix in three steps. Hash-equal members are
+    // language-equal by construction, so both directions are `true`; a
+    // bank lasso in `L_i − L_j` makes cell (i, j) `false`; only the
+    // cells left reach the oracle.
     let subsumption: Vec<Vec<bool>> = par::map_indices_with(jobs, n, |i| {
         (0..n)
             .map(|j| {
                 if i == j || hashes[i] == hashes[j] {
                     true
+                } else if !accepts[i].is_subset(&accepts[j]) {
+                    lasso_decided.fetch_add(1, Ordering::Relaxed);
+                    false
                 } else {
                     oracle_calls.fetch_add(1, Ordering::Relaxed);
                     items[i].1.is_subset_of(items[j].1.automaton())
@@ -329,13 +366,18 @@ pub fn audit_suite_ctx(
 
     // SUITE003: jointly unsatisfiable pairs of representatives.
     // Comparable non-empty pairs cannot conflict (the intersection is
-    // the smaller language), so only incomparable pairs reach the
-    // oracle — as `L_a ⊆ ¬L_b`, which rides the inclusion memo.
+    // the smaller language), and neither can a pair that both accept a
+    // bank lasso, so only the incomparable pairs left reach the oracle —
+    // as `L_a ⊆ ¬L_b`, which rides the inclusion memo.
     let mut conflict_pairs: Vec<(usize, usize)> = Vec::new();
     for (k, &a) in reps.iter().enumerate() {
         for &b in &reps[k + 1..] {
             if !empty[a] && !empty[b] && !below(a, b) && !below(b, a) {
-                conflict_pairs.push((a, b));
+                if accepts[a].intersects(&accepts[b]) {
+                    lasso_decided.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    conflict_pairs.push((a, b));
+                }
             }
         }
     }
@@ -538,6 +580,7 @@ pub fn audit_suite_ctx(
         prefilter: PrefilterStats {
             pairs,
             hash_decided,
+            lasso_decided: lasso_decided.into_inner(),
             oracle_calls: oracle_calls.into_inner(),
         },
         stats,
@@ -644,11 +687,12 @@ impl SuiteAudit {
         }
         out.push_str(&format!(
             "}}, \"suite_diagnostics\": {}, \"prefilter\": {{\"pairs\": {}, \
-             \"hash_decided\": {}, \"oracle_calls\": {}}}, \"deep_checks_skipped\": {}, \
-             \"stats\": {}}}",
+             \"hash_decided\": {}, \"lasso_decided\": {}, \"oracle_calls\": {}}}, \
+             \"deep_checks_skipped\": {}, \"stats\": {}}}",
             report_to_json(&self.suite_diagnostics),
             self.prefilter.pairs,
             self.prefilter.hash_decided,
+            self.prefilter.lasso_decided,
             self.prefilter.oracle_calls,
             self.deep_checks_skipped,
             stats_to_json(&self.stats),

@@ -536,6 +536,10 @@ impl Service {
                         Json::Int(audit.prefilter.hash_decided as i64),
                     ),
                     (
+                        "lasso_decided",
+                        Json::Int(audit.prefilter.lasso_decided as i64),
+                    ),
+                    (
                         "oracle_calls",
                         Json::Int(audit.prefilter.oracle_calls as i64),
                     ),

@@ -632,6 +632,10 @@ fn golden_audit(id: i64, reference: &[(String, Analysis)], warm: bool) -> String
                             Json::Int(audit.prefilter.hash_decided as i64),
                         ),
                         (
+                            "lasso_decided",
+                            Json::Int(audit.prefilter.lasso_decided as i64),
+                        ),
+                        (
                             "oracle_calls",
                             Json::Int(audit.prefilter.oracle_calls as i64),
                         ),

@@ -7,6 +7,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
+# The workspace run includes the differential suites: the
+# abstract-interpretation suite `absint_soundness` (value-set +
+# relational domains, paper programs, the parameterized N-process
+# families, and the random sweep), the quotient-first suite
+# `minimize_soundness` (language preservation, verdict and lint-report
+# identity raw vs quotient, idempotence), and the direct-inclusion suite
+# `inclusion_soundness` (Streett/Rabin/parity verdicts vs the complement
+# oracle, counterexample-lasso replay, structural invariants).
 cargo test --offline --workspace --quiet
 # The cross-validation suite in the release profile too: its pass counts
 # are read with `stats_total`, which must see the quotient context's
@@ -17,17 +25,6 @@ cargo test --release --offline -p temporal-properties \
 # batch classification path is exercised even on single-core hosts.
 HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test analysis_cross_validation --test parallel_stress --quiet
-# The abstract-interpretation differential suite (value-set + relational
-# domains, paper programs, the parameterized N-process families, and the
-# random sweep).
-cargo test --offline -p temporal-properties --test absint_soundness --quiet
-# The quotient-first differential suite (language preservation, verdict
-# and lint-report identity raw vs quotient, idempotence).
-cargo test --offline -p temporal-properties --test minimize_soundness --quiet
-# The direct-inclusion differential suite (Streett/Rabin/parity verdicts
-# vs the complement oracle, counterexample-lasso replay, structural
-# invariants).
-cargo test --offline -p temporal-properties --test inclusion_soundness --quiet
 # Smoke the invariant-vs-explicit benchmark: its expect() lines are the
 # acceptance checks (verdict identity, safety discharge incl. Peterson
 # under the relational domain, the states-vs-N family series, certificates).

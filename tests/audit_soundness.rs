@@ -4,9 +4,11 @@
 //! single-purpose oracle calls on fresh contexts: every cell of the
 //! subsumption matrix against [`Analysis::is_subset_of`], the
 //! `SUITE002` equivalence classes against pairwise [`Analysis::equivalent`],
-//! the `SUITE003` conflicts against product emptiness, and the
+//! the `SUITE003` conflicts against product emptiness, the
 //! `SUITE001` verdicts against an explicitly folded rest-of-suite
-//! conjunction. A separate test pins the PR's acceptance scenario: a
+//! conjunction, and the lasso bank's count against a bank rebuilt from
+//! the automata, whose every refutation the complement oracle confirms.
+//! A separate test pins the PR's acceptance scenario: a
 //! clean 20-property suite with one injected redundancy, one injected
 //! duplicate and one injected conflict reports exactly those three
 //! findings.
@@ -14,6 +16,8 @@
 use temporal_properties::audit_properties;
 use temporal_properties::automata::alphabet::Alphabet;
 use temporal_properties::automata::analysis::{Analysis, AnalysisStats};
+use temporal_properties::automata::canonical::structural_hash;
+use temporal_properties::automata::lasso::Lasso;
 use temporal_properties::automata::omega::OmegaAutomaton;
 use temporal_properties::automata::random::random_streett;
 use temporal_properties::automata::random::rng::{SeedableRng, StdRng};
@@ -42,6 +46,7 @@ fn random_suite(seed: u64, sigma: &Alphabet) -> Vec<(String, OmegaAutomaton)> {
 #[test]
 fn audit_agrees_with_direct_oracles_on_200_suites() {
     let sigma = sigma();
+    let (mut bank_settled, mut oracle_calls) = (0, 0);
     for seed in 0..200u64 {
         let suite = random_suite(seed, &sigma);
         let n = suite.len();
@@ -169,7 +174,54 @@ fn audit_agrees_with_direct_oracles_on_200_suites() {
                     && !audit.subsumption[b][c]
             }));
         }
+
+        // 6. The lasso bank, rebuilt from the automata alone: each
+        //    member's accepted lasso and its complement's. It settles
+        //    every hash-distinct cell (i, j) with a lasso i accepts and
+        //    j rejects — each such cell is a non-inclusion by the
+        //    complement oracle — and every conflict candidate (an
+        //    incomparable non-empty representative pair) with a lasso
+        //    both accept; `lasso_decided` counts exactly those.
+        let bank: Vec<Lasso> = suite
+            .iter()
+            .flat_map(|(_, a)| [a.accepted_lasso(), a.complement().accepted_lasso()])
+            .flatten()
+            .collect();
+        let accepts = |i: usize, w: &Lasso| suite[i].1.accepts(w);
+        let hashes: Vec<_> = suite.iter().map(|(_, a)| structural_hash(a)).collect();
+        let mut settled = 0;
+        for i in 0..n {
+            for j in (0..n).filter(|&j| hashes[j] != hashes[i]) {
+                if let Some(w) = bank.iter().find(|w| accepts(i, w) && !accepts(j, w)) {
+                    assert!(
+                        !suite[i].1.is_subset_of_via_complement(&suite[j].1),
+                        "seed {seed}: lasso {w:?} settled a true cell ({i},{j})"
+                    );
+                    assert!(!audit.subsumption[i][j]);
+                    settled += 1;
+                }
+            }
+        }
+        for (k, &a) in reps.iter().enumerate() {
+            for &b in &reps[k + 1..] {
+                let comparable = audit.subsumption[a][b] || audit.subsumption[b][a];
+                if !empty[a] && !empty[b] && !comparable {
+                    settled += usize::from(bank.iter().any(|w| accepts(a, w) && accepts(b, w)));
+                }
+            }
+        }
+        assert_eq!(
+            audit.prefilter.lasso_decided, settled as u64,
+            "seed {seed}: the bank's count"
+        );
+        bank_settled += settled;
+        oracle_calls += audit.prefilter.oracle_calls as usize;
     }
+    // The sweep exercises both paths (730 settled, 817 oracle calls).
+    assert!(
+        bank_settled > 0 && oracle_calls > 0,
+        "{bank_settled} settled by the bank, {oracle_calls} oracle calls"
+    );
 }
 
 /// `--jobs N` never changes the report, only the wall time: the same

@@ -128,28 +128,27 @@ impl Oracle {
             .any(|(c, a)| *a != accepting && c.is_subset(&live))
     }
 
-    /// Maximal n admitting B₁ ⊆ J₁ ⊆ … ⊆ Bₙ ⊆ Jₙ (alternating
-    /// rejecting/accepting, counting completed pairs), by depth-first
-    /// chain extension; at least 1 by the paper's convention.
+    /// The most rejecting cycles on one chain `C₁ ⊆ C₂ ⊆ …` of cycles
+    /// with alternating statuses, starting from either status, by
+    /// depth-first chain extension; at least 1 by the paper's
+    /// convention. A chain with `n` rejecting cycles is what no
+    /// intersection of fewer than `n` simple reactivity properties can
+    /// carry.
     fn reactivity_index(&self) -> usize {
-        fn extend(oracle: &Oracle, from: Option<&BitSet>, want_accepting: bool) -> usize {
+        fn extend(oracle: &Oracle, from: Option<&BitSet>, accepting: bool) -> usize {
             let mut best = 0;
             for (c, acc) in &oracle.cycles {
-                if *acc != want_accepting {
+                if *acc != accepting || from.is_some_and(|f| !f.is_subset(c)) {
                     continue;
                 }
-                if let Some(f) = from {
-                    if !f.is_subset(c) {
-                        continue;
-                    }
-                }
-                let rest = extend(oracle, Some(c), !want_accepting);
-                let here = if want_accepting { 1 + rest } else { rest };
-                best = best.max(here);
+                let rest = extend(oracle, Some(c), !accepting);
+                best = best.max(usize::from(!accepting) + rest);
             }
             best
         }
-        extend(self, None, false).max(1)
+        extend(self, None, false)
+            .max(extend(self, None, true))
+            .max(1)
     }
 }
 
@@ -210,6 +209,19 @@ fn assert_chain_queries(aut: &OmegaAutomaton, oracle: &Oracle, case: &str) {
         ctx.rabin_index(),
         Oracle::new(&aut.complement()).reactivity_index(),
         "Rabin index, {case}"
+    );
+    // The verdict agrees with itself: one Streett pair exactly for simple
+    // reactivity, and the Rabin index is the complement's reactivity
+    // index.
+    assert_eq!(
+        c.is_simple_reactivity,
+        c.reactivity_index == 1,
+        "simple reactivity vs index, {case}"
+    );
+    assert_eq!(
+        ctx.rabin_index(),
+        Analysis::new(aut.complement()).reactivity_index(),
+        "Rabin index vs complement, {case}"
     );
 }
 
@@ -304,7 +316,7 @@ fn accepting_cycle_kernel_matches_bruteforce_oracle() {
         free_live.intersect_with(&aut.reachable_states());
         assert_eq!(free_live, live, "case {i}: live states");
         assert_eq!(*ctx.live(), live, "case {i}: live states (context)");
-        for lasso in [aut.accepted_lasso(), ctx.accepted_lasso()] {
+        for lasso in [aut.accepted_lasso(), ctx.accepted_lasso().cloned()] {
             match lasso {
                 Some(w) => assert!(!empty && aut.accepts(&w), "case {i}: lasso replay"),
                 None => assert!(empty, "case {i}: missing lasso"),

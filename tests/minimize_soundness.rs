@@ -115,6 +115,17 @@ fn classification_and_rabin_index_are_identical_quotient_vs_raw() {
             raw.rabin_index(),
             "seed {seed}: quotient-first Rabin index diverged"
         );
+        let v = quot.classification();
+        assert_eq!(
+            v.is_simple_reactivity,
+            v.reactivity_index == 1,
+            "seed {seed}"
+        );
+        assert_eq!(
+            quot.rabin_index(),
+            Analysis::new(raw.automaton().complement()).reactivity_index(),
+            "seed {seed}: Rabin index vs the complement's reactivity index"
+        );
     }
 }
 

@@ -121,7 +121,14 @@ fn complement_swaps_dual_classes() {
         assert_eq!(c.is_recurrence, cc.is_persistence);
         assert_eq!(c.is_persistence, cc.is_recurrence);
         assert_eq!(c.is_obligation, cc.is_obligation);
-        assert_eq!(c.reactivity_index, cc.reactivity_index);
+        // The reactivity index of L is the Rabin index of ¬L (and the
+        // Rabin index of L the reactivity index of ¬L); index 1 is
+        // exactly simple reactivity.
+        let rabin = |aut: &OmegaAutomaton| Analysis::new(aut.clone()).rabin_index();
+        assert_eq!(c.reactivity_index, rabin(&aut.complement()));
+        assert_eq!(rabin(&aut), cc.reactivity_index);
+        assert_eq!(c.is_simple_reactivity, c.reactivity_index == 1);
+        assert_eq!(cc.is_simple_reactivity, cc.reactivity_index == 1);
     });
 }
 
