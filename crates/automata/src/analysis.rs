@@ -44,14 +44,15 @@
 //!   lasso sample: one word in the language and one outside it, each
 //!   drawn once. A lasso that one automaton accepts and another rejects
 //!   refutes inclusion with one deterministic run per side, so the
-//!   suite audit and [`crate::canonical::language_eq`] try the sample
-//!   before the inclusion oracle. The sample is drawn by the
-//!   automaton's own kernel run ([`OmegaAutomaton::accepted_lasso`] on
-//!   the automaton and on its complement), which keeps its own SCC
-//!   memo: drawn through [`Analysis::sccs`], it would move passes from
-//!   whichever query came next into whichever request drew the sample,
-//!   and per-request counters (the daemon's `stats` blocks) would depend
-//!   on the order requests arrived in.
+//!   suite audit and the serve store's ingest sweep pool the samples in
+//!   a [`crate::canonical::LassoBank`] and try it before the inclusion
+//!   oracle. The sample is drawn by the automaton's own kernel run
+//!   ([`OmegaAutomaton::accepted_lasso`] on the automaton and on its
+//!   complement), which keeps its own SCC memo: drawn through
+//!   [`Analysis::sccs`], it would move passes from whichever query came
+//!   next into whichever request drew the sample, and per-request
+//!   counters (the daemon's `stats` blocks) would depend on the order
+//!   requests arrived in.
 //!
 //! Each question has one entry point here; the free functions that remain
 //! elsewhere ([`crate::classify::classify`], the topology predicates, the

@@ -28,8 +28,10 @@
 //! language through differently shaped acceptance conditions (say a
 //! Büchi condition and an equivalent one-pair Streett condition) and
 //! hash apart. The service closes that gap at ingest time with an
-//! explicit equivalence sweep (see `crates/serve`); the hash is the
-//! cheap first-level key, not the full language identity.
+//! explicit equivalence sweep (see `crates/serve`): a [`LassoBank`]
+//! separates most hash-distinct pairs, and the equivalence oracle
+//! decides the rest. The hash is the cheap first-level key, not the full
+//! language identity.
 //!
 //! The hash itself is a 128-bit non-cryptographic digest (two mixed
 //! FNV-1a lanes finalized with splitmix64) over an unambiguous byte
@@ -39,6 +41,8 @@
 
 use crate::acceptance::Acceptance;
 use crate::analysis::Analysis;
+use crate::bitset::BitSet;
+use crate::lasso::Lasso;
 use crate::minimize::minimize;
 use crate::omega::OmegaAutomaton;
 use std::fmt;
@@ -206,70 +210,63 @@ pub fn structural_hash(aut: &OmegaAutomaton) -> ArtifactHash {
     hash_canonical(&minimize(aut).quotient)
 }
 
-/// How [`language_eq`] decided (or failed to decide) language equality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LanguageEq {
-    /// The canonical hashes agree: language-equal with **no** oracle
-    /// call, since hash equality over a shared alphabet implies
-    /// identical canonical structure (see the module docs).
-    HashEqual,
-    /// The hashes differ but the
-    /// [`Analysis::equivalent`](crate::analysis::Analysis::equivalent)
-    /// oracle proved the languages equal — the same language recognized
-    /// through differently shaped acceptance conditions.
-    OracleEqual,
-    /// The languages provably differ.
-    Distinct,
+/// The lasso samples of a list of [`Analysis`] contexts: the words that
+/// refute a language equality or inclusion before the oracle is asked.
+///
+/// A deterministic automaton decides a lasso in one run, and two
+/// distinct ω-regular languages differ on some lasso, so a bank lasso on
+/// which two automata disagree proves their languages distinct without
+/// an oracle run. The bank holds each context's
+/// [`Analysis::accepted_lasso`] and then its
+/// [`Analysis::rejected_lasso`], context by context in the order given
+/// (an empty or a universal language adds one word). Every lasso is a
+/// word over its context's alphabet, so a bank is built over contexts of
+/// one alphabet and asked about automata of that alphabet only.
+///
+/// [`Self::row`] records which bank lassos one automaton accepts, and
+/// [`Self::separates`] compares another automaton against such a row,
+/// stopping at the first lasso on which they disagree. The suite audit
+/// (`lint::suite`) compares one row per member; the serve store's
+/// ingest sweep takes the newcomer's row once and asks `separates` of
+/// each stored entry, which costs a few runs per entry rather than a
+/// row.
+pub struct LassoBank<'a> {
+    lassos: Vec<&'a Lasso>,
 }
 
-impl LanguageEq {
-    /// Whether the verdict is "same language".
-    pub fn is_equal(self) -> bool {
-        !matches!(self, LanguageEq::Distinct)
+impl<'a> LassoBank<'a> {
+    /// The bank of the samples of `ctxs`, in order. A sample not drawn
+    /// yet is drawn here, off the context's counters (see
+    /// [`Analysis::accepted_lasso`]).
+    pub fn new(ctxs: impl IntoIterator<Item = &'a Analysis>) -> LassoBank<'a> {
+        let lassos = ctxs
+            .into_iter()
+            .flat_map(|ctx| [ctx.accepted_lasso(), ctx.rejected_lasso()])
+            .flatten()
+            .collect();
+        LassoBank { lassos }
     }
-}
 
-/// Decides language equality of `lhs` — with its precomputed
-/// [`structural_hash`] and a live [`Analysis`] context — against `rhs`
-/// in three steps: the canonical hash, then `lhs`'s lasso sample, then
-/// the polynomial equivalence oracle. Returns `None` when the alphabets
-/// differ (equivalence is undefined across alphabets).
-///
-/// The sample refutes before the oracle proves: when `rhs` rejects
-/// [`Analysis::accepted_lasso`](crate::analysis::Analysis::accepted_lasso)
-/// or accepts
-/// [`Analysis::rejected_lasso`](crate::analysis::Analysis::rejected_lasso),
-/// the languages are `Distinct` after two runs of `rhs` on a lasso, with
-/// no oracle run and no count in `lhs`'s
-/// [`AnalysisStats`](crate::analysis::AnalysisStats). Only pairs the
-/// sample cannot tell apart reach [`Analysis::equivalent`].
-///
-/// This is the single implementation behind both the serve store's
-/// ingest-time equivalence sweep and the suite auditor's `SUITE002`
-/// duplicate rule, so the two paths cannot drift: hash-equal pairs are
-/// answered for free, most distinct pairs by the sample, and only the
-/// rest spend an oracle run.
-pub fn language_eq(
-    lhs_hash: ArtifactHash,
-    lhs: &Analysis,
-    rhs_hash: ArtifactHash,
-    rhs: &OmegaAutomaton,
-) -> Option<LanguageEq> {
-    if lhs.automaton().alphabet() != rhs.alphabet() {
-        return None;
+    /// The positions of the bank lassos `aut` accepts: one run of `aut`
+    /// per lasso.
+    pub fn row(&self, aut: &OmegaAutomaton) -> BitSet {
+        (0..self.lassos.len())
+            .filter(|&b| aut.accepts(self.lassos[b]))
+            .collect()
     }
-    if lhs_hash == rhs_hash {
-        return Some(LanguageEq::HashEqual);
-    }
-    if lhs.accepted_lasso().is_some_and(|w| !rhs.accepts(w))
-        || lhs.rejected_lasso().is_some_and(|w| rhs.accepts(w))
-    {
-        return Some(LanguageEq::Distinct);
-    }
-    if lhs.equivalent(rhs) {
-        Some(LanguageEq::OracleEqual)
-    } else {
-        Some(LanguageEq::Distinct)
+
+    /// Whether some bank lasso lands on `aut` differently from `row`, a
+    /// [`Self::row`] of another automaton: a word in one language and not
+    /// in the other, so the two languages differ. Runs `aut` on the
+    /// lassos in bank order and stops at the first that separates; only
+    /// an automaton that agrees with `row` everywhere pays a run per
+    /// lasso. `false` proves nothing: languages the bank cannot tell
+    /// apart may still differ.
+    pub fn separates(&self, row: &BitSet, aut: &OmegaAutomaton) -> bool {
+        self.lassos
+            .iter()
+            .enumerate()
+            .any(|(b, w)| aut.accepts(w) != row.contains(b))
     }
 }
 
@@ -374,132 +371,67 @@ mod tests {
         assert_eq!(hash_bytes("program", b"x"), hash_bytes("program", b"x"));
     }
 
+    /// A bank lasso on which two automata disagree separates them with
+    /// no oracle run; no lasso separates equal languages; and a lasso of
+    /// a third context separates a pair that one side's sample cannot.
     #[test]
-    fn language_eq_hash_path_spends_no_oracle_run() {
-        let sigma = ab();
-        let mut rng = StdRng::seed_from_u64(0xDEDBEEF);
-        let (aut, _) = random_streett(&mut rng, &sigma, 6, 2, 0.3);
-        let renamed = {
-            // A bisimilar variant: the canonical quotient is identical,
-            // so the hashes collide and the oracle must stay cold.
-            minimize(&aut).quotient
-        };
-        let ctx = Analysis::new(aut.clone());
-        let verdict = language_eq(
-            structural_hash(&aut),
-            &ctx,
-            structural_hash(&renamed),
-            &renamed,
-        );
-        assert_eq!(verdict, Some(LanguageEq::HashEqual));
-        assert_eq!(
-            ctx.stats_total().inclusion_checks,
-            0,
-            "hash-equal pair must not reach the oracle"
-        );
-    }
-
-    #[test]
-    fn language_eq_oracle_path_closes_the_hash_gap() {
-        // The universal language written two ways: `Acceptance::True`
-        // versus an `Inf` set covering the only state. The canonical
-        // forms differ (acceptance shape is part of the hash), so only
-        // the oracle can identify them.
-        let sigma = ab();
-        let as_true = OmegaAutomaton::universal(&sigma);
-        let as_inf = as_true.with_acceptance(Acceptance::inf([0]));
-        let (ha, hb) = (structural_hash(&as_true), structural_hash(&as_inf));
-        assert_ne!(ha, hb);
-        let ctx = Analysis::new(as_true);
-        assert_eq!(
-            language_eq(ha, &ctx, hb, &as_inf),
-            Some(LanguageEq::OracleEqual)
-        );
-        assert!(ctx.stats_total().inclusion_checks > 0);
-    }
-
-    /// The lasso sample refutes before the oracle proves: a pair the
-    /// sample separates is `Distinct` with no oracle run, while an equal
-    /// pair, and a distinct pair that both lassos of the left side miss,
-    /// still reach the oracle.
-    #[test]
-    fn language_eq_refutes_with_the_lasso_sample_before_the_oracle() {
+    fn lasso_bank_separates_with_the_samples() {
         let sigma = ab();
         let b = sigma.symbol("b").unwrap();
         let last_b = |acc| OmegaAutomaton::build(&sigma, 2, 0, |_, s| StateId::from(s == b), acc);
         let inf_b = last_b(Acceptance::inf([1]));
-        let checks = |ctx: &Analysis| ctx.stats_total().inclusion_checks;
+        let ctx = Analysis::new(inf_b.clone());
+        let bank = LassoBank::new([&ctx]);
+        let row = bank.row(&inf_b);
+        assert_eq!(
+            row,
+            BitSet::from_iter([0]),
+            "accepted lasso in, rejected out"
+        );
+        assert!(!bank.separates(&row, &inf_b));
 
         // □◇b against ◇□a: the accepted lasso of □◇b separates them.
-        let ctx = Analysis::new(inf_b.clone());
         let fin_b = last_b(Acceptance::fin([1]));
         assert!(!fin_b.accepts(ctx.accepted_lasso().unwrap()));
-        let verdict = language_eq(
-            structural_hash(&inf_b),
-            &ctx,
-            structural_hash(&fin_b),
-            &fin_b,
-        );
-        assert_eq!(verdict, Some(LanguageEq::Distinct));
-        assert_eq!(checks(&ctx), 0, "the sample settled it");
-        // □◇b against Σ^ω: the accepted lasso is in both, the rejected
-        // lasso a^ω only in Σ^ω.
-        let all = OmegaAutomaton::universal(&sigma);
-        let verdict = language_eq(structural_hash(&inf_b), &ctx, structural_hash(&all), &all);
-        assert_eq!(verdict, Some(LanguageEq::Distinct));
-        assert_eq!(checks(&ctx), 0, "the rejected lasso settled it");
-
+        assert!(bank.separates(&row, &fin_b));
+        // □◇b against Σ^ω: the rejected lasso a^ω is in Σ^ω only.
+        assert!(bank.separates(&row, &OmegaAutomaton::universal(&sigma)));
         // □◇b again as the one-pair Streett condition Inf{1} ∨ Fin{0,1}:
-        // the hashes differ, no lasso separates equal languages, and the
-        // oracle proves equality.
+        // the hashes differ, and no lasso separates equal languages.
         let streett = inf_b.with_acceptance(Acceptance::inf([1]).or(Acceptance::fin([0, 1])));
         assert_ne!(structural_hash(&inf_b), structural_hash(&streett));
-        let verdict = language_eq(
-            structural_hash(&inf_b),
-            &ctx,
-            structural_hash(&streett),
-            &streett,
-        );
-        assert_eq!(verdict, Some(LanguageEq::OracleEqual));
-        assert_eq!(checks(&ctx), 1);
-
-        // □◇a ∧ □◇b against □◇b: the sample, (ba)^ω accepted and a^ω
-        // rejected, lands the same way on both, so the oracle runs and
-        // refutes.
+        assert!(!bank.separates(&row, &streett));
+        // □◇a ∧ □◇b: the sample of □◇b, (ba)^ω accepted and a^ω
+        // rejected, lands the same way on both...
         let both = last_b(Acceptance::inf([0]).and(Acceptance::inf([1])));
-        let ctx = Analysis::new(inf_b.clone());
-        let (acc, rej) = (ctx.accepted_lasso().unwrap(), ctx.rejected_lasso().unwrap());
-        assert!(both.accepts(acc) && !both.accepts(rej), "the sample misses");
-        let verdict = language_eq(structural_hash(&inf_b), &ctx, structural_hash(&both), &both);
-        assert_eq!(verdict, Some(LanguageEq::Distinct));
-        assert_eq!(checks(&ctx), 1, "the oracle decided");
+        assert!(!bank.separates(&row, &both), "the sample misses");
+        // ...but the accepted lasso of ◇□b, eventually only b, is in □◇b
+        // and not in □◇a ∧ □◇b.
+        let third = Analysis::new(last_b(Acceptance::fin([0])));
+        let wide = LassoBank::new([&ctx, &third]);
+        let row = wide.row(&inf_b);
+        assert!(wide.separates(&row, &both));
+        assert!(!wide.separates(&row, &streett));
+        for c in [&ctx, &third] {
+            assert_eq!(c.stats_total(), Default::default(), "no oracle, no pass");
+        }
     }
 
+    /// An empty language adds only its rejected lasso and a universal one
+    /// only its accepted lasso; rows index the bank in context order.
     #[test]
-    fn language_eq_distinct_and_alphabet_mismatch() {
+    fn lasso_bank_rows_follow_the_contexts() {
         let sigma = ab();
-        let universal = OmegaAutomaton::universal(&sigma);
-        let empty = OmegaAutomaton::empty(&sigma);
-        let ctx = Analysis::new(universal.clone());
-        let verdict = language_eq(
-            structural_hash(&universal),
-            &ctx,
-            structural_hash(&empty),
-            &empty,
+        let (none, all) = (
+            OmegaAutomaton::empty(&sigma),
+            OmegaAutomaton::universal(&sigma),
         );
-        assert_eq!(verdict, Some(LanguageEq::Distinct));
-        assert!(!LanguageEq::Distinct.is_equal());
-        assert!(LanguageEq::HashEqual.is_equal() && LanguageEq::OracleEqual.is_equal());
-        let other = OmegaAutomaton::universal(&Alphabet::new(["x", "y"]).unwrap());
-        assert_eq!(
-            language_eq(
-                structural_hash(&universal),
-                &ctx,
-                structural_hash(&other),
-                &other
-            ),
-            None,
-            "cross-alphabet comparison is undefined, not false"
-        );
+        let ctxs = [Analysis::new(none.clone()), Analysis::new(all.clone())];
+        let bank = LassoBank::new(&ctxs);
+        assert_eq!(bank.row(&none), BitSet::new());
+        assert_eq!(bank.row(&all), BitSet::from_iter([0, 1]));
+        assert!(bank.separates(&bank.row(&none), &all));
+        assert!(bank.separates(&bank.row(&all), &none));
+        assert!(LassoBank::new([]).row(&all).is_empty());
     }
 }

@@ -14,13 +14,14 @@
 //!    `subsumption[i][j] ⇔ L_i ⊆ L_j`, filled in three steps. First the
 //!    canonical-hash prefilter: members with equal [`structural_hash`]
 //!    canonical forms are language-equal by construction, so both their
-//!    cells are `true`. Then the suite's *lasso bank*: every member's
+//!    cells are `true`. Then the suite's [`LassoBank`]: every member's
 //!    lasso sample ([`Analysis::accepted_lasso`] and
 //!    [`Analysis::rejected_lasso`]), and one table of which members
-//!    accept which bank lasso; cell `(i, j)` is `false` when some lasso
-//!    is accepted by `i` and rejected by `j`, a witness of
-//!    `L_i ⊄ L_j`. Most non-inclusions fall here, since two distinct
-//!    languages tend to differ on the simple words a sample holds.
+//!    accept which bank lasso, a [`LassoBank::row`] per member; cell
+//!    `(i, j)` is `false` when some lasso is accepted by `i` and
+//!    rejected by `j`, a witness of `L_i ⊄ L_j`. Most non-inclusions
+//!    fall here, since two distinct languages tend to differ on the
+//!    simple words a sample holds.
 //!    Last, the polynomial inclusion oracle of [`Analysis::is_subset_of`]
 //!    on the cells left. [`PrefilterStats`] records what the hash and
 //!    the bank decided and how many oracle runs were issued, and the
@@ -32,9 +33,9 @@
 //!    `i → j` means `L_i ⊊ L_j` with no class strictly between.
 //! 3. **Suite rules.** `SUITE001` redundant property (implied by the
 //!    conjunction of the others), `SUITE002` duplicate up to
-//!    α/language-equivalence (canonical hash first, oracle fallback —
-//!    shared with the serve store through
-//!    [`canonical::language_eq`]), `SUITE003` conflicting pair (product
+//!    α/language-equivalence (both matrix cells `true`; equal hashes
+//!    mean an identical canonical form, distinct ones that the matrix's
+//!    oracle runs proved it), `SUITE003` conflicting pair (product
 //!    emptiness: jointly unsatisfiable; a bank lasso both members accept
 //!    clears a pair without the oracle), `SUITE004` class overkill
 //!    relative to the suite, `SUITE005` dead atomic proposition.
@@ -57,9 +58,8 @@ use crate::diagnostic::{Diagnostic, Location, Severity};
 use crate::registry;
 use hierarchy_automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_automata::bitset::BitSet;
-use hierarchy_automata::canonical::{self, hash_canonical, ArtifactHash, LanguageEq};
+use hierarchy_automata::canonical::{hash_canonical, ArtifactHash, LassoBank};
 use hierarchy_automata::classify::Classification;
-use hierarchy_automata::lasso::Lasso;
 use hierarchy_automata::minimize::minimize;
 use hierarchy_automata::omega::OmegaAutomaton;
 use hierarchy_automata::par;
@@ -263,17 +263,15 @@ pub fn audit_suite_ctx(
     let oracle_calls = AtomicU64::new(0);
     let lasso_decided = AtomicU64::new(0);
 
-    // The lasso bank: every member's sample (drawn once per context,
-    // off its counters), and per member the set of bank lassos it
-    // accepts.
-    let samples = par::map_with(jobs, items, |&(_, c)| {
-        [c.accepted_lasso(), c.rejected_lasso()]
+    // The lasso bank: every member's sample (drawn once per context, on
+    // the pool and off its counters), and per member its row, the set
+    // of bank lassos it accepts.
+    par::map_with(jobs, items, |(_, c)| {
+        c.accepted_lasso();
+        c.rejected_lasso();
     });
-    let bank: Vec<&Lasso> = samples.iter().flatten().flatten().copied().collect();
-    let accepts: Vec<BitSet> = par::map_with(jobs, items, |(_, c)| {
-        let aut = c.automaton();
-        (0..bank.len()).filter(|&b| aut.accepts(bank[b])).collect()
-    });
+    let bank = LassoBank::new(items.iter().map(|&(_, c)| c));
+    let accepts: Vec<BitSet> = par::map_with(jobs, items, |(_, c)| bank.row(c.automaton()));
 
     // Pairwise subsumption matrix in three steps. Hash-equal members are
     // language-equal by construction, so both directions are `true`; a
@@ -305,48 +303,34 @@ pub fn audit_suite_ctx(
     });
     let empty: Vec<bool> = par::map_with(jobs, items, |(_, c)| c.is_empty());
 
-    // Language-equivalence classes and SUITE002. The matrix already
-    // knows which members coincide; the shared canonical-hash-then-
-    // oracle helper (also behind the serve store's ingest sweep)
-    // re-derives *how* — for free on hash-equal pairs — so the
-    // diagnostic can say whether the duplicate is an α-renaming or a
-    // differently shaped acceptance condition.
+    // Language-equivalence classes and SUITE002, read off the matrix:
+    // two members coincide when both their cells are `true`. The hashes
+    // say *how*, so the diagnostic can tell an α-renaming (equal
+    // canonical forms) from a differently shaped acceptance condition
+    // (the matrix's oracle runs proved both inclusions).
     let mut representative: Vec<usize> = (0..n).collect();
     let mut duplicate: Vec<Option<Diagnostic>> = vec![None; n];
     for i in 0..n {
-        for j in 0..i {
-            if representative[j] == j && subsumption[i][j] && subsumption[j][i] {
-                let verdict = canonical::language_eq(
-                    hashes[j],
-                    items[j].1,
-                    hashes[i],
-                    items[i].1.automaton(),
+        if let Some(j) =
+            (0..i).find(|&j| representative[j] == j && subsumption[i][j] && subsumption[j][i])
+        {
+            let how = if hashes[i] == hashes[j] {
+                "identical canonical form"
+            } else {
+                "proved by the equivalence oracle"
+            };
+            representative[i] = j;
+            duplicate[i] = Some(
+                diag(
+                    &registry::SUITE002,
+                    Location::Root,
+                    format!(
+                        "recognizes exactly the same language as {:?} ({how})",
+                        items[j].0
+                    ),
                 )
-                .unwrap_or(LanguageEq::Distinct);
-                if verdict.is_equal() {
-                    if matches!(verdict, LanguageEq::OracleEqual) {
-                        oracle_calls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let how = match verdict {
-                        LanguageEq::HashEqual => "identical canonical form",
-                        LanguageEq::OracleEqual => "proved by the equivalence oracle",
-                        LanguageEq::Distinct => unreachable!(),
-                    };
-                    representative[i] = j;
-                    duplicate[i] = Some(
-                        diag(
-                            &registry::SUITE002,
-                            Location::Root,
-                            format!(
-                                "recognizes exactly the same language as {:?} ({how})",
-                                items[j].0
-                            ),
-                        )
-                        .with_suggestion("keep one of the two; the suite is unchanged"),
-                    );
-                    break;
-                }
-            }
+                .with_suggestion("keep one of the two; the suite is unchanged"),
+            );
         }
     }
     let class_size = |rep: usize| representative.iter().filter(|&&r| r == rep).count();
@@ -842,6 +826,39 @@ mod tests {
             .contains("identical canonical form"));
         // The duplicate pair was decided by the hash prefilter.
         assert!(audit.prefilter.hash_decided >= 1);
+    }
+
+    /// SUITE002 reads the matrix: □◇b as a Büchi condition and as the
+    /// one-pair Streett condition `Inf{1} ∨ Fin{0,1}` hash apart, the
+    /// two matrix cells prove both inclusions, and no third oracle run
+    /// re-derives the equivalence for the message.
+    #[test]
+    fn suite002_reads_a_differently_shaped_duplicate_off_the_matrix() {
+        let sigma = sigma_ab();
+        let b = sigma.symbol("b").unwrap();
+        let buchi = OmegaAutomaton::build(
+            &sigma,
+            2,
+            0,
+            |_, s| StateId::from(s == b),
+            Acceptance::inf([1]),
+        );
+        let streett = buchi.with_acceptance(Acceptance::inf([1]).or(Acceptance::fin([0, 1])));
+        let suite = named(&[("buchi", buchi), ("streett", streett)]);
+        let audit = audit_suite(&suite, &AuditOptions::default()).unwrap();
+        assert_eq!(audit.representative, vec![0, 0]);
+        assert_eq!(codes(&audit.member_diagnostics[1]), ["SUITE002"]);
+        assert_eq!(
+            audit.member_diagnostics[1][0].message,
+            "recognizes exactly the same language as \"buchi\" \
+             (proved by the equivalence oracle)"
+        );
+        assert_eq!(audit.prefilter.hash_decided, 0);
+        assert_eq!(
+            (audit.prefilter.oracle_calls, audit.stats.inclusion_checks),
+            (2, 2),
+            "one oracle run per matrix cell, none for the message"
+        );
     }
 
     #[test]

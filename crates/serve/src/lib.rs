@@ -17,8 +17,11 @@
 //! automata hash in canonical quotient form, so α-equivalent automata,
 //! formulas and regexes collide on purpose, and an ingest-time
 //! equivalence sweep aliases even hash-distinct equal languages onto
-//! one stored entry (see [`store`]). The store is a capacity-bounded
-//! LRU.
+//! one stored entry (see [`store`]). The sweep refutes first: a lasso
+//! bank pooled from the newcomer and every stored entry of its alphabet
+//! separates nearly every distinct entry with a few runs on a lasso, so
+//! the equivalence oracle runs only for the few entries it cannot
+//! separate. The store is a capacity-bounded LRU.
 //!
 //! # Protocol
 //!

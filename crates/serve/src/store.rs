@@ -4,25 +4,38 @@
 //! Every artifact is keyed by its structural hash
 //! ([`Servable::content_hash`]): the canonical quotient form for
 //! automata (so α-equivalent submissions collide by construction), the
-//! exact structural encoding for programs. On top of the hash key the
-//! store runs an **equivalence sweep** at automaton ingest: a new hash
-//! whose language equals an already-stored same-alphabet artifact (the
-//! Angluin–Fisman oracle answers through the stored entry's warm
-//! [`Analysis`]) is recorded as an *alias* of the stored entry instead
-//! of a new entry — near-duplicate submissions across users converge on
-//! one warm context even when their canonical forms differ (e.g. a
-//! Büchi and an equivalent one-pair Streett condition).
+//! exact structural encoding for programs. An automaton is hashed
+//! through the [`Analysis`] context built for it at ingest, which
+//! becomes the entry when the artifact is new, so its minimization runs
+//! once. On top of the hash key the store runs an **equivalence sweep**
+//! at automaton ingest: a new hash whose language equals an
+//! already-stored same-alphabet artifact is recorded as an *alias* of
+//! the stored entry instead of a new entry — near-duplicate submissions
+//! across users converge on one warm context even when their canonical
+//! forms differ (e.g. a Büchi and an equivalent one-pair Streett
+//! condition).
+//!
+//! The sweep refutes before it proves. One [`LassoBank`] per ingest
+//! holds the lasso samples of the newcomer and of every stored entry
+//! over its alphabet; the newcomer's row is taken once, and an entry on
+//! which some bank lasso lands differently has another language, found
+//! at the first such lasso. Only the entries no lasso separates reach
+//! the Angluin–Fisman oracle, which answers through the stored entry's
+//! warm [`Analysis`] (and is counted there). A lasso can only prove two
+//! languages distinct, so the bank decides no alias; it only saves
+//! oracle runs, which the sweep makes under the store lock.
 //!
 //! Eviction is least-recently-used over entries (aliases follow their
 //! entry); the clock ticks on every resolve and ingest touch.
 
 use hierarchy_core::automata::analysis::Analysis;
-use hierarchy_core::automata::canonical::{self, ArtifactHash};
+use hierarchy_core::automata::canonical::{hash_canonical, ArtifactHash, LassoBank};
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::fts::absint::Program;
 use hierarchy_core::lint::{lint_abstract_program, lint_automaton_ctx, report_to_json};
 use hierarchy_core::Servable;
 use std::collections::HashMap;
+use std::iter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -247,7 +260,10 @@ impl Store {
     /// entry, in that order (see the module docs).
     pub fn ingest_automaton(&mut self, aut: OmegaAutomaton, origin: &'static str) -> Ingested {
         self.stats.ingests += 1;
-        let hash = aut.content_hash();
+        // The newcomer's own context hashes it, so a fresh entry keeps
+        // the minimization its hash took.
+        let ctx = Analysis::new(aut);
+        let hash = hash_canonical(&ctx.minimization().quotient);
         let canonical = *self.aliases.get(&hash).unwrap_or(&hash);
         if let Some((entry, _)) = self.entries.get(&canonical) {
             let entry = Arc::clone(entry);
@@ -261,17 +277,28 @@ impl Store {
             };
         }
         // Equivalence sweep: the hash is new, but the language may not
-        // be. [`canonical::language_eq`] (shared with the suite
-        // auditor's SUITE002) rejects cross-alphabet entries outright
-        // and only then asks the oracle — through the stored entry's
-        // warm context, so repeat sweeps against the same store
-        // amortize.
-        let candidate = self.entries.values().find_map(|(entry, _)| {
-            let ctx = entry.analysis()?;
-            canonical::language_eq(entry.hash, ctx, hash, &aut)
-                .is_some_and(|v| v.is_equal())
-                .then(|| Arc::clone(entry))
-        });
+        // be. One lasso bank holds the samples of the newcomer and of
+        // every entry over its alphabet; an entry that lands differently
+        // from the newcomer's row on some bank lasso has another
+        // language. Only the entries no lasso separates reach the
+        // oracle, through their own warm context.
+        let sigma = ctx.automaton().alphabet();
+        let peers: Vec<(&Arc<Entry>, &Analysis)> = self
+            .entries
+            .values()
+            .filter_map(|(entry, _)| {
+                let peer = entry.analysis()?;
+                (peer.automaton().alphabet() == sigma).then_some((entry, peer))
+            })
+            .collect();
+        let bank = LassoBank::new(iter::once(&ctx).chain(peers.iter().map(|&(_, peer)| peer)));
+        let row = bank.row(ctx.automaton());
+        let candidate = peers
+            .iter()
+            .find(|&&(_, peer)| {
+                !bank.separates(&row, peer.automaton()) && peer.equivalent(ctx.automaton())
+            })
+            .map(|&(entry, _)| Arc::clone(entry));
         if let Some(entry) = candidate {
             let target = entry.hash;
             self.aliases.insert(hash, target);
@@ -284,11 +311,7 @@ impl Store {
                 evicted: Vec::new(),
             };
         }
-        let entry = Entry::new(
-            hash,
-            Payload::Automaton(Box::new(Analysis::new(aut))),
-            origin,
-        );
+        let entry = Entry::new(hash, Payload::Automaton(Box::new(ctx)), origin);
         let stamp = self.tick();
         self.entries.insert(hash, (Arc::clone(&entry), stamp));
         let evicted = self.evict_lru(hash);
@@ -348,6 +371,9 @@ mod tests {
     use super::*;
     use hierarchy_core::automata::acceptance::Acceptance;
     use hierarchy_core::automata::alphabet::Alphabet;
+    use hierarchy_core::automata::canonical::structural_hash;
+    use hierarchy_core::automata::random::random_streett;
+    use hierarchy_core::automata::random::rng::{Rng, SeedableRng, StdRng};
     use hierarchy_core::fts::absint;
 
     fn tracker(n: u32) -> OmegaAutomaton {
@@ -368,6 +394,25 @@ mod tests {
         )
     }
 
+    /// `tracker(n)` unrolled twice: bisimilar to it, with twice the
+    /// states.
+    fn tracker_unrolled(n: u32) -> OmegaAutomaton {
+        let sigma = Alphabet::new(["a", "b"]).unwrap();
+        let b = sigma.symbol("b").unwrap();
+        let m = 2 * (n + 2);
+        OmegaAutomaton::build(
+            &sigma,
+            m as usize,
+            0,
+            move |q, s| if s == b { (q + 1) % m } else { q },
+            Acceptance::inf([0, n as usize + 2]),
+        )
+    }
+
+    fn inclusion_checks(entry: &Entry) -> u64 {
+        entry.analysis().unwrap().stats_total().inclusion_checks
+    }
+
     #[test]
     fn hash_and_alias_dedup() {
         let mut store = Store::new(8);
@@ -376,9 +421,15 @@ mod tests {
         let again = store.ingest_automaton(tracker(1), "hoa");
         assert!(again.known);
         assert_eq!(again.entry.hash, first.entry.hash);
+        // A bisimilar blow-up has the same canonical form: a hash hit,
+        // with no sweep and no oracle run.
+        let unrolled = store.ingest_automaton(tracker_unrolled(1), "hoa");
+        assert!(unrolled.known);
+        assert_eq!(unrolled.hash, first.hash);
+        assert_eq!(inclusion_checks(&first.entry), 0);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.stats().dedup_hits, 1);
-        assert_eq!(store.stats().ingests, 2);
+        assert_eq!(store.stats().dedup_hits, 2);
+        assert_eq!(store.stats().ingests, 3);
     }
 
     #[test]
@@ -399,6 +450,147 @@ mod tests {
         assert_eq!(store.len(), 1);
         // The alias resolves from now on.
         assert!(store.resolve(all_inf.content_hash()).is_some());
+        // No lasso separates equal languages, so the alias cost exactly
+        // one oracle run, charged to the stored entry.
+        assert_eq!(inclusion_checks(&first.entry), 1);
+    }
+
+    /// The sweep neither banks nor asks the oracle about an entry of
+    /// another alphabet: Σ^ω over {a,b} and over {x,y,z} stay two fresh
+    /// entries.
+    #[test]
+    fn the_sweep_skips_other_alphabets() {
+        let mut store = Store::new(8);
+        for letters in [&["a", "b"][..], &["x", "y", "z"]] {
+            let sigma = Alphabet::new(letters.iter().copied()).unwrap();
+            let ingested = store.ingest_automaton(OmegaAutomaton::universal(&sigma), "hoa");
+            assert!(!ingested.known, "{letters:?}");
+        }
+        assert_eq!(store.len(), 2);
+        assert!(store.list().iter().all(|e| inclusion_checks(e) == 0));
+    }
+
+    /// A lasso of a third entry separates a pair whose own four sample
+    /// lassos land the same way on both sides, so the pair never reaches
+    /// the oracle: the bank spans every entry of the alphabet, not the
+    /// two sides of one comparison.
+    #[test]
+    fn a_third_entrys_lasso_separates_a_pair() {
+        let sigma = Alphabet::new(["a", "b"]).unwrap();
+        let mut rng = StdRng::seed_from_u64(22);
+        let auts: Vec<OmegaAutomaton> = (0..60)
+            .map(|_| random_streett(&mut rng, &sigma, 4, 2, 0.3).0)
+            .collect();
+        let ctxs: Vec<Analysis> = auts.iter().map(|a| Analysis::new(a.clone())).collect();
+        // Whether a sample lasso of one of `by` lands differently on `i`
+        // and on `j`.
+        let separated = |i: usize, j: usize, by: &[usize]| {
+            by.iter().any(|&k| {
+                [ctxs[k].accepted_lasso(), ctxs[k].rejected_lasso()]
+                    .into_iter()
+                    .flatten()
+                    .any(|w| auts[i].accepts(w) != auts[j].accepts(w))
+            })
+        };
+        // A pair (a, b) its own samples cannot separate, and a third
+        // automaton c whose sample does. Ingested as c, a, b, every other
+        // comparison is settled by the bank of the moment too: the
+        // samples of a and c for a, of a, b and c for b.
+        let (a, b, c) = (0..60)
+            .flat_map(|a| (a + 1..60).map(move |b| (a, b)))
+            .filter(|&(a, b)| !separated(a, b, &[a, b]))
+            .find_map(|(a, b)| {
+                let c = (0..60).find(|&c| {
+                    separated(a, b, &[c]) && separated(a, c, &[a, c]) && separated(b, c, &[a, b, c])
+                })?;
+                Some((a, b, c))
+            })
+            .expect("a pair separated only by a third automaton's sample");
+        let mut store = Store::new(8);
+        for k in [c, a, b] {
+            assert!(!store.ingest_automaton(auts[k].clone(), "hoa").known, "{k}");
+        }
+        for entry in store.list() {
+            assert_eq!(inclusion_checks(&entry), 0, "the bank settled every pair");
+        }
+    }
+
+    /// Language-preserving rewrites that change the hash: `∨ Fin(Q)` and
+    /// `∧ Inf(Q)` over the whole state set `Q` (every infinite run
+    /// visits some state infinitely often).
+    fn rewrite(aut: &OmegaAutomaton, disjoin: bool) -> OmegaAutomaton {
+        let all = 0..aut.num_states();
+        let acc = aut.acceptance().clone();
+        aut.with_acceptance(if disjoin {
+            Acceptance::Or(vec![acc, Acceptance::fin(all)])
+        } else {
+            Acceptance::And(vec![acc, Acceptance::inf(all)])
+        })
+    }
+
+    /// The sweep against a reference that asks the complement oracle of
+    /// every live entry, on a seeded stream of small random automata
+    /// over {p}, some rewritten under another hash, mixed with automata
+    /// over the letters {a,b,c}: every ingest gets the same `known` flag
+    /// and resolves to the same entry.
+    #[test]
+    fn sweep_matches_the_complement_oracle_on_a_seeded_stream() {
+        let props = Alphabet::of_propositions(["p"]).unwrap();
+        let letters = Alphabet::new(["a", "b", "c"]).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut store = Store::new(1024);
+        let mut live: Vec<(ArtifactHash, OmegaAutomaton)> = Vec::new();
+        let mut aliases: HashMap<ArtifactHash, ArtifactHash> = HashMap::new();
+        let mut seen: Vec<OmegaAutomaton> = Vec::new();
+        let mut sweep_aliases = 0;
+        for step in 0..300 {
+            let aut = if step % 4 == 3 {
+                let base = &seen[rng.gen_range(0..seen.len())];
+                rewrite(base, rng.gen_bool(0.5))
+            } else {
+                let sigma = if step % 10 == 7 { &letters } else { &props };
+                let n = rng.gen_range(1..=4usize);
+                let pairs = rng.gen_range(1..=2usize);
+                random_streett(&mut rng, sigma, n, pairs, 0.4).0
+            };
+            let hash = structural_hash(&aut);
+            let stored = |h: ArtifactHash| live.iter().any(|(l, _)| *l == h).then_some(h);
+            let expected = aliases
+                .get(&hash)
+                .copied()
+                .or_else(|| stored(hash))
+                .or_else(|| {
+                    live.iter()
+                        .find(|(_, e)| {
+                            e.alphabet() == aut.alphabet() && e.equivalent_via_complement(&aut)
+                        })
+                        .map(|(h, _)| *h)
+                });
+            let got = store.ingest_automaton(aut.clone(), "hoa");
+            assert_eq!(got.hash, hash, "step {step}");
+            assert_eq!(got.known, expected.is_some(), "step {step}");
+            match expected {
+                Some(target) => {
+                    assert_eq!(got.entry.hash, target, "step {step}");
+                    if target != hash && aliases.insert(hash, target).is_none() {
+                        sweep_aliases += 1;
+                    }
+                }
+                None => live.push((hash, aut.clone())),
+            }
+            seen.push(aut);
+        }
+        assert_eq!(store.len(), live.len());
+        // Both outcomes of the sweep ran, and both alphabets are stored.
+        let letter_entries = live
+            .iter()
+            .filter(|(_, a)| a.alphabet() == &letters)
+            .count();
+        assert!(
+            letter_entries > 0 && sweep_aliases > 0 && live.len() > letter_entries,
+            "{} entries, {letter_entries} over letters, {sweep_aliases} sweep aliases",
+            live.len()
+        );
     }
 
     #[test]

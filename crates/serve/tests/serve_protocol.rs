@@ -5,7 +5,7 @@
 //! eviction/re-ingest cycle on the paper's running examples.
 
 use hierarchy_core::automata::analysis::Analysis;
-use hierarchy_core::automata::canonical::{self, LanguageEq};
+use hierarchy_core::automata::canonical::LassoBank;
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::automata::{hoa, inclusion};
 use hierarchy_core::fts::absint::{self, DomainKind};
@@ -666,21 +666,24 @@ fn golden_audit_session() {
         let aut = compile(source, props);
         let got = daemon.request(&ingest_formula_request(i as i64, source, props));
         assert_eq!(got, golden_ingest(i as i64, &aut, false), "ingest {source}");
-        // Replay the store's ingest-time equivalence sweep: each new
-        // artifact is compared against every stored context through
-        // `language_eq`, and those oracle runs leave memo state that
-        // the audit's stats delta rides on.
-        let hash = canonical::structural_hash(&aut);
-        for (stored, ctx) in &reference {
-            let verdict = canonical::language_eq(
-                canonical::ArtifactHash::parse(stored).unwrap(),
-                ctx,
-                hash,
-                &aut,
-            );
-            assert_eq!(verdict, Some(LanguageEq::Distinct), "{source} vs {stored}");
+        // Replay the store's ingest-time equivalence sweep, so the
+        // reference contexts hold the memo state of the daemon's
+        // entries: one lasso bank of the new artifact's sample and every
+        // stored context's, then the oracle, on the stored context, for
+        // each context no bank lasso separates from the new artifact.
+        let hash = aut.content_hash().to_string();
+        let ctx = Analysis::new(aut);
+        let bank = LassoBank::new(std::iter::once(&ctx).chain(reference.iter().map(|(_, c)| c)));
+        let row = bank.row(ctx.automaton());
+        for (stored, stored_ctx) in &reference {
+            if !bank.separates(&row, stored_ctx.automaton()) {
+                assert!(
+                    !stored_ctx.equivalent(ctx.automaton()),
+                    "{source} vs {stored}"
+                );
+            }
         }
-        reference.push((hash.to_string(), Analysis::new(aut)));
+        reference.push((hash, ctx));
     }
 
     let artifacts = reference
