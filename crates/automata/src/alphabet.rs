@@ -85,8 +85,9 @@ impl Alphabet {
     ///
     /// # Errors
     ///
-    /// Returns [`AutomatonError::AlphabetSize`] for more than 6 propositions
-    /// and [`AutomatonError::DuplicateSymbol`] on repeated proposition names.
+    /// Returns [`AutomatonError::PropositionCount`] for no propositions or
+    /// more than 6, and [`AutomatonError::DuplicateSymbol`] on repeated
+    /// proposition names.
     ///
     /// # Examples
     ///
@@ -104,8 +105,8 @@ impl Alphabet {
     {
         let props: Vec<String> = props.into_iter().map(Into::into).collect();
         if props.is_empty() || props.len() > 6 {
-            return Err(AutomatonError::AlphabetSize {
-                requested: 1usize.checked_shl(props.len() as u32).unwrap_or(usize::MAX),
+            return Err(AutomatonError::PropositionCount {
+                requested: props.len(),
             });
         }
         for (i, p) in props.iter().enumerate() {
@@ -343,7 +344,23 @@ mod tests {
         let none = ap.valuation_symbol(&[false, false]);
         assert_eq!(ap.name(none), "{}");
         assert_eq!(ap.symbols_where(0).len(), 2);
-        assert!(Alphabet::of_propositions(["a"; 7].to_vec()).is_err());
+    }
+
+    /// Both ends of the proposition count report the count and the 1–6
+    /// limit, not the symbol count `2^n`.
+    #[test]
+    fn proposition_count_is_reported_as_such() {
+        let names = |n: usize| (0..n).map(|i| format!("p{i}")).collect::<Vec<_>>();
+        assert_eq!(Alphabet::of_propositions(names(1)).unwrap().len(), 2);
+        assert_eq!(Alphabet::of_propositions(names(6)).unwrap().len(), 64);
+        for n in [0, 7] {
+            let e = Alphabet::of_propositions(names(n)).unwrap_err();
+            assert_eq!(e, AutomatonError::PropositionCount { requested: n });
+            assert_eq!(
+                e.to_string(),
+                format!("a valuation alphabet needs between 1 and 6 propositions, got {n}")
+            );
+        }
     }
 
     #[test]

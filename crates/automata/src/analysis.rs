@@ -39,7 +39,9 @@
 //!   operand as given, so repeated queries against the same automaton
 //!   build the product once; [`Analysis::is_subset_of`] and
 //!   [`Analysis::equivalent`] memoize their verdicts the same way. A hit
-//!   costs the key; only a miss minimizes the operand.
+//!   costs the key. A miss quotients the operand: a plain automaton is
+//!   minimized, and a context lends the quotient it already holds (see
+//!   [`Operand`]).
 //! * [`Analysis::accepted_lasso`] / [`Analysis::rejected_lasso`] — the
 //!   lasso sample: one word in the language and one outside it, each
 //!   drawn once. A lasso that one automaton accepts and another rejects
@@ -222,6 +224,60 @@ pub enum ProductOp {
     Union,
     /// `L(self) − L(other)`.
     Difference,
+}
+
+/// The other operand of [`Analysis::is_subset_of`],
+/// [`Analysis::equivalent`] and [`Analysis::product_with`]: the automaton
+/// as given, which keys the memo, and a language-equal automaton for the
+/// oracle of a quotienting context to run on.
+///
+/// A plain [`OmegaAutomaton`] is minimized on each memo miss. An
+/// [`Analysis`] lends the quotient its context already holds (the one
+/// its own queries and the canonical hash use), so a miss costs no
+/// partition refinement; a [`Analysis::new_raw`] context lends its raw
+/// automaton. Both forms of one automaton share one memo entry.
+pub trait Operand {
+    /// The automaton as given: the memo key.
+    fn given(&self) -> &OmegaAutomaton;
+
+    /// A language-equal automaton, minimal where this operand can make
+    /// it so.
+    fn quotient(&self) -> Cow<'_, OmegaAutomaton>;
+}
+
+impl Operand for OmegaAutomaton {
+    fn given(&self) -> &OmegaAutomaton {
+        self
+    }
+
+    fn quotient(&self) -> Cow<'_, OmegaAutomaton> {
+        let min = minimize(self);
+        if min.reduced() {
+            Cow::Owned(min.quotient)
+        } else {
+            Cow::Borrowed(self)
+        }
+    }
+}
+
+impl Operand for Analysis {
+    fn given(&self) -> &OmegaAutomaton {
+        &self.aut
+    }
+
+    fn quotient(&self) -> Cow<'_, OmegaAutomaton> {
+        Cow::Borrowed(self.effective_automaton())
+    }
+}
+
+impl<T: Operand + ?Sized> Operand for &T {
+    fn given(&self) -> &OmegaAutomaton {
+        (**self).given()
+    }
+
+    fn quotient(&self) -> Cow<'_, OmegaAutomaton> {
+        (**self).quotient()
+    }
 }
 
 fn delta_table(aut: &OmegaAutomaton) -> Vec<StateId> {
@@ -766,24 +822,27 @@ impl Analysis {
     /// `(other, op)` pair, so repeated inclusion or equivalence queries
     /// against the same operand build the product automaton once.
     ///
-    /// The memo is keyed by `other` as given, so a hit costs the key,
-    /// not a minimization. On a miss with the quotient-first pipeline
-    /// active, *both* operands are quotiented before the product is
-    /// built. The product is then language-equal to the raw one, which
-    /// is all any consumer observes: every caller asks language-level
-    /// questions (emptiness for inclusion, or wraps the product as a new
-    /// property).
+    /// The memo is keyed by `other`'s automaton as given, so a hit costs
+    /// the key, not a minimization, and an automaton and a context
+    /// holding it share one entry. On a miss with the quotient-first
+    /// pipeline active, *both* operands are quotiented before the
+    /// product is built (see [`Operand`]: a context lends the quotient it
+    /// already holds). The product is then language-equal to the raw
+    /// one, which is all any consumer observes: every caller asks
+    /// language-level questions (emptiness for inclusion, or wraps the
+    /// product as a new property).
     ///
     /// # Panics
     ///
     /// Panics if the alphabets differ (as the underlying product does).
-    pub fn product_with(&self, other: &OmegaAutomaton, op: ProductOp) -> Arc<OmegaAutomaton> {
+    pub fn product_with(&self, other: &impl Operand, op: ProductOp) -> Arc<OmegaAutomaton> {
+        let given = other.given();
         assert_eq!(
             self.aut.alphabet(),
-            other.alphabet(),
+            given.alphabet(),
             "product operands must share an alphabet"
         );
-        let key = OperandKey::of(other, op);
+        let key = OperandKey::of(given, op);
         if let Some(hit) = lock_recover(&self.products).get(&key) {
             self.stats.product_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
@@ -792,7 +851,7 @@ impl Analysis {
         // (last write wins, both results are identical).
         self.stats.products_built.fetch_add(1, Ordering::Relaxed);
         let lhs = self.effective_automaton();
-        let rhs = self.effective_operand(other);
+        let rhs = self.oracle_operand(other);
         let built = Arc::new(match op {
             ProductOp::Intersection => lhs.intersection(&rhs),
             ProductOp::Union => lhs.union(&rhs),
@@ -810,29 +869,29 @@ impl Analysis {
             .map_or(&self.aut, |q| q.automaton())
     }
 
-    /// The same for the other operand of a query: `other`'s quotient
-    /// when the pipeline is on and minimization shrinks it, `other`
-    /// itself otherwise.
-    fn effective_operand<'a>(&self, other: &'a OmegaAutomaton) -> Cow<'a, OmegaAutomaton> {
+    /// The other operand of a query as the oracle runs it: its quotient
+    /// when this context quotients, the automaton as given otherwise.
+    fn oracle_operand<'a>(&self, other: &'a impl Operand) -> Cow<'a, OmegaAutomaton> {
         if self.quotient_enabled {
-            let min = minimize(other);
-            if min.reduced() {
-                return Cow::Owned(min.quotient);
-            }
+            other.quotient()
+        } else {
+            Cow::Borrowed(other.given())
         }
-        Cow::Borrowed(other)
     }
 
     /// Language inclusion `L(self) ⊆ L(other)`, decided by the direct
     /// product-graph oracle of [`crate::inclusion`] (no complement, no
-    /// DNF), memoized per operand. The memo is keyed by `other` as
-    /// given, so a repeat query costs the key alone, not a minimization.
-    /// On a miss the oracle runs on both quotients when the
-    /// quotient-first pipeline is enabled. In debug builds every oracle
+    /// DNF), memoized per operand. The memo is keyed by `other`'s
+    /// automaton as given, so a repeat query costs the key alone, not a
+    /// minimization, whether `other` comes as an automaton or as a
+    /// context. On a miss the oracle runs on both quotients when the
+    /// quotient-first pipeline is enabled; pass the context when one is
+    /// at hand, so the miss borrows its quotient instead of minimizing
+    /// the operand again (see [`Operand`]). In debug builds every oracle
     /// verdict is cross-checked against the classical complement+product
     /// oracle on the *raw* operands — one tripwire covering both the
     /// quotient-first routing and the new algorithm.
-    pub fn is_subset_of(&self, other: &OmegaAutomaton) -> bool {
+    pub fn is_subset_of(&self, other: &impl Operand) -> bool {
         self.inclusion_verdict(other, OracleQuery::Included)
     }
 
@@ -840,19 +899,20 @@ impl Analysis {
     /// directions share one product graph), memoized per operand, with
     /// the same debug-mode differential tripwire as
     /// [`Self::is_subset_of`].
-    pub fn equivalent(&self, other: &OmegaAutomaton) -> bool {
+    pub fn equivalent(&self, other: &impl Operand) -> bool {
         self.inclusion_verdict(other, OracleQuery::Equivalent)
     }
 
-    fn inclusion_verdict(&self, other: &OmegaAutomaton, query: OracleQuery) -> bool {
-        let key = OperandKey::of(other, query);
+    fn inclusion_verdict(&self, other: &impl Operand, query: OracleQuery) -> bool {
+        let given = other.given();
+        let key = OperandKey::of(given, query);
         if let Some(&hit) = lock_recover(&self.inclusions).get(&key) {
             self.stats.inclusion_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
         self.stats.inclusion_checks.fetch_add(1, Ordering::Relaxed);
         let lhs = self.effective_automaton();
-        let rhs = self.effective_operand(other);
+        let rhs = self.oracle_operand(other);
         let res = match query {
             OracleQuery::Included => crate::inclusion::included(lhs, &rhs),
             OracleQuery::Equivalent => crate::inclusion::equivalent(lhs, &rhs),
@@ -860,8 +920,8 @@ impl Analysis {
         debug_assert_eq!(
             res,
             match query {
-                OracleQuery::Included => self.aut.is_subset_of_via_complement(other),
-                OracleQuery::Equivalent => self.aut.equivalent_via_complement(other),
+                OracleQuery::Included => self.aut.is_subset_of_via_complement(given),
+                OracleQuery::Equivalent => self.aut.equivalent_via_complement(given),
             },
             "inclusion-oracle tripwire: direct verdict on the (quotiented) \
              operands differs from the complement oracle on the raw ones"
@@ -1141,6 +1201,51 @@ mod tests {
         let s = ctx.stats();
         assert_eq!(s.inclusion_checks, 4);
         assert_eq!(s.inclusion_hits, 3);
+    }
+
+    /// An operand as an automaton, as a quotienting context and as a raw
+    /// context keys one memo entry: the first form asked runs the
+    /// oracle, the others hit, and every verdict and product agrees with
+    /// the complement oracle, for quotienting and raw askers alike.
+    #[test]
+    fn operand_forms_share_one_memo_entry() {
+        let sigma = ab();
+        let mut rng = StdRng::seed_from_u64(0x0E4A);
+        let mut reduced = 0;
+        for i in 0..40usize {
+            let (a, _) = random_streett(&mut rng, &sigma, 2 + i % 5, 1 + i % 2, 0.3);
+            let (b, _) = random_streett(&mut rng, &sigma, 2 + i % 7, 1 + i % 2, 0.3);
+            let b = if i % 2 == 0 { two_layers(&b) } else { b };
+            reduced += usize::from(minimize(&b).reduced());
+            let subset = a.is_subset_of_via_complement(&b);
+            let equal = a.equivalent_via_complement(&b);
+            let meet = a.intersection(&b);
+            for ctx in [Analysis::new(a.clone()), Analysis::new_raw(a.clone())] {
+                let (quotienting, raw) = (Analysis::new(b.clone()), Analysis::new_raw(b.clone()));
+                let forms: [&dyn Operand; 3] = [&b, &quotienting, &raw];
+                // Rotate which form comes first.
+                for k in 0..3 {
+                    let form = (i + k) % 3;
+                    let operand = forms[form];
+                    let (sub, eq) = (ctx.is_subset_of(&operand), ctx.equivalent(&operand));
+                    let product = ctx.product_with(&operand, ProductOp::Intersection);
+                    assert_eq!((sub, eq), (subset, equal), "case {i}, form {form}");
+                    assert!(
+                        product.equivalent_via_complement(&meet),
+                        "case {i}, form {form}"
+                    );
+                    let s = ctx.stats_total();
+                    let hits = k as u64;
+                    assert_eq!(
+                        (s.inclusion_checks, s.inclusion_hits),
+                        (2, 2 * hits),
+                        "case {i}, form {form}"
+                    );
+                    assert_eq!((s.products_built, s.product_hits), (1, hits), "case {i}");
+                }
+            }
+        }
+        assert!(reduced > 5, "only {reduced} operands exercised a quotient");
     }
 
     #[test]

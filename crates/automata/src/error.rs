@@ -12,6 +12,12 @@ pub enum AutomatonError {
         /// The requested number of symbols.
         requested: usize,
     },
+    /// A valuation alphabet `2^AP` over no propositions, or over more
+    /// than 6 (see [`crate::alphabet::Alphabet::of_propositions`]).
+    PropositionCount {
+        /// The number of propositions given.
+        requested: usize,
+    },
     /// Two symbols in an alphabet share the same name.
     DuplicateSymbol {
         /// The offending name.
@@ -42,6 +48,10 @@ impl fmt::Display for AutomatonError {
             AutomatonError::AlphabetSize { requested } => write!(
                 f,
                 "alphabet must have between 1 and 64 symbols, got {requested}"
+            ),
+            AutomatonError::PropositionCount { requested } => write!(
+                f,
+                "a valuation alphabet needs between 1 and 6 propositions, got {requested}"
             ),
             AutomatonError::DuplicateSymbol { name } => {
                 write!(f, "duplicate symbol name {name:?} in alphabet")

@@ -32,6 +32,7 @@ use crate::bitset::BitSet;
 use crate::omega::OmegaAutomaton;
 use crate::AutomatonError;
 use crate::StateId;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The deepest parentheses may nest in an `Acceptance:` formula. The
@@ -190,12 +191,15 @@ enum SetFormula {
 }
 
 impl SetFormula {
-    fn resolve(&self, members: &[BitSet]) -> Acceptance {
+    /// The condition over the states of each acceptance set; a set no
+    /// state line names is empty.
+    fn resolve(&self, members: &BTreeMap<usize, BitSet>) -> Acceptance {
+        let set = |i: &usize| members.get(i).cloned().unwrap_or_default();
         match self {
             SetFormula::True => Acceptance::True,
             SetFormula::False => Acceptance::False,
-            SetFormula::Inf(i) => Acceptance::Inf(members[*i].clone()),
-            SetFormula::Fin(i) => Acceptance::Fin(members[*i].clone()),
+            SetFormula::Inf(i) => Acceptance::Inf(set(i)),
+            SetFormula::Fin(i) => Acceptance::Fin(set(i)),
             SetFormula::And(xs) => {
                 if xs.len() == 1 {
                     xs[0].resolve(members)
@@ -403,11 +407,12 @@ fn parse_label(label: &str, ap_count: usize) -> Result<Vec<usize>, AutomatonErro
 /// # Errors
 ///
 /// [`AutomatonError::HoaParse`] on malformed documents (missing
-/// headers, bad acceptance formulas, out-of-range indices),
+/// headers, bad acceptance formulas, out-of-range indices, a state
+/// count above the body's `State:` lines),
 /// [`AutomatonError::NotDeterministic`] when some state lacks or
 /// duplicates an edge for some valuation, and the usual
-/// [`Alphabet::of_propositions`] errors for more than 6 or duplicate
-/// APs.
+/// [`Alphabet::of_propositions`] errors for no APs, more than 6, or
+/// duplicate ones.
 pub fn hoa_to_omega(src: &str) -> Result<OmegaAutomaton, AutomatonError> {
     let mut lines = src.lines().map(str::trim).filter(|l| !l.is_empty());
     match lines.next() {
@@ -500,10 +505,25 @@ pub fn hoa_to_omega(src: &str) -> Result<OmegaAutomaton, AutomatonError> {
         )));
     }
 
+    // The header's numbers size nothing: a complete automaton gives each
+    // state a `State:` line, so a state count above the body's is
+    // rejected before it sizes the transition table, and the acceptance
+    // sets hold only the indices the state lines name.
+    let state_lines = lines
+        .clone()
+        .take_while(|&l| l != "--END--")
+        .filter(|l| l.starts_with("State:"))
+        .count();
+    if num_states > state_lines {
+        return Err(err(format!(
+            "States: declares {num_states} states, but the body has {state_lines} State: line(s)"
+        )));
+    }
+
     let alphabet = Alphabet::of_propositions(ap_names)?;
     let n_sym = alphabet.len();
     let mut delta: Vec<Option<StateId>> = vec![None; num_states * n_sym];
-    let mut members: Vec<BitSet> = vec![BitSet::new(); num_sets];
+    let mut members: BTreeMap<usize, BitSet> = BTreeMap::new();
     let mut current: Option<usize> = None;
     let mut saw_end = false;
     for line in lines.by_ref() {
@@ -557,7 +577,7 @@ pub fn hoa_to_omega(src: &str) -> Result<OmegaAutomaton, AutomatonError> {
                             "acceptance set {i} out of range (declared {num_sets})"
                         )));
                     }
-                    members[i].insert(q);
+                    members.entry(i).or_default().insert(q);
                 }
             } else if !tail.is_empty() {
                 return Err(err(format!("trailing input on state line {line:?}")));
@@ -859,6 +879,38 @@ mod tests {
             let e = parse(doc(depth)).unwrap_err();
             assert!(e.contains("nests deeper than"), "{e}");
         }
+    }
+
+    /// Header counts size no allocation: an acceptance-set count of
+    /// `usize::MAX` parses to the automaton `Acceptance: 1` gives, and a
+    /// state count above the body's `State:` lines is an error, not a
+    /// transition table sized from the header.
+    #[test]
+    fn header_counts_are_checked_against_the_body() {
+        let doc = |states: &str, sets: &str| {
+            format!(
+                "HOA: v1\nStates: {states}\nStart: 0\nAP: 1 \"p\"\n\
+                 Acceptance: {sets} Inf(0)\n--BODY--\n\
+                 State: 0\n[!0] 0\n[0] 1\nState: 1 {{0}}\n[t] 1\n--END--\n"
+            )
+        };
+        let huge = usize::MAX.to_string();
+        let small = hoa_to_omega(&doc("2", "1")).unwrap();
+        assert_eq!(hoa_to_omega(&doc("2", &huge)), Ok(small));
+        for states in [huge.as_str(), "3"] {
+            let e = hoa_to_omega(&doc(states, "1")).unwrap_err();
+            assert!(
+                matches!(&e, AutomatonError::HoaParse { message }
+                    if message.contains("but the body has 2 State: line(s)")),
+                "States: {states} gave {e}"
+            );
+        }
+        let no_aps = "HOA: v1\nStates: 1\nStart: 0\nAP: 0\nAcceptance: 0 t\n\
+                      --BODY--\nState: 0\n[t] 0\n--END--\n";
+        assert_eq!(
+            hoa_to_omega(no_aps),
+            Err(AutomatonError::PropositionCount { requested: 0 })
+        );
     }
 
     #[test]

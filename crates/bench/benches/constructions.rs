@@ -1,7 +1,8 @@
 //! Microbenchmarks of the construction pipeline: the A/E/R/P
 //! operators, `minex` against the naive product (TAB-DUAL's timing facet),
-//! past-tester construction (TAB-TL), and the Prop 5.1 κ-automaton
-//! constructions.
+//! past-tester construction and formula compilation (TAB-TL; over `{a,b}`
+//! and over the `2^{p,q,r}` of audited suites), and the Prop 5.1
+//! κ-automaton constructions.
 //!
 //! Run with `cargo bench -p hierarchy-bench --bench constructions`.
 
@@ -41,30 +42,53 @@ fn minex_vs_product() {
     group.finish();
 }
 
+/// The letter alphabet `{a,b}` and the valuation alphabet `2^{p,q,r}`
+/// that `spec-lint audit` suites are written over.
+fn alphabets() -> [Alphabet; 2] {
+    [
+        Alphabet::new(["a", "b"]).unwrap(),
+        Alphabet::of_propositions(["p", "q", "r"]).unwrap(),
+    ]
+}
+
 fn tester_construction() {
-    let sigma = Alphabet::new(["a", "b"]).unwrap();
-    let formulas = [
-        "b & Z H a",
-        "a S (b & Y a)",
-        "O (a & Y (b & Y a))",
-        "(!a B b) & O a",
+    let [letters, props] = alphabets();
+    let cases = [
+        (&letters, "b & Z H a"),
+        (&letters, "a S (b & Y a)"),
+        (&letters, "O (a & Y (b & Y a))"),
+        (&letters, "(!a B b) & O a"),
+        (&props, "q S (p & Y r)"),
+        (&props, "H (p -> O q) & Z !r"),
+        (&props, "(p B (q & Y Y r)) | O (r & Z p)"),
     ];
     let mut group = microbench::group("past_tester");
-    for src in formulas {
-        let f = Formula::parse(&sigma, src).unwrap();
+    for (sigma, src) in cases {
+        let f = Formula::parse(sigma, src).unwrap();
         group.bench_function(src, || {
-            Tester::new(black_box(&sigma), std::slice::from_ref(black_box(&f)))
+            Tester::new(black_box(sigma), std::slice::from_ref(black_box(&f)))
         });
     }
     group.finish();
 }
 
 fn formula_compilation() {
-    let sigma = Alphabet::new(["a", "b"]).unwrap();
+    let [letters, props] = alphabets();
+    let cases = [
+        (&letters, "G (a -> F b)"),
+        (&letters, "G F a -> G F b"),
+        (&letters, "a U b"),
+        (&letters, "G (a -> F G b)"),
+        (&props, "G (p -> F q)"),
+        (&props, "(G !(p & q)) | (F G !r)"),
+        (&props, "G (q -> (p S r))"),
+        (&props, "G F p -> G F (q & Y r)"),
+    ];
     let mut group = microbench::group("compile_formula");
-    for src in ["G (a -> F b)", "G F a -> G F b", "a U b", "G (a -> F G b)"] {
-        let f = Formula::parse(&sigma, src).unwrap();
-        group.bench_function(src, || compile_over(black_box(&sigma), black_box(&f)));
+    for (sigma, src) in cases {
+        let f = Formula::parse(sigma, src).unwrap();
+        assert!(compile_over(sigma, &f).is_ok(), "{src} compiles");
+        group.bench_function(src, || compile_over(black_box(sigma), black_box(&f)));
     }
     group.finish();
 }

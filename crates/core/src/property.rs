@@ -327,7 +327,7 @@ impl Property {
         Property::from_automaton(
             (*self
                 .analysis
-                .product_with(other.automaton(), ProductOp::Union))
+                .product_with(&other.analysis, ProductOp::Union))
             .clone(),
         )
     }
@@ -337,7 +337,7 @@ impl Property {
         Property::from_automaton(
             (*self
                 .analysis
-                .product_with(other.automaton(), ProductOp::Intersection))
+                .product_with(&other.analysis, ProductOp::Intersection))
             .clone(),
         )
     }
@@ -349,13 +349,13 @@ impl Property {
 
     /// Language equivalence (the forward-inclusion product is memoized).
     pub fn equivalent(&self, other: &Property) -> bool {
-        self.analysis.equivalent(other.automaton())
+        self.analysis.equivalent(&other.analysis)
     }
 
     /// Language inclusion (the difference product is memoized, so
     /// repeated checks against the same operand are cheap).
     pub fn is_subset_of(&self, other: &Property) -> bool {
-        self.analysis.is_subset_of(other.automaton())
+        self.analysis.is_subset_of(&other.analysis)
     }
 
     /// Whether the counter-freedom test succeeds (the property is

@@ -287,7 +287,7 @@ pub fn audit_suite_ctx(
                     false
                 } else {
                     oracle_calls.fetch_add(1, Ordering::Relaxed);
-                    items[i].1.is_subset_of(items[j].1.automaton())
+                    items[i].1.is_subset_of(items[j].1)
                 }
             })
             .collect()
@@ -458,7 +458,7 @@ pub fn audit_suite_ctx(
                         return (None, None, false);
                     }
                     let redundant_deep = (redundant[i].is_none()
-                        && rest_ctx.is_subset_of(items[i].1.automaton()))
+                        && rest_ctx.is_subset_of(items[i].1))
                     .then(|| {
                         diag(
                             &registry::SUITE001,

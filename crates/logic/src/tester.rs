@@ -17,11 +17,15 @@
 //! ⊡φ       now = φ ∧ ⊡φ before
 //! ```
 //!
+//! Construction compiles the subformula list once into an op table whose
+//! operands are node indices, so each transition evaluates the table in
+//! list order on two bit vectors and never looks a subformula up.
+//!
 //! The tester also yields the finitary property `esat(p)` of the paper —
 //! the set of finite words end-satisfying `p` — as a [`FinitaryProperty`].
 
 use crate::ast::Formula;
-use hierarchy_automata::alphabet::{Alphabet, Symbol};
+use hierarchy_automata::alphabet::{Alphabet, Symbol, SymbolSet};
 use hierarchy_automata::bitset::BitSet;
 use hierarchy_automata::dfa::Dfa;
 use hierarchy_automata::StateId;
@@ -52,17 +56,33 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct Tester {
     alphabet: Alphabet,
-    /// Past-closed subformula list, children before parents (kept for
-    /// debugging/display; truth bits index into this list).
-    #[allow(dead_code)]
-    nodes: Vec<Formula>,
-    /// Indices into `nodes` for the tracked formulas, in input order.
+    /// The node of each tracked formula in the past-closed subformula
+    /// list, in input order.
     tracked: Vec<usize>,
-    /// Assignment of each state (bit `i` = truth of `nodes[i]`);
+    /// Assignment of each state (bit `i` = truth of node `i`);
     /// `states[0]` is the pre-state and its assignment is meaningless.
     states: Vec<u64>,
     /// Flattened transition table.
     delta: Vec<StateId>,
+}
+
+/// One node of the past-closed subformula list, compiled once: its
+/// operands are the indices of earlier nodes, so a step reads their
+/// truth bits without looking a subformula up.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Const(bool),
+    Atom(SymbolSet),
+    Not(usize),
+    And(usize, usize),
+    Or(usize, usize),
+    /// `⊖x`, or `~⊖x`: `x` before; the flag at the first position.
+    Prev(usize, bool),
+    /// `x S y`, or `x B y`: `y ∨ (x ∧ itself before)`; the flag at the
+    /// first position.
+    Since(usize, usize, bool),
+    Once(usize),
+    Historically(usize),
 }
 
 /// Error building a tester.
@@ -114,26 +134,43 @@ impl Tester {
                 });
             }
         }
-        // Past-closed postorder node list.
-        let mut nodes: Vec<Formula> = Vec::new();
+        // The past-closed postorder node list, as an op table.
+        let mut ops: Vec<Op> = Vec::new();
         let mut index: HashMap<Formula, usize> = HashMap::new();
-        fn visit(f: &Formula, nodes: &mut Vec<Formula>, index: &mut HashMap<Formula, usize>) {
-            if index.contains_key(f) {
-                return;
+        fn visit(f: &Formula, ops: &mut Vec<Op>, index: &mut HashMap<Formula, usize>) -> usize {
+            if let Some(&i) = index.get(f) {
+                return i;
             }
-            for c in f.children() {
-                visit(c, nodes, index);
-            }
-            index.insert(f.clone(), nodes.len());
-            nodes.push(f.clone());
+            let op = match f {
+                Formula::True => Op::Const(true),
+                Formula::False => Op::Const(false),
+                Formula::Atom(_, set) => Op::Atom(*set),
+                Formula::Not(x) => Op::Not(visit(x, ops, index)),
+                Formula::And(x, y) => Op::And(visit(x, ops, index), visit(y, ops, index)),
+                Formula::Or(x, y) => Op::Or(visit(x, ops, index), visit(y, ops, index)),
+                Formula::Prev(x) => Op::Prev(visit(x, ops, index), false),
+                Formula::WPrev(x) => Op::Prev(visit(x, ops, index), true),
+                Formula::Since(x, y) => {
+                    Op::Since(visit(x, ops, index), visit(y, ops, index), false)
+                }
+                Formula::WSince(x, y) => {
+                    Op::Since(visit(x, ops, index), visit(y, ops, index), true)
+                }
+                Formula::Once(x) => Op::Once(visit(x, ops, index)),
+                Formula::Historically(x) => Op::Historically(visit(x, ops, index)),
+                _ => unreachable!("non-past node in tester"),
+            };
+            index.insert(f.clone(), ops.len());
+            ops.push(op);
+            ops.len() - 1
         }
-        for f in tracked {
-            visit(f, &mut nodes, &mut index);
+        let tracked_idx: Vec<usize> = tracked
+            .iter()
+            .map(|f| visit(f, &mut ops, &mut index))
+            .collect();
+        if ops.len() > 64 {
+            return Err(TesterError::TooLarge { nodes: ops.len() });
         }
-        if nodes.len() > 64 {
-            return Err(TesterError::TooLarge { nodes: nodes.len() });
-        }
-        let tracked_idx: Vec<usize> = tracked.iter().map(|f| index[f]).collect();
 
         // BFS exploration of assignment states.
         let k = alphabet.len();
@@ -143,10 +180,9 @@ impl Tester {
         let mut delta: Vec<StateId> = vec![StateId::MAX; k];
         let mut frontier: Vec<StateId> = vec![0];
         while let Some(q) = frontier.pop() {
-            let is_pre = q == 0;
-            let assignment = states[q as usize];
+            let old = (q != 0).then(|| states[q as usize]);
             for sym in alphabet.symbols() {
-                let next = step_assignment(&nodes, &index, assignment, is_pre, sym);
+                let next = next_assignment(&ops, old, sym);
                 let id = *state_ids.entry((false, next)).or_insert_with(|| {
                     states.push(next);
                     delta.extend(std::iter::repeat_n(StateId::MAX, k));
@@ -158,7 +194,6 @@ impl Tester {
         }
         Ok(Tester {
             alphabet: alphabet.clone(),
-            nodes,
             tracked: tracked_idx,
             states,
             delta,
@@ -246,43 +281,27 @@ pub fn esat(alphabet: &Alphabet, p: &Formula) -> Result<FinitaryProperty, Tester
     Ok(FinitaryProperty::from_dfa(t.esat_dfa(0)))
 }
 
-fn step_assignment(
-    nodes: &[Formula],
-    index: &HashMap<Formula, usize>,
-    old: u64,
-    is_pre: bool,
-    sym: Symbol,
-) -> u64 {
+/// The assignment after reading `sym`, node by node in list order: a
+/// node reads its operands' bits in the new assignment and its own or
+/// its operand's bit in `old`, which is `None` in the pre-state, where
+/// each past operator takes its value at the first position.
+fn next_assignment(ops: &[Op], old: Option<u64>, sym: Symbol) -> u64 {
     let mut new = 0u64;
-    let old_of = |i: usize| old & (1 << i) != 0;
-    for (i, f) in nodes.iter().enumerate() {
-        let cur = |child: &Formula| new & (1 << index[child]) != 0;
-        let prev = |child: &Formula, at_first: bool| {
-            if is_pre {
-                at_first
-            } else {
-                old_of(index[child])
-            }
+    for (i, op) in ops.iter().enumerate() {
+        let now = |j: usize| new >> j & 1 != 0;
+        let before = |j: usize, at_first: bool| old.map_or(at_first, |o| o >> j & 1 != 0);
+        let v = match *op {
+            Op::Const(v) => v,
+            Op::Atom(set) => set.contains(sym),
+            Op::Not(x) => !now(x),
+            Op::And(x, y) => now(x) && now(y),
+            Op::Or(x, y) => now(x) || now(y),
+            Op::Prev(x, at_first) => before(x, at_first),
+            Op::Since(x, y, at_first) => now(y) || (now(x) && before(i, at_first)),
+            Op::Once(x) => now(x) || before(i, false),
+            Op::Historically(x) => now(x) && before(i, true),
         };
-        let prev_self = |at_first: bool| if is_pre { at_first } else { old_of(i) };
-        let v = match f {
-            Formula::True => true,
-            Formula::False => false,
-            Formula::Atom(_, set) => set.contains(sym),
-            Formula::Not(x) => !cur(x),
-            Formula::And(x, y) => cur(x) && cur(y),
-            Formula::Or(x, y) => cur(x) || cur(y),
-            Formula::Prev(x) => prev(x, false),
-            Formula::WPrev(x) => prev(x, true),
-            Formula::Since(x, y) => cur(y) || (cur(x) && prev_self(false)),
-            Formula::WSince(x, y) => cur(y) || (cur(x) && prev_self(true)),
-            Formula::Once(x) => cur(x) || prev_self(false),
-            Formula::Historically(x) => cur(x) && prev_self(true),
-            _ => unreachable!("non-past node in tester"),
-        };
-        if v {
-            new |= 1 << i;
-        }
+        new |= u64::from(v) << i;
     }
     new
 }
@@ -403,5 +422,68 @@ mod tests {
             }
         }
         let _ = Lasso::parse(&sigma, "", "a");
+    }
+
+    /// Seeded fuzz of the op table: pairs of random depth-4 past
+    /// formulas over `2^{p,q,r}` (the audit pool's alphabet) and over
+    /// `{a,b}` share one tester, and each tracked formula's truth after
+    /// every prefix of a random lasso's evaluation window matches
+    /// `semantics::evaluate`. The sweep meets every past node kind.
+    #[test]
+    fn op_table_agrees_with_the_evaluator_on_random_past_formulas() {
+        use crate::random_formula::random_past_formula;
+        use std::collections::HashSet;
+        use std::mem::{discriminant, Discriminant};
+        fn kinds(f: &Formula, seen: &mut HashSet<Discriminant<Formula>>) {
+            seen.insert(discriminant(f));
+            for c in f.children() {
+                kinds(c, seen);
+            }
+        }
+        let mut seen = HashSet::new();
+        let mut checked = 0usize;
+        let mut rng = StdRng::seed_from_u64(0x7E57);
+        for sigma in [
+            Alphabet::of_propositions(["p", "q", "r"]).unwrap(),
+            letters(),
+        ] {
+            for case in 0..80 {
+                // Two formulas of at most 31 nodes each stay within the
+                // tester's 64.
+                let formulas = [
+                    random_past_formula(&mut rng, &sigma, 4),
+                    random_past_formula(&mut rng, &sigma, 4),
+                ];
+                formulas.iter().for_each(|f| kinds(f, &mut seen));
+                let t = Tester::new(&sigma, &formulas).unwrap();
+                for _ in 0..6 {
+                    let w = random_lasso(&mut rng, &sigma, 4, 4);
+                    let vals: Vec<Vec<bool>> = formulas
+                        .iter()
+                        .map(|f| semantics::evaluate(f, &w).unwrap())
+                        .collect();
+                    let window = vals.iter().map(Vec::len).max().unwrap();
+                    let mut q = t.initial();
+                    for j in 0..window {
+                        q = t.step(q, w.at(j));
+                        for (i, f) in formulas.iter().enumerate() {
+                            let Some(&expected) = vals[i].get(j) else {
+                                continue;
+                            };
+                            assert_eq!(
+                                t.truth(q, i),
+                                expected,
+                                "case {case}: {f} at position {j} of {}",
+                                w.display(&sigma)
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // True, False, Atom, Not, And, Or, Y, Z, S, B, O, H.
+        assert_eq!(seen.len(), 12, "the sweep missed a past node kind");
+        assert!(checked > 5_000, "too few positions checked: {checked}");
     }
 }

@@ -358,8 +358,8 @@ impl Service {
             .get("witness")
             .and_then(Json::as_bool)
             .unwrap_or(false);
-        let included = a.is_subset_of(b.automaton());
-        let equivalent = included && b.is_subset_of(a.automaton());
+        let included = a.is_subset_of(b);
+        let equivalent = included && b.is_subset_of(a);
         // The witness rebuilds the product outside the memo, so it is
         // opt-in: the default response is the memoized verdict alone.
         let counterexample = if included || !witness {

@@ -295,9 +295,7 @@ impl Store {
         let row = bank.row(ctx.automaton());
         let candidate = peers
             .iter()
-            .find(|&&(_, peer)| {
-                !bank.separates(&row, peer.automaton()) && peer.equivalent(ctx.automaton())
-            })
+            .find(|&&(_, peer)| !bank.separates(&row, peer.automaton()) && peer.equivalent(&ctx))
             .map(|&(entry, _)| Arc::clone(entry));
         if let Some(entry) = candidate {
             let target = entry.hash;

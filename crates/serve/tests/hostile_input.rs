@@ -4,8 +4,9 @@
 //! stack). Each line is a shape that defeats an unbounded parser: nesting
 //! that overflows the JSON, LTL, regex or HOA parser's recursion, a
 //! formula thousands of operators deep that overflows every later pass
-//! over it, a `<->` chain whose expansion doubles at each link, or a
-//! byte that is not UTF-8.
+//! over it, a `<->` chain whose expansion doubles at each link, a HOA
+//! header whose state count would size the transition table, or a byte
+//! that is not UTF-8.
 
 use hierarchy_serve::code;
 use hierarchy_serve::json::Json;
@@ -72,6 +73,21 @@ fn hostile_lines() -> Vec<(&'static str, Vec<u8>, i64)> {
             ingest(Json::obj([
                 ("kind", Json::str("automaton")),
                 ("hoa", Json::Str(hoa)),
+            ])),
+            code::BAD_ARTIFACT,
+        ),
+        (
+            "a HOA state count of 2^64 - 1",
+            ingest(Json::obj([
+                ("kind", Json::str("automaton")),
+                (
+                    "hoa",
+                    Json::Str(format!(
+                        "HOA: v1\nStates: {}\nStart: 0\nAP: 1 \"p\"\n\
+                         Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {{0}}\n[t] 0\n--END--\n",
+                        u64::MAX
+                    )),
+                ),
             ])),
             code::BAD_ARTIFACT,
         ),

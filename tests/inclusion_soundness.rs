@@ -162,28 +162,66 @@ fn parity_views_summarize_their_boolean_conditions() {
 }
 
 /// The `Analysis`-level oracle (quotient-first + memo) must agree with
-/// the raw complement oracle on the raw operands.
+/// the raw complement oracle on the raw operands, whether the operand
+/// comes as an automaton or as its context. Both forms key one memo
+/// entry, so whichever comes second is a hit.
 #[test]
 fn analysis_oracle_agrees_with_the_complement_oracle() {
     let mut rng = StdRng::seed_from_u64(0xA11A);
     let alphabet = sigma();
+    let mut reduced = 0;
     for case in 0..30 {
         let n = rng.gen_range(2..=16usize);
         let (a, _) = random_streett(&mut rng, &alphabet, n, 2, 0.3);
         let m = rng.gen_range(2..=16usize);
         let (b, _) = random_streett(&mut rng, &alphabet, m, 2, 0.3);
+        reduced += usize::from(minimize(&b).reduced());
         let ctx = Analysis::new(a.clone());
+        let other = Analysis::new(b.clone());
+        let (subset, equal) = (
+            a.is_subset_of_via_complement(&b),
+            a.equivalent_via_complement(&b),
+        );
+        // Automaton first for inclusion, context first for equivalence.
         assert_eq!(
             ctx.is_subset_of(&b),
-            a.is_subset_of_via_complement(&b),
+            subset,
             "case {case}: Analysis::is_subset_of"
         );
         assert_eq!(
+            ctx.is_subset_of(&other),
+            subset,
+            "case {case}: Analysis::is_subset_of on the context"
+        );
+        assert_eq!(
+            ctx.equivalent(&other),
+            equal,
+            "case {case}: Analysis::equivalent on the context"
+        );
+        assert_eq!(
             ctx.equivalent(&b),
-            a.equivalent_via_complement(&b),
+            equal,
             "case {case}: Analysis::equivalent"
         );
+        let s = ctx.stats_total();
+        assert_eq!(
+            (s.inclusion_checks, s.inclusion_hits),
+            (2, 2),
+            "case {case}: each question runs the oracle once"
+        );
+        let product = ctx.product_with(&other, ProductOp::Intersection);
+        assert!(std::sync::Arc::ptr_eq(
+            &product,
+            &ctx.product_with(&b, ProductOp::Intersection)
+        ));
+        assert!(
+            product.equivalent_via_complement(&a.intersection(&b)),
+            "case {case}: Analysis::product_with"
+        );
+        let s = ctx.stats_total();
+        assert_eq!((s.products_built, s.product_hits), (1, 1), "case {case}");
     }
+    assert!(reduced > 0, "no operand exercised the lent quotient");
 }
 
 /// Structural-invariant regression for the constructor audit: every
