@@ -135,9 +135,11 @@ impl AnalysisStats {
     ///
     /// This is how a long-lived context (the classification daemon keeps
     /// one per warm artifact) attributes cost to a single request: take
-    /// a snapshot before, one after, and subtract. Saturating rather
-    /// than panicking keeps a stale baseline — e.g. one taken before a
-    /// concurrent [`Analysis::reset_stats`] — harmless.
+    /// a [`Analysis::stats_total`] snapshot before, one after, and
+    /// subtract. The counters never decrease, so the delta against an
+    /// earlier snapshot of the same context is exact; saturating rather
+    /// than panicking keeps a mismatched baseline (a later snapshot, or
+    /// one of another context) harmless.
     pub fn delta_since(&self, baseline: AnalysisStats) -> AnalysisStats {
         AnalysisStats {
             scc_passes: self.scc_passes.saturating_sub(baseline.scc_passes),
@@ -201,16 +203,6 @@ impl StatCells {
             inclusion_checks: AtomicU64::new(s.inclusion_checks),
             inclusion_hits: AtomicU64::new(s.inclusion_hits),
         }
-    }
-
-    fn reset(&self) {
-        self.scc_passes.store(0, Ordering::Relaxed);
-        self.scc_state_visits.store(0, Ordering::Relaxed);
-        self.scc_hits.store(0, Ordering::Relaxed);
-        self.products_built.store(0, Ordering::Relaxed);
-        self.product_hits.store(0, Ordering::Relaxed);
-        self.inclusion_checks.store(0, Ordering::Relaxed);
-        self.inclusion_hits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -956,23 +948,6 @@ impl Analysis {
         }
         s
     }
-
-    /// Zeroes the cache counters of this context (and of its quotient
-    /// context, if one has been created), leaving every memo table
-    /// intact.
-    ///
-    /// Long-lived contexts — the classification daemon holds one per
-    /// warm artifact — use this together with
-    /// [`AnalysisStats::delta_since`] to report per-request work without
-    /// rebuilding the context. Takes `&self`: the counters are atomics,
-    /// so a reset is safe (if imprecise for in-flight requests) even
-    /// while workers are querying.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-        if let Some(Some(q)) = self.quotient.get() {
-            q.reset_stats();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1320,10 +1295,10 @@ mod tests {
     }
 
     /// Per-request attribution: snapshot → work → delta shows exactly
-    /// that work; reset zeroes the counters without touching the memo
-    /// tables (the second classification is still a pure cache hit).
+    /// that work; a repeat query is a pure cache hit, and a baseline
+    /// taken after the work saturates at zero.
     #[test]
-    fn stats_delta_and_reset() {
+    fn stats_delta() {
         let sigma = ab();
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let before = ctx.stats_total();
@@ -1332,49 +1307,13 @@ mod tests {
         let cold = after_cold.delta_since(before);
         assert!(cold.scc_passes > 0, "cold classification runs passes");
 
-        ctx.reset_stats();
-        let zero = ctx.stats_total();
-        assert_eq!(zero, AnalysisStats::default());
-
-        // The memo survives the reset: a repeat query does no new passes.
+        // The memo answers a repeat query: it does no new passes.
         ctx.classification();
-        let warm = ctx.stats_total().delta_since(zero);
-        assert_eq!(warm.scc_passes, 0, "classification memo must survive reset");
+        let warm = ctx.stats_total().delta_since(after_cold);
+        assert_eq!(warm.scc_passes, 0, "classification memo must answer");
 
-        // A stale baseline (taken before the reset) saturates, never
-        // underflows.
-        let stale = after_cold;
-        let sat = ctx.stats_total().delta_since(stale);
-        assert_eq!(sat.scc_passes, 0);
-        assert!(sat.total() <= after_cold.total());
-    }
-
-    /// Resetting propagates into the quotient context when one exists,
-    /// so `stats_total` deltas stay honest for quotient-routed work.
-    #[test]
-    fn reset_stats_covers_quotient_context() {
-        let sigma = ab();
-        // Duplicate the 2-state tracker into 4 states so the quotient
-        // strictly shrinks and quotient-first routing kicks in.
-        let b = sigma.symbol("b").unwrap();
-        let aut = OmegaAutomaton::build(
-            &sigma,
-            4,
-            0,
-            |q, s| {
-                let bit = if s == b { 1 } else { 0 };
-                bit + 2 * (1 - q / 2) // flip halves so both copies are reachable
-            },
-            Acceptance::inf([1, 3]),
-        );
-        let ctx = Analysis::new(aut);
-        ctx.classification();
-        assert!(
-            ctx.quotient_analysis().is_some(),
-            "test needs quotient routing"
-        );
-        assert!(ctx.stats_total().total() > 0);
-        ctx.reset_stats();
-        assert_eq!(ctx.stats_total(), AnalysisStats::default());
+        // A baseline from after the work saturates, never underflows.
+        let sat = before.delta_since(after_cold);
+        assert_eq!(sat, AnalysisStats::default());
     }
 }

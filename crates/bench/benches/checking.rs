@@ -7,15 +7,16 @@
 use hierarchy_bench::microbench;
 use hierarchy_core::automata::counterfree;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
+use hierarchy_core::fts::absint;
 use hierarchy_core::fts::checker::verify;
-use hierarchy_core::fts::programs;
 use hierarchy_core::fts::system::Fairness;
 use hierarchy_core::prelude::*;
 use hierarchy_core::topology::decomposition;
 use std::hint::black_box;
 
 fn model_check_peterson() {
-    let (ts, sigma) = programs::peterson();
+    let sigma = absint::observation_alphabet();
+    let ts = absint::peterson_abs().to_builder(&sigma).build().unwrap();
     let specs = [
         ("mutex", "G !(c1 & c2)"),
         ("accessibility", "G (t1 -> F c1)"),
@@ -35,8 +36,12 @@ fn model_check_peterson() {
 fn model_check_mux_sem() {
     let mut group = microbench::group("model_check_mux_sem");
     group.sample_size(20);
+    let sigma = absint::observation_alphabet();
     for (name, fairness) in [("strong", Fairness::Strong), ("weak", Fairness::Weak)] {
-        let (ts, sigma) = programs::mux_sem(fairness);
+        let ts = absint::mux_sem_abs(fairness)
+            .to_builder(&sigma)
+            .build()
+            .unwrap();
         let prop = Property::parse(&sigma, "G (t2 -> F c2)").unwrap();
         group.bench_function(name, || {
             verify(black_box(&ts), black_box(prop.automaton())).expect("check")

@@ -20,7 +20,6 @@ use hierarchy_core::automata::alphabet::Alphabet;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
 use hierarchy_core::fts::absint::{self, analyze, DomainKind, Program};
 use hierarchy_core::fts::checker::{check_with_invariants, verify_with_stats, CheckStats, Verdict};
-use hierarchy_core::fts::programs;
 use hierarchy_core::fts::system::Fairness;
 use hierarchy_core::logic::to_automaton::compile_over;
 use hierarchy_core::logic::Formula;
@@ -94,7 +93,7 @@ fn main() {
         "TAB-ABSINT",
         "invariant-first checking vs explicit product search",
     );
-    let sigma = programs::observation_alphabet();
+    let sigma = absint::observation_alphabet();
 
     let paper: Vec<(&str, Program)> = vec![
         ("mux-sem", absint::mux_sem_abs(Fairness::Strong)),

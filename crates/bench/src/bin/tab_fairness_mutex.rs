@@ -3,14 +3,21 @@
 //! and the classes matter operationally (Peterson vs MUX-SEM).
 
 use hierarchy_bench::{expect, header, timed};
+use hierarchy_core::fts::absint::{self, Program};
 use hierarchy_core::fts::checker::{verify, Verdict};
-use hierarchy_core::fts::programs;
-use hierarchy_core::fts::system::Fairness;
+use hierarchy_core::fts::system::{Fairness, TransitionSystem};
 use hierarchy_core::prelude::*;
 
-fn holds(ts: &hierarchy_core::fts::system::TransitionSystem, sigma: &Alphabet, src: &str) -> bool {
+fn holds(ts: &TransitionSystem, sigma: &Alphabet, src: &str) -> bool {
     let p = Property::parse(sigma, src).expect("spec compiles");
     verify(ts, p.automaton()).expect("check").holds()
+}
+
+fn build(program: &Program, sigma: &Alphabet) -> TransitionSystem {
+    program
+        .to_builder(sigma)
+        .build()
+        .expect("paper programs build")
 }
 
 fn main() {
@@ -37,7 +44,8 @@ fn main() {
     );
 
     // --- Peterson: the complete specification holds.
-    let (peterson, sigma) = programs::peterson();
+    let sigma = absint::observation_alphabet();
+    let peterson = build(&absint::peterson_abs(), &sigma);
     println!("\nPeterson ({} states):", peterson.num_states());
     let (ok_mutex, t1) = timed(|| holds(&peterson, &sigma, "G !(c1 & c2)"));
     let (ok_acc1, t2) = timed(|| holds(&peterson, &sigma, "G (t1 -> F c1)"));
@@ -58,13 +66,13 @@ fn main() {
 
     // --- MUX-SEM: strong vs weak grants.
     println!("\nMUX-SEM:");
-    let (strong_sem, sigma) = programs::mux_sem(Fairness::Strong);
+    let strong_sem = build(&absint::mux_sem_abs(Fairness::Strong), &sigma);
     expect(
         "MUX-SEM strong: accessibility holds for both",
         holds(&strong_sem, &sigma, "G (t1 -> F c1)")
             && holds(&strong_sem, &sigma, "G (t2 -> F c2)"),
     );
-    let (weak_sem, sigma) = programs::mux_sem(Fairness::Weak);
+    let weak_sem = build(&absint::mux_sem_abs(Fairness::Weak), &sigma);
     let verdict = {
         let p = Property::parse(&sigma, "G (t2 -> F c2)").expect("ok");
         verify(&weak_sem, p.automaton()).expect("check")

@@ -35,8 +35,9 @@
 //!   compilation, syntactic classification;
 //! * [`topology`] — the Cantor metric, closure, density, the
 //!   safety–liveness decomposition;
-//! * [`fts`] — fair transition systems and the model checker, with
-//!   Peterson's algorithm and `MUX-SEM` as example programs;
+//! * [`fts`] — fair transition systems, the declarative program IR with
+//!   Peterson's algorithm and `MUX-SEM` written in it, and the model
+//!   checker;
 //! * [`lint`] — `spec-lint`, static analysis for specifications across
 //!   all four substrates, with a stable rule catalogue and JSON output.
 

@@ -1,27 +1,29 @@
 //! The paper's example programs in the declarative IR, plus a seeded
 //! random-program generator for differential testing.
 //!
-//! Each example mirrors its closure-based counterpart in
-//! [`programs`](crate::programs) (same variables, guards, fairness and
-//! observations), so `Program::to_builder(..).build()` reproduces the
-//! explicit system and the abstract engine gets a transparent view of the
-//! same semantics. All three use their first program counter as the
-//! analysis `pc`, which is what lets the value-set domain prove
-//! mutual exclusion (the grant/enter guard refinement survives the
-//! location partition).
+//! The paper's three programs — MUX-SEM, the token ring and Peterson's
+//! algorithm — are observed through [`observation_alphabet`];
+//! `Program::to_builder(..).build()` gives the explicit system the model
+//! checker runs on, and the abstract engine reads the same program. All
+//! three use their first program counter as the analysis `pc`, which is
+//! what lets the value-set domain prove mutual exclusion (the
+//! grant/enter guard refinement survives the location partition).
 
 use super::ir::{Branch, Expr, Guard, Program};
 use crate::system::Fairness;
+use hierarchy_automata::alphabet::Alphabet;
 use hierarchy_automata::random::rng::{Rng, StdRng};
 
 fn set(var: usize, value: i64) -> Branch {
     Branch::assign(vec![(var, Expr::c(value))])
 }
 
-/// `MUX-SEM` (semaphore mutual exclusion) as a declarative program:
-/// `pc1, pc2 ∈ {0:N, 1:T, 2:C}`, grants with the supplied fairness.
-/// Matches [`programs::mux_sem`](crate::programs::mux_sem) over the
-/// `[c1, c2, t1, t2]` observation alphabet.
+/// `MUX-SEM` (semaphore mutual exclusion of \[MP83]): two processes
+/// `pc1, pc2 ∈ {0:N, 1:T, 2:C}` competing for one semaphore, the grants
+/// with the supplied fairness. With [`Fairness::Strong`] accessibility
+/// holds; with [`Fairness::Weak`] process starvation is a fair
+/// computation, which is why strong fairness lives in the
+/// simple-reactivity class.
 pub fn mux_sem_abs(grant_fairness: Fairness) -> Program {
     let mut p = Program::new();
     let pc1 = p.var("pc1", 3);
@@ -72,9 +74,11 @@ pub fn mux_sem_abs(grant_fairness: Fairness) -> Program {
     p
 }
 
-/// The three-process token ring as a declarative program: one position
-/// variable, three pass commands (fair when `fair_pass`) and a hold.
-/// Matches [`programs::token_ring`](crate::programs::token_ring).
+/// The three-process token ring: one position variable, three pass
+/// commands (weakly fair when `fair_pass`) and a hold. The holder is
+/// observed through `c1`/`c2` for processes 0/1; process 2 is
+/// unobserved. With fair passes every observed process holds the token
+/// infinitely often (`□◇` recurrence); without, the token can stall.
 pub fn token_ring_abs(fair_pass: bool) -> Program {
     let fairness = if fair_pass {
         Fairness::Weak
@@ -101,11 +105,13 @@ pub fn token_ring_abs(fair_pass: bool) -> Program {
     p
 }
 
-/// Peterson's algorithm as a declarative program: `pc1, pc2 ∈ {0:N,
-/// 1:flag set, 2:waiting, 3:C}`, `tb ∈ {0: turn=1, 1: turn=2}`. Matches
-/// [`programs::peterson`](crate::programs::peterson). Its mutual
-/// exclusion needs the `tb`/`pc2` correlation, which the value-set
-/// domain cannot express — the honest fallback case for the checker.
+/// Peterson's algorithm for two processes: `pc1, pc2 ∈ {0:N, 1:flag
+/// set, 2:waiting, 3:C}`, `tb ∈ {0: turn=1, 1: turn=2}`. Requesting is
+/// optional (no fairness), every other step is weakly fair. Under weak
+/// fairness it satisfies both `□¬(C₁ ∧ C₂)` and `□(Tᵢ → ◇Cᵢ)`. Its
+/// mutual exclusion needs the `tb`/`pc2` correlation, which the
+/// value-set domain cannot express — the honest fallback case for the
+/// checker.
 pub fn peterson_abs() -> Program {
     let mut p = Program::new();
     let pc1 = p.var("pc1", 4);
@@ -393,11 +399,16 @@ pub fn random_program(rng: &mut StdRng) -> Program {
     p
 }
 
+/// The observation alphabet of every catalogue program: valuations of
+/// `[c1, c2, t1, t2]` (critical / trying, per process).
+pub fn observation_alphabet() -> Alphabet {
+    Alphabet::of_propositions(["c1", "c2", "t1", "t2"]).expect("valid proposition set")
+}
+
 /// The named example catalogue shared by `spec-lint program` and the
 /// classification daemon's `ingest {"kind": "program"}` endpoint: every
-/// built-in program with its stable lookup name, all over the
-/// `[c1, c2, t1, t2]` observation alphabet
-/// ([`programs::observation_alphabet`](crate::programs::observation_alphabet)).
+/// built-in program with its stable lookup name, all over
+/// [`observation_alphabet`].
 pub fn catalogue() -> Vec<(&'static str, Program)> {
     vec![
         ("peterson", peterson_abs()),
@@ -414,53 +425,70 @@ pub fn catalogue() -> Vec<(&'static str, Program)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::verify;
-    use crate::programs;
+    use crate::checker::{verify, Verdict};
     use hierarchy_automata::random::rng::SeedableRng;
     use hierarchy_logic::to_automaton::compile_over;
     use hierarchy_logic::Formula;
 
+    fn check(prog: &Program, src: &str) -> Verdict {
+        let sigma = observation_alphabet();
+        let prop = compile_over(&sigma, &Formula::parse(&sigma, src).unwrap()).unwrap();
+        let ts = prog.to_builder(&sigma).build().unwrap();
+        verify(&ts, &prop).expect("check")
+    }
+
+    /// The paper's verdicts on its three programs, built from the IR.
     #[test]
-    fn abs_examples_reproduce_explicit_verdicts() {
-        let sigma = programs::observation_alphabet();
-        let cases: [(&str, Program, crate::system::TransitionSystem); 4] = [
-            (
-                "mux_strong",
-                mux_sem_abs(Fairness::Strong),
-                programs::mux_sem(Fairness::Strong).0,
-            ),
-            (
-                "mux_weak",
-                mux_sem_abs(Fairness::Weak),
-                programs::mux_sem(Fairness::Weak).0,
-            ),
-            (
-                "token_ring",
-                token_ring_abs(true),
-                programs::token_ring(true).0,
-            ),
-            ("peterson", peterson_abs(), programs::peterson().0),
-        ];
-        for (name, prog, explicit) in cases {
-            prog.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
-            // The explicit systems enumerate every valuation (reachable
-            // or not); the builder interns only reachable ones — so
-            // compare verdicts, not state counts.
-            let built = prog.to_builder(&sigma).build().expect(name);
-            for src in ["G !(c1 & c2)", "G (t1 -> F c1)", "G F c1"] {
-                let prop = compile_over(&sigma, &Formula::parse(&sigma, src).unwrap()).unwrap();
-                assert_eq!(
-                    verify(&built, &prop).expect("check").holds(),
-                    verify(&explicit, &prop).expect("check").holds(),
-                    "{name}: {src}"
-                );
-            }
+    fn paper_programs_have_the_papers_verdicts() {
+        let peterson = peterson_abs();
+        let strong = mux_sem_abs(Fairness::Strong);
+        let weak = mux_sem_abs(Fairness::Weak);
+        let ring = token_ring_abs(true);
+        let stalled = token_ring_abs(false);
+        for (name, prog, src, holds) in [
+            ("peterson", &peterson, "G !(c1 & c2)", true),
+            ("peterson", &peterson, "G (t1 -> F c1)", true),
+            ("peterson", &peterson, "G (t2 -> F c2)", true),
+            ("peterson", &peterson, "G (c1 -> O t1)", true),
+            ("peterson", &peterson, "F c1", false),
+            ("peterson", &peterson, "G F c1", false),
+            ("mux-sem", &strong, "G !(c1 & c2)", true),
+            ("mux-sem", &strong, "G (t1 -> F c1)", true),
+            ("mux-sem", &strong, "G (t2 -> F c2)", true),
+            ("mux-sem", &strong, "G F t1 -> G F c1", true),
+            ("mux-sem", &strong, "G F c1", false),
+            ("mux-sem-weak", &weak, "G !(c1 & c2)", true),
+            ("mux-sem-weak", &weak, "G (t1 -> F c1)", false),
+            ("mux-sem-weak", &weak, "G (t2 -> F c2)", false),
+            ("mux-sem-weak", &weak, "G F c1", false),
+            ("token-ring", &ring, "G !(c1 & c2)", true),
+            ("token-ring", &ring, "G (t1 -> F c1)", true),
+            ("token-ring", &ring, "G F c1", true),
+            ("token-ring", &ring, "G F c2", true),
+            ("token-ring-stalled", &stalled, "G F c2", false),
+        ] {
+            assert_eq!(check(prog, src).holds(), holds, "{name}: {src}");
         }
+    }
+
+    /// Under weak grants process 2 starves: in every state of the
+    /// counterexample's loop it is trying and not critical.
+    #[test]
+    fn weak_grants_starve_process_two() {
+        let sigma = observation_alphabet();
+        let prog = mux_sem_abs(Fairness::Weak);
+        let pc2 = prog.var_names.iter().position(|n| n == "pc2").unwrap();
+        let (ts, vals) = prog.to_builder(&sigma).build_with_valuations().unwrap();
+        let prop = compile_over(&sigma, &Formula::parse(&sigma, "G (t2 -> F c2)").unwrap());
+        let Verdict::Violated(cex) = verify(&ts, &prop.unwrap()).expect("check") else {
+            panic!("weak fairness should admit starvation");
+        };
+        assert!(cex.cycle.iter().all(|&s| vals[s][pc2] == 1));
     }
 
     #[test]
     fn n_families_validate_and_satisfy_mutex() {
-        let sigma = programs::observation_alphabet();
+        let sigma = observation_alphabet();
         let mutex = compile_over(&sigma, &Formula::parse(&sigma, "G !(c1 & c2)").unwrap()).unwrap();
         for n in 2..=4 {
             for (name, prog) in [
@@ -481,7 +509,7 @@ mod tests {
 
     #[test]
     fn random_programs_validate_and_build() {
-        let sigma = hierarchy_automata::alphabet::Alphabet::of_propositions(["p0", "p1"]).unwrap();
+        let sigma = Alphabet::of_propositions(["p0", "p1"]).unwrap();
         for seed in 0..25 {
             let mut rng = StdRng::seed_from_u64(seed);
             let prog = random_program(&mut rng);

@@ -1,25 +1,19 @@
 //! A declarative guarded-command IR that abstract interpretation can see
 //! through.
 //!
-//! [`ProgramBuilder`] takes guards and
-//! updates as opaque closures — fine for enumeration, useless for static
-//! analysis. [`Program`] is the declarative counterpart: expressions
+//! [`Program`] is the one way to write a program: expressions
 //! ([`Expr`]), guards ([`Guard`]) and simultaneous assignments
 //! ([`Branch`]) over finite-domain variables, with **one** concrete
-//! semantics (`eval_expr` / `eval_guard`) shared by the compiler to
-//! [`ProgramBuilder`], the abstract transformers in
+//! semantics (`eval_expr` / `eval_guard`) shared by the explicit
+//! enumeration of [`Program::to_builder`], the abstract transformers in
 //! [`domain`](super::domain), and the independent certificate checker in
 //! [`certify`](mod@super::certify).
 //!
 //! Out-of-domain results: a branch whose assignment produces a value
 //! outside the target variable's domain is simply *not taken* (the
-//! command offers no such successor). [`Program::to_builder`] filters
-//! those results out, so a valid [`Program`] never trips
-//! `BuildError::UpdateOutOfDomain`.
+//! command offers no such successor).
 
-use crate::builder::ProgramBuilder;
 use crate::system::Fairness;
-use hierarchy_automata::alphabet::Alphabet;
 use std::fmt;
 
 /// An integer expression over program variables.
@@ -319,11 +313,9 @@ pub struct Command {
 
 /// A declarative guarded-command program over finite-domain variables.
 ///
-/// The mirror of [`ProgramBuilder`] with transparent guards and updates;
-/// [`Program::to_builder`] compiles it down so the two stay one source of
-/// truth. Observations are one [`Guard`] per alphabet proposition (the
-/// built observation maps a valuation to the symbol of the induced
-/// boolean valuation).
+/// Observations are one [`Guard`] per alphabet proposition (the built
+/// observation maps a valuation to the symbol of the induced boolean
+/// valuation); [`Program::to_builder`] enumerates the explicit system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Variable names, in declaration order.
@@ -568,54 +560,6 @@ impl Program {
     pub fn num_locations(&self) -> usize {
         self.pc.map_or(1, |p| self.domains[p])
     }
-
-    /// Compiles the program to a [`ProgramBuilder`] over `sigma`, which
-    /// must be a proposition (valuation) alphabet with exactly one
-    /// proposition per observation guard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` has a different number of propositions than the
-    /// program has observation guards. Call [`Program::validate`] first;
-    /// an invalid program may panic inside the builder's closures.
-    pub fn to_builder(&self, sigma: &Alphabet) -> ProgramBuilder {
-        assert_eq!(
-            sigma.propositions().len(),
-            self.observations.len(),
-            "alphabet has {} propositions but the program observes {}",
-            sigma.propositions().len(),
-            self.observations.len()
-        );
-        let mut p = ProgramBuilder::new(sigma);
-        for (name, &dom) in self.var_names.iter().zip(&self.domains) {
-            p.var(name.clone(), dom);
-        }
-        for init in &self.inits {
-            p.init(init);
-        }
-        let obs = self.observations.clone();
-        p.observe(move |vals, alphabet| {
-            let bits: Vec<bool> = obs.iter().map(|g| eval_guard(g, vals)).collect();
-            alphabet.valuation_symbol(&bits)
-        });
-        for cmd in &self.commands {
-            let guard = cmd.guard.clone();
-            let branches = cmd.branches.clone();
-            let domains = self.domains.clone();
-            p.command(
-                cmd.name.clone(),
-                cmd.fairness,
-                move |vals| eval_guard(&guard, vals),
-                move |vals| {
-                    branches
-                        .iter()
-                        .filter_map(|br| br.apply(vals, &domains))
-                        .collect()
-                },
-            );
-        }
-        p
-    }
 }
 
 impl Default for Program {
@@ -858,26 +802,5 @@ mod tests {
         let mut with_pc = p.clone();
         with_pc.set_pc(x);
         assert_ne!(base, with_pc.structural_encoding());
-    }
-
-    #[test]
-    fn to_builder_agrees_with_direct_construction() {
-        // The one-bit blinker from the builder docs, written in the IR.
-        let sigma = Alphabet::of_propositions(["x"]).unwrap();
-        let mut p = Program::new();
-        let x = p.var("x", 2);
-        p.init(&[0]);
-        p.observe_prop(Guard::var_eq(x, 1));
-        p.command(
-            "toggle",
-            Fairness::Weak,
-            Guard::True,
-            vec![Branch::assign(vec![(x, Expr::c(1).sub(Expr::v(x)))])],
-        );
-        p.command("idle", Fairness::None, Guard::True, vec![Branch::skip()]);
-        p.validate().unwrap();
-        let ts = p.to_builder(&sigma).build().unwrap();
-        assert_eq!(ts.num_states(), 2);
-        assert_eq!(ts.transitions().len(), 2);
     }
 }

@@ -8,9 +8,9 @@
 //! that rule over the declarative program IR:
 //!
 //! * [`ir`] — transparent expressions, guards and guarded commands
-//!   ([`Program`]), compilable to the closure-based
-//!   [`ProgramBuilder`](crate::builder::ProgramBuilder) so the abstract
-//!   and explicit engines share one semantics;
+//!   ([`Program`]), whose reachable valuations
+//!   [`Program::to_builder`] enumerates into an explicit system, so the
+//!   abstract and explicit engines share one semantics;
 //! * [`domain`] — the cartesian value-set domain (one 64-bit mask per
 //!   variable) and its transfer functions;
 //! * [`relation`] — the pair-relation domain on top of the value sets:
@@ -25,9 +25,9 @@
 //!   ([`certify_exhaustive`]), so a solver
 //!   bug cannot silently claim soundness;
 //! * [`examples`] — the paper's programs (MUX-SEM, the token ring,
-//!   Peterson) in the IR, parameterized N-process families (`mux_sem_n`,
-//!   `token_ring_n`, `dining_philosophers`), plus seeded random programs
-//!   for differential testing.
+//!   Peterson) and their observation alphabet, parameterized N-process
+//!   families (`mux_sem_n`, `token_ring_n`, `dining_philosophers`), plus
+//!   seeded random programs for differential testing.
 //!
 //! The model checker consumes invariants through
 //! [`checker::check_with_invariants`](crate::checker::check_with_invariants)
@@ -44,8 +44,8 @@ pub mod solve;
 pub use certify::{certify, certify_exhaustive, CertificateError};
 pub use domain::{assume, guard_status, AbsInt, DomainKind};
 pub use examples::{
-    catalogue, dining_philosophers, mux_sem_abs, mux_sem_n, peterson_abs, random_program,
-    token_ring_abs, token_ring_n,
+    catalogue, dining_philosophers, mux_sem_abs, mux_sem_n, observation_alphabet, peterson_abs,
+    random_program, token_ring_abs, token_ring_n,
 };
 pub use ir::{Branch, Cmp, Command, Expr, Guard, IrError, Program};
 pub use relation::LocationRelations;

@@ -1,86 +1,48 @@
-//! A guarded-command builder for fair transition systems.
+//! Explicit-state enumeration of a declarative program.
 //!
-//! Programs in the paper's \[MP83] style are written as variables over
-//! finite domains plus guarded commands; the builder enumerates the state
-//! space and produces an explicit [`TransitionSystem`]:
+//! [`Program::to_builder`] pairs a [`Program`] with the alphabet it is
+//! observed through; [`ProgramBuilder::build`] enumerates the valuations
+//! reachable from the initial ones, breadth first, and produces an
+//! explicit [`TransitionSystem`] with one state per reachable valuation:
 //!
 //! ```
 //! use hierarchy_automata::prelude::*;
-//! use hierarchy_fts::builder::ProgramBuilder;
+//! use hierarchy_fts::absint::{Branch, Expr, Guard, Program};
 //! use hierarchy_fts::system::Fairness;
 //!
 //! // A one-bit blinker: x alternates when `toggle` fires.
 //! let sigma = Alphabet::of_propositions(["x"]).unwrap();
-//! let mut p = ProgramBuilder::new(&sigma);
+//! let mut p = Program::new();
 //! let x = p.var("x", 2);
 //! p.init(&[0]);
-//! p.observe(move |vals, alphabet| alphabet.valuation_symbol(&[vals[x] == 1]));
-//! p.command("toggle", Fairness::Weak, |_| true, move |vals| {
-//!     let mut next = vals.to_vec();
-//!     next[x] = 1 - vals[x];
-//!     vec![next]
-//! });
-//! p.command("idle", Fairness::None, |_| true, |vals| vec![vals.to_vec()]);
-//! let ts = p.build().unwrap();
+//! p.observe_prop(Guard::var_eq(x, 1));
+//! let flip = Branch::assign(vec![(x, Expr::c(1) - Expr::v(x))]);
+//! p.command("toggle", Fairness::Weak, Guard::True, vec![flip]);
+//! p.command("idle", Fairness::None, Guard::True, vec![Branch::skip()]);
+//! let ts = p.to_builder(&sigma).build().unwrap();
 //! assert_eq!(ts.num_states(), 2);
 //! ```
 
-use crate::system::{Fairness, SystemError, TransitionSystem};
-use hierarchy_automata::alphabet::{Alphabet, Symbol};
+use crate::absint::ir::{eval_guard, IrError, Program};
+use crate::system::{SystemError, TransitionSystem};
+use hierarchy_automata::alphabet::Alphabet;
+use std::collections::HashMap;
 use std::fmt;
 
-type Guard = Box<dyn Fn(&[usize]) -> bool>;
-type Update = Box<dyn Fn(&[usize]) -> Vec<Vec<usize>>>;
-type Observe = Box<dyn Fn(&[usize], &Alphabet) -> Symbol>;
-
-struct Command {
-    name: String,
-    fairness: Fairness,
-    guard: Guard,
-    update: Update,
-}
-
-/// Builds a [`TransitionSystem`] from finite-domain variables and guarded
-/// commands.
-pub struct ProgramBuilder {
-    alphabet: Alphabet,
-    var_names: Vec<String>,
-    domains: Vec<usize>,
-    inits: Vec<Vec<usize>>,
-    observe: Option<Observe>,
-    commands: Vec<Command>,
+/// A program paired with its observation alphabet, ready to enumerate;
+/// made by [`Program::to_builder`].
+#[derive(Debug, Clone, Copy)]
+pub struct ProgramBuilder<'a> {
+    program: &'a Program,
+    alphabet: &'a Alphabet,
 }
 
 /// Errors from [`ProgramBuilder::build`].
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BuildError {
-    /// No observation function was supplied.
-    NoObservation,
-    /// No initial valuation was supplied.
-    NoInitialValuation,
-    /// A variable was declared with an empty domain.
-    EmptyDomain {
-        /// The offending variable.
-        variable: String,
-    },
-    /// An initial valuation has the wrong number of values.
-    InitArity {
-        /// The number of declared variables.
-        expected: usize,
-        /// The number of values supplied.
-        got: usize,
-    },
-    /// An initial valuation assigns a value outside a variable's domain.
-    InitOutOfDomain {
-        /// The offending variable.
-        variable: String,
-    },
-    /// A command produced a valuation outside the declared domains.
-    UpdateOutOfDomain {
-        /// The offending command.
-        command: String,
-    },
+    /// The program failed [`Program::validate`].
+    Ir(IrError),
     /// The resulting system failed validation.
     System(SystemError),
 }
@@ -88,20 +50,7 @@ pub enum BuildError {
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BuildError::NoObservation => write!(f, "no observation function supplied"),
-            BuildError::NoInitialValuation => write!(f, "no initial valuation supplied"),
-            BuildError::EmptyDomain { variable } => {
-                write!(f, "variable {variable:?} has an empty domain")
-            }
-            BuildError::InitArity { expected, got } => {
-                write!(f, "initial valuation has {got} values, expected {expected}")
-            }
-            BuildError::InitOutOfDomain { variable } => {
-                write!(f, "initial value for {variable:?} is outside its domain")
-            }
-            BuildError::UpdateOutOfDomain { command } => {
-                write!(f, "command {command:?} produced an out-of-domain valuation")
-            }
+            BuildError::Ir(e) => write!(f, "invalid program: {e}"),
             BuildError::System(e) => write!(f, "resulting system invalid: {e}"),
         }
     }
@@ -109,73 +58,39 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-impl ProgramBuilder {
-    /// Starts a program observed through `alphabet`.
-    pub fn new(alphabet: &Alphabet) -> Self {
+impl Program {
+    /// Pairs the program with `sigma`, which must be a proposition
+    /// (valuation) alphabet with exactly one proposition per observation
+    /// guard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigma` has a different number of propositions than the
+    /// program has observation guards.
+    pub fn to_builder<'a>(&'a self, sigma: &'a Alphabet) -> ProgramBuilder<'a> {
+        assert_eq!(
+            sigma.propositions().len(),
+            self.observations.len(),
+            "alphabet has {} propositions but the program observes {}",
+            sigma.propositions().len(),
+            self.observations.len()
+        );
         ProgramBuilder {
-            alphabet: alphabet.clone(),
-            var_names: Vec::new(),
-            domains: Vec::new(),
-            inits: Vec::new(),
-            observe: None,
-            commands: Vec::new(),
+            program: self,
+            alphabet: sigma,
         }
     }
+}
 
-    /// Declares a variable with domain `{0, …, domain−1}`; returns its
-    /// index into valuation slices. An empty domain is reported by
-    /// [`Self::build`] as [`BuildError::EmptyDomain`].
-    pub fn var(&mut self, name: impl Into<String>, domain: usize) -> usize {
-        self.var_names.push(name.into());
-        self.domains.push(domain);
-        self.domains.len() - 1
-    }
-
-    /// Declares an initial valuation (one value per declared variable, in
-    /// declaration order). Arity or domain mismatches are reported by
-    /// [`Self::build`] as [`BuildError::InitArity`] /
-    /// [`BuildError::InitOutOfDomain`].
-    pub fn init(&mut self, valuation: &[usize]) {
-        self.inits.push(valuation.to_vec());
-    }
-
-    /// Sets the observation: a function from valuations to alphabet
-    /// symbols.
-    pub fn observe<F>(&mut self, f: F)
-    where
-        F: Fn(&[usize], &Alphabet) -> Symbol + 'static,
-    {
-        self.observe = Some(Box::new(f));
-    }
-
-    /// Adds a guarded command: when `guard` holds of the current valuation,
-    /// the command may step to any of the valuations returned by `update`.
-    pub fn command<G, U>(
-        &mut self,
-        name: impl Into<String>,
-        fairness: Fairness,
-        guard: G,
-        update: U,
-    ) where
-        G: Fn(&[usize]) -> bool + 'static,
-        U: Fn(&[usize]) -> Vec<Vec<usize>> + 'static,
-    {
-        self.commands.push(Command {
-            name: name.into(),
-            fairness,
-            guard: Box::new(guard),
-            update: Box::new(update),
-        });
-    }
-
+impl ProgramBuilder<'_> {
     /// Enumerates the reachable valuations and produces the explicit
     /// transition system (validated).
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] for missing pieces, out-of-domain updates,
-    /// or a system that fails [`TransitionSystem::validate`] (e.g.
-    /// deadlocks).
+    /// [`BuildError::Ir`] when the program fails [`Program::validate`],
+    /// [`BuildError::System`] when the system fails
+    /// [`TransitionSystem::validate`] (e.g. a deadlock).
     pub fn build(&self) -> Result<TransitionSystem, BuildError> {
         self.build_with_valuations().map(|(ts, _)| ts)
     }
@@ -184,98 +99,63 @@ impl ProgramBuilder {
     /// valuations in state order (`valuations[s]` is the valuation
     /// interned as state `s`).
     ///
+    /// States are numbered in breadth-first discovery order: the initial
+    /// valuations first, then each state's successors command by command
+    /// and branch by branch. A branch that leaves a domain is not taken.
+    ///
     /// # Errors
     ///
     /// Same as [`Self::build`].
     pub fn build_with_valuations(&self) -> Result<(TransitionSystem, Vec<Vec<usize>>), BuildError> {
-        let observe = self.observe.as_ref().ok_or(BuildError::NoObservation)?;
-        if let Some(i) = self.domains.iter().position(|&d| d == 0) {
-            return Err(BuildError::EmptyDomain {
-                variable: self.var_names[i].clone(),
-            });
-        }
-        if self.inits.is_empty() {
-            return Err(BuildError::NoInitialValuation);
-        }
-        for init in &self.inits {
-            if init.len() != self.domains.len() {
-                return Err(BuildError::InitArity {
-                    expected: self.domains.len(),
-                    got: init.len(),
-                });
-            }
-            if let Some(i) = init.iter().zip(&self.domains).position(|(v, d)| v >= d) {
-                return Err(BuildError::InitOutOfDomain {
-                    variable: self.var_names[i].clone(),
-                });
-            }
-        }
-        let mut ts = TransitionSystem::new(&self.alphabet);
-        let mut ids: std::collections::HashMap<Vec<usize>, usize> =
-            std::collections::HashMap::new();
+        let p = self.program;
+        p.validate().map_err(BuildError::Ir)?;
+        let mut ts = TransitionSystem::new(self.alphabet);
+        // `order` doubles as the queue: states are numbered as found.
         let mut order: Vec<Vec<usize>> = Vec::new();
-        let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        let mut intern = |vals: Vec<usize>,
-                          ts: &mut TransitionSystem,
-                          order: &mut Vec<Vec<usize>>,
-                          queue: &mut std::collections::VecDeque<usize>| {
-            if let Some(&id) = ids.get(&vals) {
-                return id;
-            }
-            let id = ts.add_state(observe(&vals, &self.alphabet));
-            ids.insert(vals.clone(), id);
-            order.push(vals);
-            queue.push_back(id);
-            id
+        let mut ids: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut intern = |vals: Vec<usize>, ts: &mut TransitionSystem, order: &mut Vec<_>| {
+            *ids.entry(vals).or_insert_with_key(|vals| {
+                let bits: Vec<bool> = p.observations.iter().map(|g| eval_guard(g, vals)).collect();
+                order.push(vals.clone());
+                ts.add_state(self.alphabet.valuation_symbol(&bits))
+            })
         };
-        for init in &self.inits {
-            let id = intern(init.clone(), &mut ts, &mut order, &mut queue);
-            ts.set_initial(id);
+        for init in &p.inits {
+            let s = intern(init.clone(), &mut ts, &mut order);
+            ts.set_initial(s);
         }
-        // Per-command edge lists, discovered by forward exploration.
-        let mut edges: Vec<Vec<(usize, usize)>> =
-            self.commands.iter().map(|_| Vec::new()).collect();
-        while let Some(id) = queue.pop_front() {
-            let vals = order[id].clone();
-            for (ci, cmd) in self.commands.iter().enumerate() {
-                if !(cmd.guard)(&vals) {
+        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p.commands.len()];
+        let mut s = 0;
+        while s < order.len() {
+            let vals = order[s].clone();
+            for (cmd, list) in p.commands.iter().zip(&mut edges) {
+                if !eval_guard(&cmd.guard, &vals) {
                     continue;
                 }
-                for next in (cmd.update)(&vals) {
-                    if next.len() != self.domains.len()
-                        || next.iter().zip(&self.domains).any(|(v, d)| v >= d)
-                    {
-                        return Err(BuildError::UpdateOutOfDomain {
-                            command: cmd.name.clone(),
-                        });
-                    }
-                    let to = intern(next, &mut ts, &mut order, &mut queue);
-                    edges[ci].push((id, to));
+                for next in cmd
+                    .branches
+                    .iter()
+                    .filter_map(|b| b.apply(&vals, &p.domains))
+                {
+                    list.push((s, intern(next, &mut ts, &mut order)));
                 }
             }
+            s += 1;
         }
-        for (cmd, edge_list) in self.commands.iter().zip(edges) {
-            ts.add_transition(cmd.name.clone(), edge_list, cmd.fairness);
+        for (cmd, list) in p.commands.iter().zip(edges) {
+            ts.add_transition(cmd.name.clone(), list, cmd.fairness);
         }
         ts.validate().map_err(BuildError::System)?;
         Ok((ts, order))
-    }
-
-    /// The declared variable names, in index order.
-    pub fn var_names(&self) -> &[String] {
-        &self.var_names
-    }
-
-    /// The declared variable domains, in index order.
-    pub fn domains(&self) -> &[usize] {
-        &self.domains
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::absint::{mux_sem_abs, observation_alphabet, peterson_abs, Branch, Expr, Guard};
     use crate::checker::verify;
+    use crate::system::Fairness;
     use hierarchy_logic::to_automaton::compile_over;
     use hierarchy_logic::Formula;
 
@@ -283,212 +163,103 @@ mod tests {
         compile_over(sigma, &Formula::parse(sigma, src).unwrap()).unwrap()
     }
 
-    /// MUX-SEM rebuilt through the builder: pc1, pc2 ∈ {N, T, C}.
-    fn mux_sem_via_builder(grant_fairness: Fairness) -> (TransitionSystem, Alphabet) {
-        let sigma = crate::programs::observation_alphabet();
-        let mut p = ProgramBuilder::new(&sigma);
-        let pc1 = p.var("pc1", 3);
-        let pc2 = p.var("pc2", 3);
-        p.init(&[0, 0]);
-        p.observe(move |vals, alphabet| {
-            alphabet.valuation_symbol(&[
-                vals[pc1] == 2,
-                vals[pc2] == 2,
-                vals[pc1] == 1,
-                vals[pc2] == 1,
-            ])
-        });
-        let set = move |vals: &[usize], var: usize, value: usize| {
-            let mut next = vals.to_vec();
-            next[var] = value;
-            vec![next]
-        };
-        p.command(
-            "req1",
-            Fairness::None,
-            move |v| v[pc1] == 0,
-            move |v| set(v, pc1, 1),
-        );
-        p.command(
-            "req2",
-            Fairness::None,
-            move |v| v[pc2] == 0,
-            move |v| set(v, pc2, 1),
-        );
-        p.command(
-            "grant1",
-            grant_fairness,
-            move |v| v[pc1] == 1 && v[pc2] != 2,
-            move |v| set(v, pc1, 2),
-        );
-        p.command(
-            "grant2",
-            grant_fairness,
-            move |v| v[pc2] == 1 && v[pc1] != 2,
-            move |v| set(v, pc2, 2),
-        );
-        p.command(
-            "release1",
-            Fairness::Weak,
-            move |v| v[pc1] == 2,
-            move |v| set(v, pc1, 0),
-        );
-        p.command(
-            "release2",
-            Fairness::Weak,
-            move |v| v[pc2] == 2,
-            move |v| set(v, pc2, 0),
-        );
-        p.command("idle", Fairness::None, |_| true, |v| vec![v.to_vec()]);
-        (p.build().unwrap(), sigma)
+    /// A one-variable program over `[x]` observing `x = 1`.
+    fn one_var(domain: usize) -> (Program, Alphabet) {
+        let mut p = Program::new();
+        let x = p.var("x", domain);
+        p.init(&[0]);
+        p.observe_prop(Guard::var_eq(x, 1));
+        (p, Alphabet::of_propositions(["x"]).unwrap())
     }
 
     #[test]
-    fn builder_reproduces_mux_sem_verdicts() {
-        for fairness in [Fairness::Strong, Fairness::Weak] {
-            let (built, sigma) = mux_sem_via_builder(fairness);
-            let (explicit, _) = crate::programs::mux_sem(fairness);
-            for src in ["G !(c1 & c2)", "G (t1 -> F c1)", "G (t2 -> F c2)"] {
-                let prop = spec(&sigma, src);
-                assert_eq!(
-                    verify(&built, &prop).expect("check").holds(),
-                    verify(&explicit, &prop).expect("check").holds(),
-                    "builder/explicit disagree on {src} under {fairness:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn builder_only_explores_reachable_states() {
-        let (built, _) = mux_sem_via_builder(Fairness::Strong);
-        // pc1 = pc2 = C is unreachable (the semaphore), so 8 of 9
+    fn only_reachable_valuations_get_a_state() {
+        let sigma = observation_alphabet();
+        // pc1 = pc2 = C is unreachable (the semaphore), so 8 of the 9
         // valuations remain.
-        assert_eq!(built.num_states(), 8);
-    }
-
-    #[test]
-    fn builder_errors() {
-        let sigma = crate::programs::observation_alphabet();
-        // Missing observation.
-        let mut p = ProgramBuilder::new(&sigma);
-        p.var("x", 2);
-        p.init(&[0]);
-        assert!(matches!(p.build(), Err(BuildError::NoObservation)));
-        // Missing init.
-        let mut p = ProgramBuilder::new(&sigma);
-        p.var("x", 2);
-        p.observe(|_, a| a.valuation_symbol(&[false, false, false, false]));
-        assert!(matches!(p.build(), Err(BuildError::NoInitialValuation)));
-        // Out-of-domain update.
-        let mut p = ProgramBuilder::new(&sigma);
-        let x = p.var("x", 2);
-        p.init(&[0]);
-        p.observe(|_, a| a.valuation_symbol(&[false, false, false, false]));
-        p.command(
-            "bad",
-            Fairness::None,
-            |_| true,
-            move |v| {
-                let mut n = v.to_vec();
-                n[x] = 5;
-                vec![n]
-            },
-        );
-        assert!(matches!(
-            p.build(),
-            Err(BuildError::UpdateOutOfDomain { .. })
-        ));
-        // Deadlock detected by validation.
-        let mut p = ProgramBuilder::new(&sigma);
-        p.var("x", 2);
-        p.init(&[0]);
-        p.observe(|_, a| a.valuation_symbol(&[false, false, false, false]));
-        assert!(matches!(
-            p.build(),
-            Err(BuildError::System(SystemError::Deadlock { .. }))
-        ));
-        // Declaration mistakes are deferred to build() instead of
-        // panicking at declaration time.
-        let mut p = ProgramBuilder::new(&sigma);
-        p.var("x", 0);
-        p.init(&[0]);
-        p.observe(|_, a| a.valuation_symbol(&[false, false, false, false]));
-        assert!(matches!(p.build(), Err(BuildError::EmptyDomain { .. })));
-        let mut p = ProgramBuilder::new(&sigma);
-        p.var("x", 2);
-        p.init(&[0, 1]);
-        p.observe(|_, a| a.valuation_symbol(&[false, false, false, false]));
-        assert!(matches!(
-            p.build(),
-            Err(BuildError::InitArity {
-                expected: 1,
-                got: 2
-            })
-        ));
-        let mut p = ProgramBuilder::new(&sigma);
-        p.var("x", 2);
-        p.init(&[2]);
-        p.observe(|_, a| a.valuation_symbol(&[false, false, false, false]));
-        assert!(matches!(p.build(), Err(BuildError::InitOutOfDomain { .. })));
+        let mux = mux_sem_abs(Fairness::Strong).to_builder(&sigma).build();
+        assert_eq!(mux.unwrap().num_states(), 8);
+        // Peterson: 20 of the 32 valuations of (pc1, pc2, tb).
+        let peterson = peterson_abs().to_builder(&sigma).build();
+        assert_eq!(peterson.unwrap().num_states(), 20);
     }
 
     #[test]
     fn build_with_valuations_orders_by_state() {
-        let (built, sigma) = mux_sem_via_builder(Fairness::Strong);
-        let mut p = ProgramBuilder::new(&sigma);
-        let pc1 = p.var("pc1", 3);
-        p.init(&[0]);
-        p.observe(move |vals, alphabet| {
-            alphabet.valuation_symbol(&[vals[pc1] == 2, false, vals[pc1] == 1, false])
-        });
-        p.command(
-            "step",
-            Fairness::Weak,
-            |_| true,
-            move |v| {
-                let mut next = v.to_vec();
-                next[pc1] = (v[pc1] + 1) % 3;
-                vec![next]
-            },
-        );
-        let (ts, vals) = p.build_with_valuations().expect("builds");
+        let sigma = observation_alphabet();
+        let prog = peterson_abs();
+        let (ts, vals) = prog.to_builder(&sigma).build_with_valuations().unwrap();
         assert_eq!(vals.len(), ts.num_states());
+        assert_eq!(ts.initial_states(), &[0]);
+        assert_eq!(vals[0], prog.inits[0]);
         for (s, val) in vals.iter().enumerate() {
-            assert_eq!(
-                ts.observation(s),
-                sigma.valuation_symbol(&[val[0] == 2, false, val[0] == 1, false])
-            );
+            let bits: Vec<bool> = prog
+                .observations
+                .iter()
+                .map(|g| eval_guard(g, val))
+                .collect();
+            assert_eq!(ts.observation(s), sigma.valuation_symbol(&bits));
         }
-        assert_eq!(p.domains(), &[3]);
-        assert_eq!(built.num_states(), 8);
+        let distinct: std::collections::HashSet<&Vec<usize>> = vals.iter().collect();
+        assert_eq!(distinct.len(), vals.len(), "one state per valuation");
+    }
+
+    #[test]
+    fn invalid_program_is_its_ir_error() {
+        let (mut p, sigma) = one_var(2);
+        p.inits.clear();
+        assert_eq!(
+            p.to_builder(&sigma).build().unwrap_err(),
+            BuildError::Ir(IrError::NoInit)
+        );
+        p.init(&[2]);
+        assert_eq!(
+            p.to_builder(&sigma).build().unwrap_err(),
+            BuildError::Ir(IrError::BadInit { init: 0 })
+        );
+        p.inits[0] = vec![0];
+        p.command("bad", Fairness::None, Guard::var_eq(5, 0), vec![]);
+        assert_eq!(
+            p.to_builder(&sigma).build_with_valuations().unwrap_err(),
+            BuildError::Ir(IrError::BadVarIndex { var: 5 })
+        );
+    }
+
+    #[test]
+    fn deadlock_is_a_system_error() {
+        // No command at all: the initial state has no successor.
+        let (p, sigma) = one_var(2);
+        assert_eq!(
+            p.to_builder(&sigma).build().unwrap_err(),
+            BuildError::System(SystemError::Deadlock { state: 0 })
+        );
+    }
+
+    #[test]
+    fn out_of_domain_branch_is_not_taken() {
+        // x := x + 1 escapes {0, 1, 2} at x = 2; there only `stay` moves.
+        let (mut p, sigma) = one_var(3);
+        let inc = Branch::assign(vec![(0, Expr::v(0) + Expr::c(1))]);
+        p.command("inc", Fairness::Weak, Guard::True, vec![inc]);
+        p.command("stay", Fairness::None, Guard::True, vec![Branch::skip()]);
+        let ts = p.to_builder(&sigma).build().unwrap();
+        assert_eq!(ts.num_states(), 3);
+        assert_eq!(ts.transitions()[0].edges, vec![(0, 1), (1, 2)]);
     }
 
     #[test]
     fn nondeterministic_updates() {
-        // A coin: flip goes to 0 or 1 nondeterministically; under weak
-        // fairness of `flip` both values recur? No — fairness is about the
-        // command, not its branches: □◇x is NOT guaranteed. Check that the
-        // checker agrees (a run may always resolve the flip to 0).
-        let sigma = Alphabet::of_propositions(["x"]).unwrap();
-        let mut p = ProgramBuilder::new(&sigma);
-        let x = p.var("x", 2);
-        p.init(&[0]);
-        p.observe(move |vals, alphabet| alphabet.valuation_symbol(&[vals[x] == 1]));
-        p.command(
-            "flip",
-            Fairness::Weak,
-            |_| true,
-            |v| {
-                let mut zero = v.to_vec();
-                zero[0] = 0;
-                let mut one = v.to_vec();
-                one[0] = 1;
-                vec![zero, one]
-            },
+        // A coin: flip goes to 0 or 1 nondeterministically. Fairness is
+        // about the command, not its branches, so □◇x is NOT guaranteed:
+        // a run may always resolve the flip to 0.
+        let (mut p, sigma) = one_var(2);
+        let to = |k| Branch::assign(vec![(0, Expr::c(k))]);
+        p.command("flip", Fairness::Weak, Guard::True, vec![to(0), to(1)]);
+        let ts = p.to_builder(&sigma).build().unwrap();
+        assert_eq!(
+            ts.transitions()[0].edges,
+            vec![(0, 0), (0, 1), (1, 0), (1, 1)]
         );
-        let ts = p.build().unwrap();
-        let prop = spec(&sigma, "G F x");
-        assert!(!verify(&ts, &prop).expect("check").holds());
+        assert!(!verify(&ts, &spec(&sigma, "G F x")).expect("check").holds());
     }
 }

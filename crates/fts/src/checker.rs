@@ -852,7 +852,7 @@ mod tests {
 
     #[test]
     fn mux_safety_discharged_without_product() {
-        let sigma = crate::programs::observation_alphabet();
+        let sigma = crate::absint::observation_alphabet();
         let prog = crate::absint::mux_sem_abs(Fairness::Strong);
         let prop = spec(&sigma, "G !(c1 & c2)");
         let (v, stats) =
@@ -864,7 +864,7 @@ mod tests {
         assert!(stats.abstract_pairs > 0);
         // The explicit check of the same property does build a product —
         // the bench criterion "strictly fewer product states".
-        let (ts, _) = crate::programs::mux_sem(Fairness::Strong);
+        let ts = prog.to_builder(&sigma).build().expect("builds");
         let (ev, estats) = verify_with_stats(&ts, &prop).expect("explicit");
         assert!(ev.holds());
         assert!(
@@ -876,7 +876,7 @@ mod tests {
 
     #[test]
     fn token_ring_safety_discharged() {
-        let sigma = crate::programs::observation_alphabet();
+        let sigma = crate::absint::observation_alphabet();
         let prog = crate::absint::token_ring_abs(true);
         let prop = spec(&sigma, "G !(c1 & c2)");
         let (v, stats) =
@@ -892,7 +892,7 @@ mod tests {
         // abstract product reaches the dead state and the checker must
         // fall back to the explicit product — which still proves mutex,
         // and the prune filter must not remove any concrete node.
-        let sigma = crate::programs::observation_alphabet();
+        let sigma = crate::absint::observation_alphabet();
         let prog = crate::absint::peterson_abs();
         let prop = spec(&sigma, "G !(c1 & c2)");
         let (v, stats) =
@@ -913,7 +913,7 @@ mod tests {
         // domain can: the (pc2, tb) correlation makes "both critical"
         // abstractly infeasible, so mutex discharges at zero product
         // states and both certifiers vouch for the invariant.
-        let sigma = crate::programs::observation_alphabet();
+        let sigma = crate::absint::observation_alphabet();
         let prog = crate::absint::peterson_abs();
         let prop = spec(&sigma, "G !(c1 & c2)");
         let (v, stats) =
@@ -927,7 +927,7 @@ mod tests {
 
     #[test]
     fn n_process_families_discharge_relationally() {
-        let sigma = crate::programs::observation_alphabet();
+        let sigma = crate::absint::observation_alphabet();
         let prop = spec(&sigma, "G !(c1 & c2)");
         for n in 2..=4 {
             for (name, prog) in [
@@ -965,13 +965,13 @@ mod tests {
         // invariant-first checker must report the same violation the
         // explicit checker finds (response is not safety, so no
         // discharge is attempted).
-        let sigma = crate::programs::observation_alphabet();
+        let sigma = crate::absint::observation_alphabet();
         let prog = crate::absint::mux_sem_abs(Fairness::Weak);
         let prop = spec(&sigma, "G (t2 -> F c2)");
         let (v, stats) =
             check_with_invariants(&prog, &sigma, &prop, DomainKind::ValueSets).expect("check");
         assert!(!stats.discharged);
-        let (ts, _) = crate::programs::mux_sem(Fairness::Weak);
+        let ts = prog.to_builder(&sigma).build().expect("builds");
         let ev = verify(&ts, &prop).expect("explicit");
         assert_eq!(v.holds(), ev.holds());
         assert!(!v.holds(), "weak grants admit starvation");
@@ -982,7 +982,7 @@ mod tests {
 
     #[test]
     fn invariant_first_rejects_bad_inputs() {
-        let sigma = crate::programs::observation_alphabet();
+        let sigma = crate::absint::observation_alphabet();
         let prog = crate::absint::mux_sem_abs(Fairness::Strong);
         let prop = spec(&sigma, "G !(c1 & c2)");
         // Alphabet mismatch: property over a different alphabet.
@@ -1012,15 +1012,18 @@ mod tests {
                 cases.push((ts, sigma, src));
             }
         }
+        let sigma = crate::absint::observation_alphabet();
         for fairness in [Fairness::Weak, Fairness::Strong] {
             for src in ["G (t2 -> F c2)", "G F c1", "F G !c2", "G !(c1 & c2)"] {
-                let (ts, sigma) = crate::programs::mux_sem(fairness);
-                cases.push((ts, sigma, src));
+                let prog = crate::absint::mux_sem_abs(fairness);
+                let ts = prog.to_builder(&sigma).build().expect("builds");
+                cases.push((ts, sigma.clone(), src));
             }
         }
         for fair_pass in [false, true] {
-            let (ts, sigma) = crate::programs::token_ring(fair_pass);
-            cases.push((ts, sigma, "G (t1 -> F c1)"));
+            let prog = crate::absint::token_ring_abs(fair_pass);
+            let ts = prog.to_builder(&sigma).build().expect("builds");
+            cases.push((ts, sigma.clone(), "G (t1 -> F c1)"));
         }
         let psigma = Alphabet::of_propositions(["p0", "p1"]).unwrap();
         for seed in 0..30 {

@@ -15,21 +15,21 @@
 //!   satisfies a property given as a deterministic ω-automaton, by
 //!   searching the product for a fair counterexample cycle (iterated SCC
 //!   refinement, the same algorithm family as Streett emptiness);
-//! * [`programs`] — the paper's example programs: Peterson's mutual
-//!   exclusion, a semaphore with strong fairness, and a token ring;
-//! * [`builder`] — a guarded-command builder: variables over finite
-//!   domains plus guarded commands, compiled to an explicit system;
-//! * [`absint`] — an abstract-interpretation engine over a declarative
-//!   program IR: per-location invariant certificates, an independent
-//!   certificate checker, and the invariant-first checking mode
+//! * [`absint`] — the declarative program IR (variables over finite
+//!   domains plus guarded commands), the paper's example programs in it
+//!   (Peterson's mutual exclusion, a semaphore with strong fairness, a
+//!   token ring), and an abstract-interpretation engine over it:
+//!   per-location invariant certificates, an independent certificate
+//!   checker, and the invariant-first checking mode
 //!   [`checker::check_with_invariants`] that discharges safety
-//!   properties without building the product.
+//!   properties without building the product;
+//! * [`builder`] — the explicit enumeration of an IR program's reachable
+//!   valuations into a [`system::TransitionSystem`].
 
 pub mod absint;
 pub mod builder;
 pub mod checker;
 pub mod error;
-pub mod programs;
 pub mod system;
 
 pub use error::CheckError;

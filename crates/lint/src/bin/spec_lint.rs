@@ -37,7 +37,6 @@ use hierarchy_automata::alphabet::Alphabet;
 use hierarchy_automata::omega::OmegaAutomaton;
 use hierarchy_automata::par;
 use hierarchy_fts::absint;
-use hierarchy_fts::programs;
 use hierarchy_fts::system::Fairness;
 use hierarchy_lang::finitary::FinitaryProperty;
 use hierarchy_lang::regex::Regex;
@@ -334,10 +333,8 @@ fn list_programs(json: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Lints declarative programs from the built-in catalogue: the semantic
-/// invariant-backed rules (`FTS001`/`FTS003`–`FTS007` via
-/// [`lint_abstract_program`]) plus the syntactic system rules on the
-/// enumerated transition system.
+/// Lints declarative programs from the built-in catalogue with
+/// [`lint_catalogue_program`].
 fn cmd_program(args: Vec<&str>) -> ExitCode {
     // `--list` is not a linting option, so strip it before parse_opts
     // (which rejects unknown `--` flags).
@@ -375,16 +372,23 @@ fn cmd_program(args: Vec<&str>) -> ExitCode {
         }
         chosen
     };
-    let sigma = programs::observation_alphabet();
     let suite: Vec<(String, Vec<Diagnostic>)> =
         par::map_with(opts.jobs, &selected, |(name, prog)| {
-            // Built-in programs always validate and enumerate.
-            let mut diags = lint_abstract_program(prog).expect("catalogue program");
-            let ts = prog.to_builder(&sigma).build().expect("catalogue program");
-            diags.extend(lint_system(&ts));
-            (name.clone(), diags)
+            (name.clone(), lint_catalogue_program(prog))
         });
     report(&suite, opts.json)
+}
+
+/// Lints one catalogue program: the semantic invariant-backed rules
+/// (`FTS001`/`FTS003`–`FTS008` via [`lint_abstract_program`]), then the
+/// system rules on its enumerated transition system.
+fn lint_catalogue_program(prog: &absint::Program) -> Vec<Diagnostic> {
+    // Built-in programs always validate and enumerate.
+    let mut diags = lint_abstract_program(prog).expect("catalogue program");
+    let sigma = absint::observation_alphabet();
+    let ts = prog.to_builder(&sigma).build().expect("catalogue program");
+    diags.extend(lint_system(&ts));
+    diags
 }
 
 /// Lints the paper's running examples end to end: the mutual-exclusion
@@ -473,16 +477,14 @@ fn cmd_examples(args: Vec<&str>) -> ExitCode {
         ));
     }
 
-    // The example programs.
-    let (peterson, _) = programs::peterson();
-    let (mux, _) = programs::mux_sem(Fairness::Strong);
-    let (ring, _) = programs::token_ring(true);
-    for (name, system) in [
-        ("program peterson", peterson),
-        ("program mux_sem", mux),
-        ("program token_ring", ring),
-    ] {
-        jobs.push((name.into(), Box::new(move || lint_system(&system))));
+    // The paper's three programs, linted as `spec-lint program` does.
+    for (name, prog) in program_catalogue() {
+        if matches!(name, "peterson" | "mux-sem" | "token-ring") {
+            jobs.push((
+                format!("program {name}"),
+                Box::new(move || lint_catalogue_program(&prog)),
+            ));
+        }
     }
 
     let suite: Vec<(String, Vec<Diagnostic>)> =

@@ -1,4 +1,4 @@
-//! Fair-transition-system lints (`FTS001`–`FTS007`).
+//! Fair-transition-system lints (`FTS001`–`FTS008`).
 //!
 //! `lint_system` inspects a finished [`TransitionSystem`]: a transition
 //! with no edges at all (`FTS002`), a transition none of whose source
@@ -6,10 +6,7 @@
 //! the aggravated form of the latter where the dead transition also
 //! carries a fairness requirement (`FTS003` — the scheduler is asked to be
 //! fair to something unschedulable, which silently weakens the fairness
-//! assumption to a no-op). `lint_program` builds a [`ProgramBuilder`] and
-//! additionally checks each declared variable against the reachable
-//! valuations (`FTS004`: a variable with a non-trivial domain that never
-//! changes).
+//! assumption to a no-op).
 //!
 //! `lint_abstract_program` is the *semantic* entry point for the
 //! declarative IR: it runs the abstract-interpretation engine of
@@ -27,7 +24,6 @@ use crate::diagnostic::{Diagnostic, Location};
 use crate::registry::{self, RuleInfo};
 use hierarchy_fts::absint::domain::full_mask;
 use hierarchy_fts::absint::{self, DomainKind, Invariant, IrError, Program};
-use hierarchy_fts::builder::{BuildError, ProgramBuilder};
 use hierarchy_fts::system::{Fairness, TransitionSystem};
 
 fn diag(rule: &RuleInfo, location: Location, message: impl Into<String>) -> Diagnostic {
@@ -101,49 +97,6 @@ pub fn lint_system(ts: &TransitionSystem) -> Vec<Diagnostic> {
         }
     }
     out
-}
-
-/// Builds the program and lints the result: `FTS004` constant variables
-/// plus all of [`lint_system`] on the underlying transition system.
-///
-/// # Errors
-///
-/// Propagates the builder's own [`BuildError`] (an ill-formed program is a
-/// build failure, not a lint finding).
-pub fn lint_program(program: &ProgramBuilder) -> Result<Vec<Diagnostic>, BuildError> {
-    let (ts, valuations) = program.build_with_valuations()?;
-    let mut out = Vec::new();
-    for (i, (name, &dom)) in program
-        .var_names()
-        .iter()
-        .zip(program.domains())
-        .enumerate()
-    {
-        if dom <= 1 {
-            continue; // a one-value domain is constant by declaration
-        }
-        let mut values = valuations.iter().map(|v| v[i]);
-        if let Some(first) = values.next() {
-            if values.all(|v| v == first) {
-                out.push(
-                    diag(
-                        &registry::FTS004,
-                        Location::Variable(name.clone()),
-                        format!(
-                            "declared over a domain of {dom} values but equal to {first} in \
-                             every reachable state"
-                        ),
-                    )
-                    .with_suggestion(
-                        "shrink the domain or fix the transitions that should \
-                                      update it",
-                    ),
-                );
-            }
-        }
-    }
-    out.extend(lint_system(&ts));
-    Ok(out)
 }
 
 fn fairness_kind(f: Fairness) -> &'static str {
@@ -346,7 +299,6 @@ pub fn lint_abstract_program_ctx(program: &Program, inv: &Invariant) -> Vec<Diag
 mod tests {
     use super::*;
     use hierarchy_automata::alphabet::Alphabet;
-    use hierarchy_fts::programs;
 
     fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.code).collect()
@@ -403,53 +355,28 @@ mod tests {
     }
 
     #[test]
-    fn constant_variable_fires_fts004() {
-        // One live counter and one frozen flag with a two-value domain.
-        let sigma = Alphabet::new(["lo", "hi"]).unwrap();
-        let mut p = ProgramBuilder::new(&sigma);
-        let c = p.var("count", 3);
-        let _frozen = p.var("frozen", 2);
-        p.init(&[0, 0]);
-        p.command(
-            "tick",
-            Fairness::Weak,
-            |_| true,
-            move |v| {
-                let mut w = v.to_vec();
-                w[c] = (v[c] + 1) % 3;
-                vec![w]
-            },
-        );
-        p.observe(move |v, sigma| sigma.symbol(if v[c] == 2 { "hi" } else { "lo" }).unwrap());
-        let diags = lint_program(&p).unwrap();
-        assert_eq!(codes(&diags), vec!["FTS004"]);
-        assert_eq!(diags[0].location, Location::Variable("frozen".to_string()));
-    }
-
-    #[test]
     fn healthy_program_is_clean() {
-        let sigma = Alphabet::new(["lo", "hi"]).unwrap();
-        let mut p = ProgramBuilder::new(&sigma);
+        // A counter cycling through its whole domain.
+        let mut p = Program::new();
         let c = p.var("count", 3);
         p.init(&[0]);
-        p.command(
-            "tick",
-            Fairness::Weak,
-            |_| true,
-            move |v| vec![vec![(v[c] + 1) % 3]],
-        );
-        p.observe(move |v, sigma| sigma.symbol(if v[c] == 2 { "hi" } else { "lo" }).unwrap());
-        assert!(lint_program(&p).unwrap().is_empty());
+        p.observe_prop(Guard::var_eq(c, 2));
+        let tick = Branch::assign(vec![(c, (Expr::v(c) + Expr::c(1)).modulo(3))]);
+        p.command("tick", Fairness::Weak, Guard::True, vec![tick]);
+        assert!(lint_abstract_program(&p).unwrap().is_empty());
+        let sigma = Alphabet::of_propositions(["hi"]).unwrap();
+        assert!(lint_system(&p.to_builder(&sigma).build().unwrap()).is_empty());
     }
 
     #[test]
     fn paper_programs_are_clean() {
-        for (name, (ts, _)) in [
-            ("peterson", programs::peterson()),
-            ("mux_sem", programs::mux_sem(Fairness::Strong)),
-            ("token_ring", programs::token_ring(true)),
+        let sigma = absint::observation_alphabet();
+        for (name, prog) in [
+            ("peterson", absint::peterson_abs()),
+            ("mux_sem", absint::mux_sem_abs(Fairness::Strong)),
+            ("token_ring", absint::token_ring_abs(true)),
         ] {
-            let diags = lint_system(&ts);
+            let diags = lint_system(&prog.to_builder(&sigma).build().unwrap());
             assert!(diags.is_empty(), "{name}: {diags:?}");
         }
     }

@@ -17,7 +17,7 @@
 //! | logic | [`logic::lint_formula`] | `LOGIC001`–`LOGIC007` |
 //! | automata | [`automata::lint_automaton`] | `AUT001`–`AUT007` |
 //! | lang | [`lang::lint_regex`], [`lang::lint_finitary`], [`lang::lint_minex`] | `LANG001`–`LANG006` |
-//! | fts | [`fts::lint_system`], [`fts::lint_program`], [`fts::lint_abstract_program`] | `FTS001`–`FTS007` |
+//! | fts | [`fts::lint_system`], [`fts::lint_abstract_program`] | `FTS001`–`FTS008` |
 //! | suite | [`suite::audit_suite`], [`suite::audit_suite_ctx`] | `SUITE001`–`SUITE005` |
 //!
 //! The semantic rules are decision procedures, not heuristics: they reuse
@@ -37,7 +37,7 @@ pub mod suite;
 
 pub use automata::{lint_automaton, lint_automaton_ctx};
 pub use diagnostic::{is_clean, report_to_json, worst_severity, Diagnostic, Location, Severity};
-pub use fts::{lint_abstract_program, lint_abstract_program_ctx, lint_program, lint_system};
+pub use fts::{lint_abstract_program, lint_abstract_program_ctx, lint_system};
 pub use lang::{lint_finitary, lint_minex, lint_regex};
 pub use logic::lint_formula;
 pub use registry::{rule, RuleInfo, CATALOGUE};

@@ -192,10 +192,10 @@ fn injected_transient_atom_state_fires_aut007() {
 
 mod fts_defects {
     use super::*;
-    use hierarchy_fts::absint::{random_program, Guard, Program};
-    use hierarchy_fts::builder::ProgramBuilder;
-    use hierarchy_fts::system::Fairness;
-    use hierarchy_lint::{lint_abstract_program, lint_program, Location};
+    use hierarchy_fts::absint::{random_program, Branch, Expr, Guard, Program};
+    use hierarchy_fts::builder::BuildError;
+    use hierarchy_fts::system::{Fairness, SystemError};
+    use hierarchy_lint::{lint_abstract_program, Location};
 
     fn abs_codes(p: &Program) -> BTreeSet<&'static str> {
         lint_abstract_program(p)
@@ -210,11 +210,11 @@ mod fts_defects {
     }
 
     /// Growing a non-`pc` variable's domain makes its top value dead:
-    /// the semantic `FTS004` (dead declared values) must fire, while the
-    /// syntactic `FTS004` stays silent because the variable is not
-    /// *constant* in the enumerated reachable valuations.
+    /// the semantic `FTS004` (dead declared values) must fire, although
+    /// the variable is not *constant* in the enumerated reachable
+    /// valuations.
     #[test]
-    fn grown_domain_fires_semantic_fts004_where_syntactic_is_silent() {
+    fn grown_domain_fires_semantic_fts004() {
         let sigma = prop_sigma();
         let mut usable = 0;
         for seed in 0..80u64 {
@@ -230,8 +230,8 @@ mod fts_defects {
             if baseline.contains("FTS004") || baseline.contains("FTS005") {
                 continue; // masked, or envelope findings the growth would shift
             }
-            // Skip seeds where x is exactly constant: there the syntactic
-            // rule fires too and the comparison shows nothing.
+            // Skip seeds where x is exactly constant: there the finding
+            // would not need the invariant.
             let (_, vals) = prog
                 .to_builder(&sigma)
                 .build_with_valuations()
@@ -248,12 +248,6 @@ mod fts_defects {
                 abs_codes(&grown),
                 expected,
                 "seed {seed}: growing a domain must add exactly FTS004"
-            );
-            let syntactic = lint_program(&grown.to_builder(&sigma)).expect("build");
-            assert!(
-                !syntactic.iter().any(|d| d.code == "FTS004"
-                    && d.location == Location::Variable(grown.var_names[x].clone())),
-                "seed {seed}: the syntactic rule cannot see dead values"
             );
             usable += 1;
         }
@@ -332,25 +326,12 @@ mod fts_defects {
         assert!(usable >= 5, "only {usable} usable seeds for FTS005");
     }
 
-    /// An update that can leave its domain kills the enumeration-based
-    /// lint (`lint_program` propagates the build error) but not the
-    /// semantic one: the IR defines such branches as not taken, so
+    /// An update that can leave its domain is not taken: at `x = 2` the
+    /// saturating counter has no successor, so the enumeration reports a
+    /// deadlock there (not an out-of-domain value), and
     /// `lint_abstract_program` still returns a report.
     #[test]
-    fn out_of_domain_update_fails_builder_but_not_semantic_lint() {
-        let sigma = Alphabet::new(["lo", "hi"]).unwrap();
-        let mut b = ProgramBuilder::new(&sigma);
-        let x = b.var("x", 3);
-        b.init(&[0]);
-        b.command(
-            "inc",
-            Fairness::Weak,
-            |_| true,
-            move |v| vec![vec![v[x] + 1]], // escapes the domain at x = 2
-        );
-        b.observe(move |v, sigma| sigma.symbol(if v[x] == 2 { "hi" } else { "lo" }).unwrap());
-        assert!(lint_program(&b).is_err(), "the builder must reject x := 3");
-
+    fn out_of_domain_update_is_not_taken() {
         let mut ir = Program::new();
         let xi = ir.var("x", 3);
         ir.init(&[0]);
@@ -359,10 +340,12 @@ mod fts_defects {
             "inc",
             Fairness::Weak,
             Guard::True,
-            vec![hierarchy_fts::absint::Branch::assign(vec![(
-                xi,
-                hierarchy_fts::absint::Expr::v(xi).add(hierarchy_fts::absint::Expr::c(1)),
-            )])],
+            vec![Branch::assign(vec![(xi, Expr::v(xi).add(Expr::c(1)))])],
+        );
+        let sigma = Alphabet::of_propositions(["hi"]).unwrap();
+        assert_eq!(
+            ir.to_builder(&sigma).build().unwrap_err(),
+            BuildError::System(SystemError::Deadlock { state: 2 })
         );
         let diags = lint_abstract_program(&ir).expect("semantic lint is total");
         assert!(
@@ -383,12 +366,7 @@ mod fts_defects {
             "{name}: the clean program must lint clean, got {baseline:?}"
         );
         let mut broken = prog.clone();
-        broken.command(
-            ghost,
-            Fairness::None,
-            guard,
-            vec![hierarchy_fts::absint::Branch::skip()],
-        );
+        broken.command(ghost, Fairness::None, guard, vec![Branch::skip()]);
         let diags = lint_abstract_program(&broken).expect("still valid");
         let codes: BTreeSet<&'static str> = diags.iter().map(|d| d.code).collect();
         assert_eq!(

@@ -9,7 +9,9 @@ use hierarchy_core::automata::canonical::LassoBank;
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::automata::{hoa, inclusion};
 use hierarchy_core::fts::absint::{self, DomainKind};
-use hierarchy_core::fts::checker::check_with_invariants;
+use hierarchy_core::fts::checker::{
+    check_with_invariants, validate_violation, CheckStats, Verdict,
+};
 use hierarchy_core::lint::{
     audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditOptions,
     Diagnostic,
@@ -381,6 +383,49 @@ fn golden_lint_include_and_evict() {
     daemon.shutdown();
 }
 
+/// The `check` response for a verdict and its stats, as the daemon
+/// serializes it.
+fn golden_check(id: i64, verdict: &Verdict, stats: &CheckStats) -> String {
+    let ints = |states: &[usize]| Json::Arr(states.iter().map(|&s| Json::Int(s as i64)).collect());
+    let (name, counterexample) = match verdict {
+        Verdict::Holds => ("holds", Json::Null),
+        Verdict::Violated(cex) => (
+            "violated",
+            Json::obj([("stem", ints(&cex.stem)), ("cycle", ints(&cex.cycle))]),
+        ),
+    };
+    Json::obj([
+        ("id", Json::Int(id)),
+        (
+            "result",
+            Json::obj([
+                ("verdict", Json::str(name)),
+                ("counterexample", counterexample),
+                (
+                    "stats",
+                    Json::obj([
+                        ("product_states", Json::Int(stats.product_states as i64)),
+                        (
+                            "pruned_product_states",
+                            Json::Int(stats.pruned_product_states as i64),
+                        ),
+                        ("abstract_pairs", Json::Int(stats.abstract_pairs as i64)),
+                        ("discharged", Json::Bool(stats.discharged)),
+                        (
+                            "certificate_ok",
+                            match stats.certificate_ok {
+                                Some(b) => Json::Bool(b),
+                                None => Json::Null,
+                            },
+                        ),
+                    ]),
+                ),
+            ]),
+        ),
+    ])
+    .to_string()
+}
+
 #[test]
 fn golden_program_check_and_batches() {
     let mut daemon = Daemon::spawn(&[]);
@@ -439,40 +484,11 @@ fn golden_program_check_and_batches() {
     let got = daemon.request(&format!(
         "{{\"id\":4,\"method\":\"check\",\"params\":{{\"program\":\"{prog_hash}\",\"property\":\"{mux_hash}\",\"domain\":\"value-sets\"}}}}"
     ));
-    let want = Json::obj([
-        ("id", Json::Int(4)),
-        (
-            "result",
-            Json::obj([
-                ("verdict", Json::str("holds")),
-                ("counterexample", Json::Null),
-                (
-                    "stats",
-                    Json::obj([
-                        ("product_states", Json::Int(stats.product_states as i64)),
-                        (
-                            "pruned_product_states",
-                            Json::Int(stats.pruned_product_states as i64),
-                        ),
-                        ("abstract_pairs", Json::Int(stats.abstract_pairs as i64)),
-                        ("discharged", Json::Bool(stats.discharged)),
-                        (
-                            "certificate_ok",
-                            match stats.certificate_ok {
-                                Some(b) => Json::Bool(b),
-                                None => Json::Null,
-                            },
-                        ),
-                    ]),
-                ),
-            ]),
-        ),
-    ])
-    .to_string();
-    assert_eq!(got, want, "check golden");
+    assert_eq!(got, golden_check(4, &verdict, &stats), "check golden");
     assert!(got.contains("\"discharged\":true"), "safety discharged");
 
-    // A violated check: token-ring-stalled has an unfair loop, so the
+    // A violated check: token-ring-stalled may keep the token at process
+    // 0 forever (its passes are unfair), so `G F c2` fails and the
     // response carries a concrete lasso over system states.
     let stalled = absint::catalogue()
         .into_iter()
@@ -483,25 +499,28 @@ fn golden_program_check_and_batches() {
     daemon.request(
         "{\"id\":5,\"method\":\"ingest\",\"params\":{\"kind\":\"program\",\"name\":\"token-ring-stalled\"}}",
     );
-    let got = daemon.request(&format!(
-        "{{\"id\":6,\"method\":\"check\",\"params\":{{\"program\":\"{stalled_hash}\",\"property\":\"{mux_hash}\",\"domain\":\"value-sets\"}}}}"
+    let gfc2 = compile("G F c2", &["c1", "c2", "t1", "t2"]);
+    let gfc2_hash = gfc2.content_hash().to_string();
+    daemon.request(&ingest_formula_request(
+        21,
+        "G F c2",
+        &["c1", "c2", "t1", "t2"],
     ));
-    let resp = Json::parse(&got).unwrap();
-    let verdict_str = resp
-        .get("result")
-        .and_then(|r| r.get("verdict"))
-        .and_then(Json::as_str)
-        .map(str::to_string);
-    let direct = check_with_invariants(&stalled, &sigma, &mux, DomainKind::ValueSets);
-    match direct {
-        Ok((v, _)) => {
-            let want = if v.holds() { "holds" } else { "violated" };
-            assert_eq!(verdict_str.as_deref(), Some(want), "verdict identity");
-        }
-        Err(_) => {
-            assert!(resp.get("error").is_some(), "error identity");
-        }
-    }
+    let got = daemon.request(&format!(
+        "{{\"id\":6,\"method\":\"check\",\"params\":{{\"program\":\"{stalled_hash}\",\"property\":\"{gfc2_hash}\",\"domain\":\"value-sets\"}}}}"
+    ));
+    let (verdict, stats) =
+        check_with_invariants(&stalled, &sigma, &gfc2, DomainKind::ValueSets).unwrap();
+    let Verdict::Violated(cex) = &verdict else {
+        panic!("the stalled ring violates G F c2");
+    };
+    let ts = stalled.to_builder(&sigma).build().unwrap();
+    validate_violation(&ts, &gfc2, cex).expect("the counterexample replays");
+    assert_eq!(
+        got,
+        golden_check(6, &verdict, &stats),
+        "violated check golden"
+    );
 
     // Batches: results arrive in request order and agree with singles.
     let fp = compile("F p", &["p", "q"]);

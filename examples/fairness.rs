@@ -5,8 +5,8 @@
 //!
 //! Run with `cargo run --example fairness`.
 
+use temporal_properties::fts::absint;
 use temporal_properties::fts::checker::{verify, Verdict};
-use temporal_properties::fts::programs;
 use temporal_properties::fts::system::Fairness;
 use temporal_properties::prelude::*;
 
@@ -27,8 +27,12 @@ fn main() {
 
     // --- The gap in action: MUX-SEM accessibility.
     println!("MUX-SEM accessibility □(t2 → ◇c2) under each grant fairness:");
+    let obs = absint::observation_alphabet();
     for fairness in [Fairness::None, Fairness::Weak, Fairness::Strong] {
-        let (ts, obs) = programs::mux_sem(fairness);
+        let ts = absint::mux_sem_abs(fairness)
+            .to_builder(&obs)
+            .build()
+            .expect("MUX-SEM builds");
         let spec = Property::parse(&obs, "G (t2 -> F c2)").expect("compiles");
         let verdict = verify(&ts, spec.automaton()).expect("valid system and alphabet");
         let outcome = match &verdict {
@@ -45,16 +49,27 @@ fn main() {
     // --- Why the classes matter: a weakly-but-not-strongly-fair loop.
     // The starvation loop idles between idle/c1 states; grant2 is enabled
     // only intermittently, so weak fairness tolerates never taking it.
-    let (ts, obs) = programs::mux_sem(Fairness::Weak);
+    let weak = absint::mux_sem_abs(Fairness::Weak);
+    let (ts, vals) = weak
+        .to_builder(&obs)
+        .build_with_valuations()
+        .expect("MUX-SEM builds");
     if let Ok(Verdict::Violated(cex)) = verify(
         &ts,
         Property::parse(&obs, "G (t2 -> F c2)")
             .expect("compiles")
             .automaton(),
     ) {
-        println!("weak-fairness starvation loop (state = pc1*3+pc2):");
-        println!("  stem : {:?}", cex.stem);
-        println!("  cycle: {:?} (repeats forever)", cex.cycle);
+        let show = |states: &[usize]| {
+            let shown: Vec<String> = states.iter().map(|&s| format!("{:?}", vals[s])).collect();
+            shown.join(" ")
+        };
+        println!(
+            "weak-fairness starvation loop (valuations of {}; 0:N 1:T 2:C):",
+            weak.var_names.join(", ")
+        );
+        println!("  stem : {}", show(&cex.stem));
+        println!("  cycle: {} (repeats forever)", show(&cex.cycle));
     }
     println!();
 

@@ -7,16 +7,12 @@
 //!
 //! Run with `cargo run --example mutual_exclusion`.
 
+use temporal_properties::fts::absint;
 use temporal_properties::fts::checker::{verify, Verdict};
-use temporal_properties::fts::programs;
+use temporal_properties::fts::system::{Fairness, TransitionSystem};
 use temporal_properties::prelude::*;
 
-fn check(
-    ts: &temporal_properties::fts::system::TransitionSystem,
-    sigma: &Alphabet,
-    name: &str,
-    src: &str,
-) {
+fn check(ts: &TransitionSystem, sigma: &Alphabet, name: &str, src: &str) {
     let property = Property::parse(sigma, src).expect("spec compiles");
     let class = property.class();
     let verdict = verify(ts, property.automaton()).expect("valid system and alphabet");
@@ -34,8 +30,13 @@ fn check(
 }
 
 fn main() {
-    println!("Peterson's algorithm (32 states, weak fairness):");
-    let (peterson, sigma) = programs::peterson();
+    let sigma = absint::observation_alphabet();
+    let build = |program: absint::Program| program.to_builder(&sigma).build().expect("builds");
+    let peterson = build(absint::peterson_abs());
+    println!(
+        "Peterson's algorithm ({} states, weak fairness):",
+        peterson.num_states()
+    );
 
     // The faulty specification from the paper's introduction: safety only.
     check(
@@ -54,7 +55,7 @@ fn main() {
 
     println!();
     println!("MUX-SEM with strongly fair grants:");
-    let (strong, sigma) = programs::mux_sem(temporal_properties::fts::system::Fairness::Strong);
+    let strong = build(absint::mux_sem_abs(Fairness::Strong));
     check(&strong, &sigma, "mutual exclusion", "G !(c1 & c2)");
     check(&strong, &sigma, "accessibility P1", "G (t1 -> F c1)");
     check(&strong, &sigma, "accessibility P2", "G (t2 -> F c2)");
@@ -62,7 +63,7 @@ fn main() {
 
     println!();
     println!("MUX-SEM with only weakly fair grants (starvation is fair):");
-    let (weak, sigma) = programs::mux_sem(temporal_properties::fts::system::Fairness::Weak);
+    let weak = build(absint::mux_sem_abs(Fairness::Weak));
     check(&weak, &sigma, "mutual exclusion", "G !(c1 & c2)");
     check(&weak, &sigma, "accessibility P2 (false)", "G (t2 -> F c2)");
 }

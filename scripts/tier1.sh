@@ -30,6 +30,9 @@ HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
 # under the relational domain, the states-vs-N family series, certificates).
 cargo run --release --offline -p hierarchy-bench --bin tab_absint -- --smoke \
   > /dev/null
+# The paper's fairness and mutual-exclusion verdicts (TAB-FAIR): its
+# expect() lines check Peterson and MUX-SEM, built from the program IR.
+cargo run --release --offline -p hierarchy-bench --bin tab_fairness_mutex > /dev/null
 # Smoke the quotient-first benchmark: verdict identity raw vs quotient
 # and the state/sweep reduction expectations.
 cargo run --release --offline -p hierarchy-bench --bin tab_minimize -- --smoke \

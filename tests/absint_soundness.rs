@@ -14,7 +14,6 @@ use temporal_properties::fts::absint::{
 use temporal_properties::fts::checker::{
     check_with_invariants, validate_violation, verify, Verdict,
 };
-use temporal_properties::fts::programs;
 use temporal_properties::fts::system::Fairness;
 use temporal_properties::logic::to_automaton::compile_over;
 use temporal_properties::logic::Formula;
@@ -37,7 +36,7 @@ fn random_suite() -> Vec<(String, Program, Alphabet)> {
 }
 
 fn paper_suite() -> Vec<(String, Program, Alphabet)> {
-    let sigma = programs::observation_alphabet();
+    let sigma = absint::observation_alphabet();
     vec![
         (
             "mux-sem".into(),
@@ -61,7 +60,7 @@ fn paper_suite() -> Vec<(String, Program, Alphabet)> {
 /// The parameterized families at N ∈ {2..5} — the scale where the
 /// explicit product is still cheap enough to cross-validate against.
 fn family_suite() -> Vec<(String, Program, Alphabet)> {
-    let sigma = programs::observation_alphabet();
+    let sigma = absint::observation_alphabet();
     let mut out = Vec::new();
     for n in 2..=5 {
         out.push((format!("mux-sem-n{n}"), absint::mux_sem_n(n), sigma.clone()));

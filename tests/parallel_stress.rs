@@ -83,13 +83,12 @@ fn concurrent_queries_agree_with_sequential_and_keep_the_pass_budget() {
     }
 }
 
-/// Stats snapshots and resets racing a query workload: readers may see
-/// any interleaving, but snapshots must never tear into impossible
-/// states (hits without passes after a quiesced warm-up) and resets must
-/// leave the memo tables intact — post-reset queries still answer
-/// correctly and a warm re-query costs zero SCC passes.
+/// Stats snapshots racing a query workload: readers may see any
+/// interleaving, but snapshots and deltas must never underflow or panic,
+/// and after the race quiesces a warm re-query answers identically at
+/// zero SCC passes.
 #[test]
-fn stats_snapshots_and_resets_race_safely() {
+fn stats_snapshots_race_safely() {
     let mut rng = StdRng::seed_from_u64(0x57A75);
     let aut = rand_streett(&mut rng, 48, 3);
     let reference = Analysis::new(aut.clone());
@@ -109,29 +108,24 @@ fn stats_snapshots_and_resets_race_safely() {
         for _ in 0..2 {
             let shared = &shared;
             scope.spawn(move || {
-                for i in 0..50 {
+                for _ in 0..50 {
                     // Snapshot and delta must never underflow or panic
                     // mid-race; delta against a later snapshot saturates.
                     let a = shared.stats_total();
                     let b = shared.stats_total();
                     let _ = b.delta_since(a);
                     let _ = a.delta_since(b);
-                    if i % 10 == 0 {
-                        shared.reset_stats();
-                    }
                 }
             });
         }
     });
 
-    // After the race quiesces: memo tables survived every reset, so a
-    // warm classification answers identically at zero marginal cost.
-    shared.reset_stats();
+    // After the race quiesces: a warm classification answers
+    // identically at zero marginal cost.
     let before = shared.stats_total();
-    assert_eq!(before, Default::default());
     assert_eq!(shared.classification(), &ref_verdict);
     let warm = shared.stats_total().delta_since(before);
-    assert_eq!(warm.scc_passes, 0, "reset must not drop the memo tables");
+    assert_eq!(warm.scc_passes, 0, "the memo tables answer a warm query");
 }
 
 /// The same mixed workload through `Property` handles sharing one
