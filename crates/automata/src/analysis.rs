@@ -155,18 +155,6 @@ impl AnalysisStats {
             inclusion_hits: self.inclusion_hits.saturating_sub(baseline.inclusion_hits),
         }
     }
-
-    /// Sum of all counters — a single "work units" scalar for coarse
-    /// per-request reporting.
-    pub fn total(&self) -> u64 {
-        self.scc_passes
-            + self.scc_state_visits
-            + self.scc_hits
-            + self.products_built
-            + self.product_hits
-            + self.inclusion_checks
-            + self.inclusion_hits
-    }
 }
 
 #[derive(Debug, Default)]
@@ -481,9 +469,8 @@ impl Analysis {
     /// The analysis context of the quotient automaton — `Some` only when
     /// quotienting is enabled for this context *and* minimization
     /// strictly shrank the automaton. The inner context is raw (it never
-    /// re-quotients), and it carries its own [`AnalysisStats`]; see
-    /// [`Self::stats_total`] for combined counters.
-    pub fn quotient_analysis(&self) -> Option<&Analysis> {
+    /// re-quotients), and [`Self::stats_total`] adds its counters.
+    fn quotient_analysis(&self) -> Option<&Analysis> {
         self.quotient
             .get_or_init(|| {
                 if !self.quotient_enabled {
@@ -785,7 +772,7 @@ impl Analysis {
     /// (computed once): the kernel's targeted tour of the first
     /// accepting region, by [`OmegaAutomaton::accepted_lasso`]. That run
     /// keeps its own SCC memo, so the sample adds no pass, hit or other
-    /// count to [`Self::stats`] and leaves this context's memo tables as
+    /// count to [`Self::stats_total`] and leaves this context's memo tables as
     /// they were; a later query's counters are the same whether or not
     /// the sample was drawn first.
     pub fn accepted_lasso(&self) -> Option<&Lasso> {
@@ -922,18 +909,11 @@ impl Analysis {
         res
     }
 
-    /// A snapshot of the cache counters of *this* context only. The
-    /// quotient context (when one exists) counts separately — see
-    /// [`Self::stats_total`].
-    pub fn stats(&self) -> AnalysisStats {
-        self.stats.snapshot()
-    }
-
-    /// Combined cache counters: this context plus its quotient context,
-    /// if one has been created. This is the honest total cost of the
+    /// A snapshot of the cache counters: this context plus its quotient
+    /// context, if one has been created. Queries are routed to the
+    /// quotient whenever it is smaller, so this is the whole cost of the
     /// quotient-first pipeline (the `tab_minimize` experiment reports
-    /// it); [`Self::stats`] alone under-counts when work was routed to
-    /// the quotient.
+    /// it).
     pub fn stats_total(&self) -> AnalysisStats {
         let mut s = self.stats.snapshot();
         if let Some(Some(q)) = self.quotient.get() {
@@ -1014,7 +994,7 @@ mod tests {
         let sigma = ab();
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let _ = ctx.classification();
-        let passes_after_classify = ctx.stats().scc_passes;
+        let passes_after_classify = ctx.stats_total().scc_passes;
         // Everything else reuses the same restrictions, and the lasso
         // sample runs off the books.
         let _ = ctx.safety_closure();
@@ -1022,8 +1002,8 @@ mod tests {
         let _ = ctx.rejected_lasso();
         let _ = ctx.condensation();
         let _ = ctx.rabin_index();
-        assert_eq!(ctx.stats().scc_passes, passes_after_classify);
-        assert!(ctx.stats().scc_hits > 0);
+        assert_eq!(ctx.stats_total().scc_passes, passes_after_classify);
+        assert!(ctx.stats_total().scc_hits > 0);
 
         // Multi-pair Streett and Rabin conditions: the classification's
         // safety and guarantee checks run the kernel on the condition and
@@ -1044,7 +1024,7 @@ mod tests {
             };
             let ctx = Analysis::new_raw(two_layers(&aut));
             let _ = ctx.classification();
-            let passes = ctx.stats().scc_passes;
+            let passes = ctx.stats_total().scc_passes;
             let _ = ctx.live();
             let _ = ctx.is_empty();
             let _ = ctx.is_universal();
@@ -1052,7 +1032,11 @@ mod tests {
             let _ = ctx.rejected_lasso();
             let _ = ctx.safety_closure();
             let _ = ctx.rabin_index();
-            assert_eq!(ctx.stats().scc_passes, passes, "case {i}: n={n}, k={k}");
+            assert_eq!(
+                ctx.stats_total().scc_passes,
+                passes,
+                "case {i}: n={n}, k={k}"
+            );
         }
     }
 
@@ -1110,11 +1094,11 @@ mod tests {
         let sigma = ab();
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let first = ctx.classification().clone();
-        let passes = ctx.stats().scc_passes;
+        let passes = ctx.stats_total().scc_passes;
         for _ in 0..10 {
             assert_eq!(ctx.classification(), &first);
         }
-        assert_eq!(ctx.stats().scc_passes, passes);
+        assert_eq!(ctx.stats_total().scc_passes, passes);
     }
 
     #[test]
@@ -1125,7 +1109,7 @@ mod tests {
         let p1 = ctx.product_with(&other, ProductOp::Union);
         let p2 = ctx.product_with(&other, ProductOp::Union);
         assert!(p1.equivalent(&p2));
-        let s = ctx.stats();
+        let s = ctx.stats_total();
         assert_eq!(s.products_built, 1);
         assert_eq!(s.product_hits, 1);
     }
@@ -1142,13 +1126,13 @@ mod tests {
         assert!(!ctx.is_subset_of(&other)); // repeat: memo hit
         let rev = Analysis::new(other.clone());
         assert!(!rev.is_subset_of(ctx.automaton()));
-        let s = ctx.stats();
+        let s = ctx.stats_total();
         assert_eq!(s.inclusion_checks, 1);
         assert_eq!(s.inclusion_hits, 1);
         // Equivalence is a distinct memo entry, then hits on repeat.
         assert!(!ctx.equivalent(&other));
         assert!(!ctx.equivalent(&other));
-        let s = ctx.stats();
+        let s = ctx.stats_total();
         assert_eq!(s.inclusion_checks, 2);
         assert_eq!(s.inclusion_hits, 2);
         // An operand that minimization reduces (state 2 is unreachable)
@@ -1165,7 +1149,7 @@ mod tests {
         let want = ctx.automaton().is_subset_of_via_complement(&padded);
         assert_eq!(ctx.is_subset_of(&padded), want);
         assert_eq!(ctx.is_subset_of(&padded), want);
-        let s = ctx.stats();
+        let s = ctx.stats_total();
         assert_eq!(s.inclusion_checks, 3);
         assert_eq!(s.inclusion_hits, 3);
         // Same transition table as `other`, another acceptance (□◇a):
@@ -1173,7 +1157,7 @@ mod tests {
         let inf_a = last_sym(&sigma, Acceptance::inf([0]));
         let want = ctx.automaton().is_subset_of_via_complement(&inf_a);
         assert_eq!(ctx.is_subset_of(&inf_a), want);
-        let s = ctx.stats();
+        let s = ctx.stats_total();
         assert_eq!(s.inclusion_checks, 4);
         assert_eq!(s.inclusion_hits, 3);
     }
@@ -1229,9 +1213,13 @@ mod tests {
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let verdict = ctx.classification().clone();
         let cloned = ctx.clone();
-        let passes = cloned.stats().scc_passes;
+        let passes = cloned.stats_total().scc_passes;
         assert_eq!(cloned.classification(), &verdict);
-        assert_eq!(cloned.stats().scc_passes, passes, "clone reuses caches");
+        assert_eq!(
+            cloned.stats_total().scc_passes,
+            passes,
+            "clone reuses caches"
+        );
     }
 
     /// Regression: a worker panicking while it happens to hold a cache

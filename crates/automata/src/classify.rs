@@ -153,23 +153,6 @@ pub fn classify(aut: &OmegaAutomaton) -> Classification {
     Analysis::new(aut.clone()).classification().clone()
 }
 
-/// Classifies a batch of automata, fanning the suite out across the
-/// worker pool of [`crate::par`] (one automaton per work item).
-///
-/// Verdicts are returned in input order and are identical to calling
-/// [`classify`] on each automaton — the batch only changes the schedule,
-/// never the result. The seeded sweep of `tab_decision` goes through
-/// here.
-pub fn classify_suite(auts: &[OmegaAutomaton]) -> Vec<Classification> {
-    classify_suite_with(crate::par::thread_count(), auts)
-}
-
-/// [`classify_suite`] with an explicit worker count (the
-/// cross-validation suite pins 1, 2, 3 and 8 workers).
-pub fn classify_suite_with(threads: usize, auts: &[OmegaAutomaton]) -> Vec<Classification> {
-    crate::par::map_with(threads, auts, classify)
-}
-
 /// The obligation index: the minimal `n` such that the language —
 /// **assumed** to be an obligation property — is an intersection of `n`
 /// simple obligation properties `A(Φᵢ) ∪ E(Ψᵢ)` (the paper's `Obl_n`

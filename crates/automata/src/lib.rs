@@ -35,10 +35,10 @@
 //!   general conditions, and counterexample-lasso extraction — the
 //!   default oracle behind `is_subset_of`/`equivalent`, differential
 //!   against the complement construction.
-//! * [`par`] — a zero-dependency scoped-thread worker pool
-//!   (`HIERARCHY_THREADS` sets the worker count) that fans batches — the
-//!   batch classifier ([`classify::classify_suite`]), the suite audit —
-//!   out across cores; the `Analysis` caches are thread-shared, so
+//! * [`par`] — a zero-dependency scoped-thread worker pool that fans a
+//!   batch of independent automata (the suite audit, the daemon's batch
+//!   endpoints, `spec-lint`'s artifacts) out across as many workers as
+//!   its caller asks for; the `Analysis` caches are thread-shared, so
 //!   workers on one context populate one memo table.
 //! * [`paper_checks`] — the paper's own *structural* checks for Streett
 //!   automata (closure of the bad region, etc.), kept separate so they can be

@@ -26,34 +26,13 @@
 //!   surfaces unchanged (see the poison-recovery notes on
 //!   [`crate::analysis::Analysis`] for why the caches stay usable).
 //!
-//! Every map takes its worker count explicitly. Callers pass
-//! [`thread_count`]: the `HIERARCHY_THREADS` environment variable when
-//! set (a positive integer; `1` forces the sequential path), else
-//! [`std::thread::available_parallelism`], or a count of their own
-//! (`spec-lint --jobs`, `spec-serve --jobs`).
+//! Every map takes its worker count from its caller, and each program
+//! states its own default: `spec-lint --jobs` uses the machine's cores,
+//! because its one-shot work is cold, while `spec-serve --jobs` and
+//! `lint::AuditOptions` use one worker, because a warm batch item takes
+//! microseconds and spawning the workers costs more than it saves.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The effective worker count: `HIERARCHY_THREADS` when set to a positive
-/// integer, else the machine's available parallelism (1 if unknown).
-///
-/// Read on every call, so tests and experiments can re-point it between
-/// runs without rebuilding any context.
-pub fn thread_count() -> usize {
-    match std::env::var("HIERARCHY_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => available(),
-        },
-        Err(_) => available(),
-    }
-}
-
-fn available() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// Order-preserving parallel map over a slice with an explicit worker
 /// count.
@@ -195,16 +174,5 @@ mod tests {
             })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn thread_count_honors_env_override() {
-        // Serialize with other env-reading tests by using a scoped name.
-        std::env::set_var("HIERARCHY_THREADS", "3");
-        assert_eq!(thread_count(), 3);
-        std::env::set_var("HIERARCHY_THREADS", "not-a-number");
-        assert!(thread_count() >= 1);
-        std::env::remove_var("HIERARCHY_THREADS");
-        assert!(thread_count() >= 1);
     }
 }

@@ -7,7 +7,7 @@ use hierarchy_core::automata::alphabet::Alphabet;
 use hierarchy_core::automata::analysis::Analysis;
 use hierarchy_core::automata::random::rng::SeedableRng;
 use hierarchy_core::automata::random::rng::StdRng;
-use hierarchy_core::automata::{classify, paper_checks, random};
+use hierarchy_core::automata::{classify, paper_checks, par, random};
 use std::fmt::Write as _;
 
 fn main() {
@@ -26,8 +26,8 @@ fn main() {
     let mut multi_pair_counterexample = false;
     let samples = 300;
     // Pre-generate the seeded sample set, then classify the whole suite
-    // through the worker pool (honors HIERARCHY_THREADS; verdicts come
-    // back in input order, identical to per-automaton classify calls).
+    // across one worker per core (verdicts come back in input order,
+    // identical to per-automaton classify calls).
     let cases: Vec<_> = (0..samples)
         .map(|i| {
             let k = if i % 2 == 0 { 1 } else { 2 };
@@ -35,11 +35,9 @@ fn main() {
         })
         .collect();
     let auts: Vec<_> = cases.iter().map(|(aut, _)| aut.clone()).collect();
-    let (verdicts, t_suite) = timed(|| classify::classify_suite(&auts));
-    println!(
-        "classified the {samples}-sample suite in {t_suite:.1} ms across {} worker(s)",
-        hierarchy_core::automata::par::thread_count()
-    );
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (verdicts, t_suite) = timed(|| par::map_with(workers, &auts, classify::classify));
+    println!("classified the {samples}-sample suite in {t_suite:.1} ms across {workers} worker(s)");
     for (i, ((aut, pairs), c)) in cases.iter().zip(&verdicts).enumerate() {
         let k = if i % 2 == 0 { 1 } else { 2 };
         *counts.entry(c.strictest_class_name()).or_default() += 1;

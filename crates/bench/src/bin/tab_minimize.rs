@@ -64,7 +64,7 @@ fn measure(aut: &OmegaAutomaton) -> Row {
     Row {
         states_before: aut.num_states(),
         states_after: quot_ctx.minimization().quotient.num_states(),
-        raw: raw_ctx.stats(),
+        raw: raw_ctx.stats_total(),
         quot: quot_ctx.stats_total(),
         raw_ms,
         quot_ms,

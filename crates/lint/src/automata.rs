@@ -467,11 +467,11 @@ mod tests {
         let aut = last_sym(Acceptance::inf([1]));
         let ctx = Analysis::new(aut);
         let _ = ctx.classification();
-        let passes = ctx.stats().scc_passes;
+        let passes = ctx.stats_total().scc_passes;
         let diags = lint_automaton_ctx(&ctx);
         assert!(diags.is_empty());
         assert_eq!(
-            ctx.stats().scc_passes,
+            ctx.stats_total().scc_passes,
             passes,
             "linting after classification runs no new SCC passes"
         );

@@ -24,7 +24,7 @@
 //!   --letters a,b,c    plain alphabet (default: a,b)
 //!   --props p,q        valuation alphabet over propositions
 //!   --jobs N           lint artifacts on N worker threads (default:
-//!                      HIERARCHY_THREADS, else the machine's cores)
+//!                      the machine's cores)
 //!   --cap N            audit: state cap for suite-conjunction checks
 //!   --json             machine-readable output
 //! ```
@@ -98,8 +98,8 @@ USAGE:
 OPTS:
   --letters a,b,c    plain alphabet (default: a,b)
   --props p,q        valuation alphabet over propositions
-  --jobs N           lint artifacts on N worker threads (default:
-                     HIERARCHY_THREADS, else the machine's cores)
+  --jobs N           lint artifacts on N worker threads (default: the
+                     machine's cores, since one-shot work is cold)
   --cap N            audit only: state cap for the suite-conjunction checks
                      behind SUITE001/SUITE004 (default 4096, 0 disables)
   --json             machine-readable output
@@ -163,7 +163,7 @@ fn parse_opts(args: Vec<&str>) -> Result<Opts, String> {
             Some(sigma) => sigma,
             None => Alphabet::new(["a", "b"]).map_err(|e| e.to_string())?,
         },
-        jobs: jobs.unwrap_or_else(par::thread_count),
+        jobs: jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         positional,
     })
 }

@@ -70,8 +70,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Tuning knobs for [`audit_suite`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditOptions {
-    /// Worker count for the pairwise fan-out; `0` means
-    /// [`par::thread_count`] (which honors `HIERARCHY_THREADS`).
+    /// Worker count for the per-member and pairwise fan-outs; `0` and
+    /// `1` both run inline. The default is 1, because two workers made
+    /// a warm audit about four times slower (DESIGN.md §12); one-shot
+    /// callers such as `spec-lint audit` pass their core count.
     pub jobs: usize,
     /// State cap for the folded suite conjunction behind `SUITE001`'s
     /// deep check and `SUITE004`; `0` disables both. Members whose
@@ -83,7 +85,7 @@ pub struct AuditOptions {
 impl Default for AuditOptions {
     fn default() -> Self {
         AuditOptions {
-            jobs: 0,
+            jobs: 1,
             conjunction_cap: 4096,
         }
     }
@@ -215,22 +217,14 @@ pub fn audit_suite(
     items: &[(String, OmegaAutomaton)],
     opts: &AuditOptions,
 ) -> Result<SuiteAudit, AuditError> {
-    let jobs = effective_jobs(opts);
-    let ctxs: Vec<Analysis> = par::map_with(jobs, items, |(_, aut)| Analysis::new(aut.clone()));
+    let ctxs: Vec<Analysis> =
+        par::map_with(opts.jobs, items, |(_, aut)| Analysis::new(aut.clone()));
     let borrowed: Vec<(&str, &Analysis)> = items
         .iter()
         .zip(&ctxs)
         .map(|((name, _), ctx)| (name.as_str(), ctx))
         .collect();
     audit_suite_ctx(&borrowed, opts)
-}
-
-fn effective_jobs(opts: &AuditOptions) -> usize {
-    if opts.jobs == 0 {
-        par::thread_count()
-    } else {
-        opts.jobs
-    }
 }
 
 /// [`audit_suite`] over pre-built contexts. The report is deterministic
@@ -241,7 +235,7 @@ pub fn audit_suite_ctx(
     opts: &AuditOptions,
 ) -> Result<SuiteAudit, AuditError> {
     let n = items.len();
-    let jobs = effective_jobs(opts);
+    let jobs = opts.jobs;
     if let Some(&(first_name, first_ctx)) = items.first() {
         let sigma = first_ctx.automaton().alphabet();
         for &(name, ctx) in &items[1..] {

@@ -22,14 +22,15 @@ per line to stdout, and exits when stdin closes.
 
 options:
   --capacity N   keep at most N artifacts live (LRU eviction; default 128)
-  --jobs N       worker threads for the batch endpoints
-                 (default: HIERARCHY_THREADS or the machine's cores)
+  --jobs N       worker threads for audit and the batch endpoints
+                 (default 1: a warm batch item takes microseconds,
+                 less than spawning a worker)
   --listen ADDR  additionally accept TCP connections on ADDR
                  (e.g. 127.0.0.1:0 for an ephemeral port; the bound
                  address is announced on stdout as a \"listening\" event)
   --help         print this help
 
-methods: ingest, classify, lint, include, check, stats, evict,
+methods: ingest, classify, lint, include, check, audit, stats, evict,
          classify_batch, lint_batch";
 
 fn usage_error(message: &str) -> ExitCode {
@@ -40,7 +41,7 @@ fn usage_error(message: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut capacity: usize = 128;
-    let mut jobs: usize = hierarchy_serve::default_jobs();
+    let mut jobs: usize = 1;
     let mut listen_addr: Option<String> = None;
 
     let mut args = std::env::args().skip(1);

@@ -85,12 +85,6 @@ pub mod store;
 use json::Json;
 use store::{Entry, Ingested, Store};
 
-/// The default batch-endpoint worker count: `HIERARCHY_THREADS` when
-/// set, the machine's core count otherwise (see [`par::thread_count`]).
-pub fn default_jobs() -> usize {
-    par::thread_count()
-}
-
 /// JSON-RPC error codes used by the daemon.
 pub mod code {
     /// The request line is not valid JSON.
@@ -139,8 +133,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// A service holding at most `capacity` artifacts, fanning batch
-    /// endpoints across `jobs` workers.
+    /// A service holding at most `capacity` artifacts, fanning `audit`
+    /// and the batch endpoints across `jobs` workers.
     pub fn new(capacity: usize, jobs: usize) -> Service {
         Service {
             store: Mutex::new(Store::new(capacity)),

@@ -1090,7 +1090,29 @@ fn exit_codes() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("usage: spec-serve"));
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert!(help.contains("usage: spec-serve"));
+    // The help lists exactly the methods the dispatcher serves.
+    let (_, methods) = help.split_once("methods:").expect("a methods list");
+    let mut listed: Vec<&str> = methods
+        .split(|c: char| c == ',' || c.is_whitespace())
+        .filter(|m| !m.is_empty())
+        .collect();
+    listed.sort_unstable();
+    let mut served = [
+        "ingest",
+        "classify",
+        "lint",
+        "include",
+        "check",
+        "audit",
+        "stats",
+        "evict",
+        "classify_batch",
+        "lint_batch",
+    ];
+    served.sort_unstable();
+    assert_eq!(listed, served);
 
     // Usage errors exit 2.
     for args in [

@@ -3,8 +3,9 @@
 //! response must pair with its request (ids echo exactly — no lost,
 //! duplicated or cross-wired responses), every verdict must match a
 //! direct library call on the same artifact, and the store's cache-hit
-//! counters must be monotone under contention. Runs both plain and with
-//! `HIERARCHY_THREADS=2` via `scripts/tier1.sh`.
+//! counters must be monotone under contention. The daemon runs with
+//! `--jobs 2`, so the batch endpoints and `audit` fan out over the worker
+//! pool while the clients race.
 
 use hierarchy_core::automata::analysis::Analysis;
 use hierarchy_core::automata::random::rng::{Rng, SeedableRng, StdRng};
@@ -77,7 +78,7 @@ fn request_over(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line:
 /// the bound address its first stdout line announces.
 fn spawn_listening() -> (Child, ChildStdin, BufReader<ChildStdout>, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_spec-serve"))
-        .args(["--listen", "127.0.0.1:0"])
+        .args(["--listen", "127.0.0.1:0", "--jobs", "2"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

@@ -14,16 +14,16 @@ cargo build --release --offline --workspace
 # `minimize_soundness` (language preservation, verdict and lint-report
 # identity raw vs quotient, idempotence), and the direct-inclusion suite
 # `inclusion_soundness` (Streett/Rabin/parity verdicts vs the complement
-# oracle, counterexample-lasso replay, structural invariants).
+# oracle, counterexample-lasso replay, structural invariants). Each suite
+# runs once: the tests that cover the worker pool pin their own worker
+# counts (the pooled classification at 1/2/3/8, the audit report at
+# 1/2/4, the daemon's batch, audit and soak tests at 2).
 cargo test --offline --workspace --quiet
-# The cross-validation suite in the release profile too: its pass counts
-# are read with `stats_total`, which must see the quotient context's
-# passes when no debug tripwire re-runs the raw automaton.
+# The cross-validation and concurrency suites in the release profile too:
+# their pass counts are read with `stats_total`, which must see the
+# quotient context's passes when no debug tripwire re-runs the raw
+# automaton.
 cargo test --release --offline -p temporal-properties \
-  --test analysis_cross_validation --quiet
-# Re-run the cross-validation suite with the worker pool forced on, so the
-# batch classification path is exercised even on single-core hosts.
-HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
   --test analysis_cross_validation --test parallel_stress --quiet
 # Smoke the invariant-vs-explicit benchmark: its expect() lines are the
 # acceptance checks (verdict identity, safety discharge incl. Peterson
@@ -41,11 +41,6 @@ cargo run --release --offline -p hierarchy-bench --bin tab_minimize -- --smoke \
 # every seeded case is its expect() gate.
 cargo run --release --offline -p hierarchy-bench --bin tab_inclusion -- --smoke \
   > /dev/null
-# The serve daemon suites (protocol goldens over a pipe, the TCP
-# concurrency soak, hostile input) with the worker pool forced on, since
-# the batch endpoints fan out over it (the plain run is part of the
-# workspace run above).
-HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-serve --quiet
 # The repository benchmark's correctness gate on both workloads: a traced
 # smoke run exits non-zero on a wrong verdict or on a mismatch between
 # the daemon's per-response `stats` blocks and the library's counters
@@ -61,14 +56,6 @@ done
 # committed trajectory (crates/bench/trajectory.jsonl); a change that
 # moves one appends an entry and says why in CHANGES.md.
 python3 scripts/counters.py
-# The suite-audit differential suite (subsumption matrix vs direct
-# oracles, duplicate classes, conflict pairs, worker-count identity) and
-# the seeded SUITE-rule defect injections, with the worker pool forced
-# on (the plain runs ride the workspace test pass above).
-HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \
-  --test audit_soundness --quiet
-HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-lint \
-  --test seeded_defects --quiet
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
 # The API docs build without a warning: every intra-doc link resolves to

@@ -12,12 +12,12 @@
 
 use temporal_properties::automata::analysis::Analysis;
 use temporal_properties::automata::bitset::BitSet;
-use temporal_properties::automata::classify;
 use temporal_properties::automata::omega::OmegaAutomaton;
 use temporal_properties::automata::random::random_parity;
 use temporal_properties::automata::random::rng::{Rng, SeedableRng, StdRng};
 use temporal_properties::automata::streett::{self, StreettPair, StreettPairs};
 use temporal_properties::automata::StateId;
+use temporal_properties::automata::{classify, par};
 use temporal_properties::prelude::*;
 
 fn sigma() -> Alphabet {
@@ -137,12 +137,12 @@ fn analysis_agrees_with_independent_references_on_random_streett() {
     }
 }
 
-/// The batch API returns, at every worker count, exactly the verdicts the
-/// per-automaton classifier produces — in input order. Run under
-/// `HIERARCHY_THREADS=2` by tier1.sh so the worker-pool path is exercised
-/// even where `available_parallelism` is 1.
+/// Classifying a batch across the worker pool returns, at every worker
+/// count, exactly the verdicts the per-automaton classifier produces — in
+/// input order. The counts are pinned, so the pool path runs even where
+/// `available_parallelism` is 1.
 #[test]
-fn classify_suite_agrees_with_individual_classification() {
+fn pooled_classification_agrees_with_individual_classification() {
     let mut rng = StdRng::seed_from_u64(31337);
     let suite: Vec<OmegaAutomaton> = (0..40)
         .map(|_| {
@@ -152,11 +152,9 @@ fn classify_suite_agrees_with_individual_classification() {
         })
         .collect();
     let individual: Vec<_> = suite.iter().map(classify::classify).collect();
-    let pooled = classify::classify_suite(&suite);
-    assert_eq!(pooled, individual, "default worker count");
     for workers in [1usize, 2, 3, 8] {
         assert_eq!(
-            classify::classify_suite_with(workers, &suite),
+            par::map_with(workers, &suite, classify::classify),
             individual,
             "workers={workers}"
         );
@@ -249,7 +247,7 @@ fn parity_with_24_priorities_classifies_within_169_passes() {
     assert_eq!(aut.acceptance().atom_sets().len(), 23);
     let ctx = Analysis::new_raw(aut.clone());
     let verdict = ctx.classification().clone();
-    let passes = ctx.stats().scc_passes;
+    let passes = ctx.stats_total().scc_passes;
     assert!(passes <= 169, "{passes} SCC passes");
     let co = Analysis::new_raw(aut.complement());
     assert_eq!(verdict.reactivity_index, co.rabin_index());
@@ -293,7 +291,7 @@ fn rabin_clique_indices_and_region_memo() {
     }
     let ctx = Analysis::new_raw(rabin_clique(9));
     assert_eq!(ctx.reactivity_index(), 9);
-    let stats = ctx.stats();
+    let stats = ctx.stats_total();
     assert!(
         stats.scc_hits <= 4 * stats.scc_passes,
         "{} hits for {} passes",

@@ -338,7 +338,14 @@ fn twenty_property_scenario_reports_injections_exactly() {
         .map(|(name, src)| (name.clone(), compile(src)))
         .collect();
     let items: Vec<(&str, &Property)> = properties.iter().map(|(n, p)| (n.as_str(), p)).collect();
-    let opts = AuditOptions::default();
+    // Two cold one-shot audits with deep checks, the work `spec-lint
+    // audit` spreads over the machine's cores: two workers cut this
+    // test's debug wall time by a third. The report does not depend on
+    // the count (`worker_count_does_not_change_the_report`).
+    let opts = AuditOptions {
+        jobs: 2,
+        ..AuditOptions::default()
+    };
     let baseline = audit_properties(items.iter().copied(), &opts).expect("one alphabet");
     assert_eq!(
         baseline.all_diagnostics(),

@@ -1,9 +1,10 @@
 //! Concurrency stress test for the shared [`Analysis`] context: many
 //! threads hammer ONE context with interleaved queries and every answer
 //! must match a sequential context's, while the per-key once-cell SCC
-//! memo keeps the total pass count inside the 2^m color-lattice budget
-//! no matter how the racers interleave (a racer that loses the cell
-//! claim blocks on the winner's computation instead of re-running it).
+//! memo keeps the total pass count equal to the sequential one, inside
+//! the 2^m color-lattice budget, no matter how the racers interleave (a
+//! racer that loses the cell claim blocks on the winner's computation
+//! instead of re-running it).
 
 use temporal_properties::automata::analysis::Analysis;
 use temporal_properties::automata::omega::OmegaAutomaton;
@@ -32,9 +33,10 @@ fn rand_streett<R: Rng>(rng: &mut R, n: usize, pairs: usize) -> OmegaAutomaton {
 
 /// 8 threads × interleaved query mix on one shared context, repeated over
 /// several random automata. Every thread's verdicts must equal the
-/// sequential reference, and the shared context must stay within the
-/// lattice pass budget — the budget is the part that would break if two
-/// racers could both run the same restricted SCC pass.
+/// sequential reference, and the shared context must run exactly the
+/// reference's SCC passes, within the lattice pass budget — the count is
+/// the part that would break if two racers could both run the same
+/// restricted SCC pass.
 #[test]
 fn concurrent_queries_agree_with_sequential_and_keep_the_pass_budget() {
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
@@ -73,12 +75,19 @@ fn concurrent_queries_agree_with_sequential_and_keep_the_pass_budget() {
             }
         });
 
-        let stats = shared.stats();
+        // Both contexts quotient, and the racers classify on the
+        // quotient context, so the passes are read with `stats_total`.
+        let passes = shared.stats_total().scc_passes;
         assert!(
-            stats.scc_passes <= 1 << m,
-            "case {case}: {} SCC passes exceed the 2^{m} lattice budget \
-             under 8-way contention",
-            stats.scc_passes
+            passes <= 1 << m,
+            "case {case}: {passes} SCC passes exceed the 2^{m} lattice budget \
+             under 8-way contention"
+        );
+        assert_eq!(
+            passes,
+            reference.stats_total().scc_passes,
+            "case {case}: 8 racers ran a different number of SCC passes \
+             than one sequential caller"
         );
     }
 }
