@@ -3,10 +3,10 @@
 //! Every decision procedure in this crate — classification, emptiness,
 //! safety closure, topology, counter-freedom — bottoms out in the same
 //! few graph computations: forward reachability, SCC decompositions of
-//! restricted subgraphs, the condensation DAG, and boolean products with
-//! other automata. Before this module each consumer recomputed them from
-//! scratch, so asking for a full classification cost several independent
-//! walks over the same restricted subgraphs.
+//! restricted subgraphs, the condensation DAG, and the live sets of the
+//! condition and of its negation. Before this module each consumer
+//! recomputed them from scratch, so asking for a full classification cost
+//! several independent walks over the same restricted subgraphs.
 //!
 //! [`Analysis`] owns one automaton and memoizes all of those intermediates
 //! behind interior mutability, so the context can be shared by reference
@@ -25,9 +25,12 @@
 //!   and available to the topology layer.
 //! * [`Analysis::is_safety`] / [`Analysis::is_guarantee`] — one
 //!   accepting-cycle-kernel query each: no rejecting (accepting) cycle in
-//!   the live (co-live) set. The cycle sets are memoized beside the live
-//!   sets, so the queries share every SCC pass with liveness and
-//!   universality and take any number of acceptance atoms.
+//!   the live (co-live) set. The cycle sets are memoized beside the two
+//!   live sets, [`Analysis::live`] and [`Analysis::co_live`] (one
+//!   once-cell per polarity: the automaton's condition and its negation
+//!   are the only ones ever asked), so the queries share every SCC pass
+//!   with liveness and universality and take any number of acceptance
+//!   atoms.
 //! * [`Analysis::classification`] — the **full verdict**: all six class
 //!   memberships plus the obligation and reactivity indices, reading
 //!   recurrence, persistence, simple reactivity and the reactivity index
@@ -35,13 +38,11 @@
 //!   [`crate::classify`]), and safety and guarantee from the two queries
 //!   above. [`Analysis::rabin_index`] reads the same two depths. None of
 //!   them limits the number of acceptance atoms.
-//! * [`Analysis::product_with`] — pairwise products keyed by the other
-//!   operand as given, so repeated queries against the same automaton
-//!   build the product once; [`Analysis::is_subset_of`] and
-//!   [`Analysis::equivalent`] memoize their verdicts the same way. A hit
-//!   costs the key. A miss quotients the operand: a plain automaton is
-//!   minimized, and a context lends the quotient it already holds (see
-//!   [`Operand`]).
+//! * [`Analysis::is_subset_of`] / [`Analysis::equivalent`] — verdicts
+//!   of the direct inclusion oracle, memoized per other operand as given,
+//!   so a repeat query costs the key. A miss quotients the operand: a
+//!   plain automaton is minimized, and a context lends the quotient it
+//!   already holds (see [`Operand`]).
 //! * [`Analysis::accepted_lasso`] / [`Analysis::rejected_lasso`] — the
 //!   lasso sample: one word in the language and one outside it, each
 //!   drawn once. A lasso that one automaton accepts and another rejects
@@ -119,9 +120,11 @@ pub struct AnalysisStats {
     pub scc_state_visits: u64,
     /// SCC requests served from the memo table.
     pub scc_hits: u64,
-    /// Boolean products actually constructed.
+    /// Boolean products memoized by the context: always 0, since no
+    /// query memoizes a product. The field stays because the daemon's
+    /// `stats` block and `spec-lint --json` print it.
     pub products_built: u64,
-    /// Product requests served from the memo table.
+    /// Product requests served from a memo: always 0, as above.
     pub product_hits: u64,
     /// Direct inclusion/equivalence oracle runs actually executed
     /// (see [`Analysis::is_subset_of`]).
@@ -162,8 +165,6 @@ struct StatCells {
     scc_passes: AtomicU64,
     scc_state_visits: AtomicU64,
     scc_hits: AtomicU64,
-    products_built: AtomicU64,
-    product_hits: AtomicU64,
     inclusion_checks: AtomicU64,
     inclusion_hits: AtomicU64,
 }
@@ -174,10 +175,9 @@ impl StatCells {
             scc_passes: self.scc_passes.load(Ordering::Relaxed),
             scc_state_visits: self.scc_state_visits.load(Ordering::Relaxed),
             scc_hits: self.scc_hits.load(Ordering::Relaxed),
-            products_built: self.products_built.load(Ordering::Relaxed),
-            product_hits: self.product_hits.load(Ordering::Relaxed),
             inclusion_checks: self.inclusion_checks.load(Ordering::Relaxed),
             inclusion_hits: self.inclusion_hits.load(Ordering::Relaxed),
+            ..AnalysisStats::default()
         }
     }
 
@@ -186,30 +186,16 @@ impl StatCells {
             scc_passes: AtomicU64::new(s.scc_passes),
             scc_state_visits: AtomicU64::new(s.scc_state_visits),
             scc_hits: AtomicU64::new(s.scc_hits),
-            products_built: AtomicU64::new(s.products_built),
-            product_hits: AtomicU64::new(s.product_hits),
             inclusion_checks: AtomicU64::new(s.inclusion_checks),
             inclusion_hits: AtomicU64::new(s.inclusion_hits),
         }
     }
 }
 
-/// The boolean operation of a cached product (see
-/// [`Analysis::product_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProductOp {
-    /// `L(self) ∩ L(other)`.
-    Intersection,
-    /// `L(self) ∪ L(other)`.
-    Union,
-    /// `L(self) − L(other)`.
-    Difference,
-}
-
-/// The other operand of [`Analysis::is_subset_of`],
-/// [`Analysis::equivalent`] and [`Analysis::product_with`]: the automaton
-/// as given, which keys the memo, and a language-equal automaton for the
-/// oracle of a quotienting context to run on.
+/// The other operand of [`Analysis::is_subset_of`] and
+/// [`Analysis::equivalent`]: the automaton as given, which keys the memo,
+/// and a language-equal automaton for the oracle of a quotienting context
+/// to run on.
 ///
 /// A plain [`OmegaAutomaton`] is minimized on each memo miss. An
 /// [`Analysis`] lends the quotient its context already holds (the one
@@ -260,16 +246,6 @@ impl<T: Operand + ?Sized> Operand for &T {
     }
 }
 
-fn delta_table(aut: &OmegaAutomaton) -> Vec<StateId> {
-    let mut delta = Vec::with_capacity(aut.num_states() * aut.alphabet().len());
-    for q in 0..aut.num_states() as StateId {
-        for sym in aut.alphabet().symbols() {
-            delta.push(aut.step(q, sym));
-        }
-    }
-    delta
-}
-
 /// Which verdict of the direct oracle a memo entry answers (see
 /// [`Analysis::is_subset_of`] / [`Analysis::equivalent`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -283,23 +259,22 @@ enum OracleQuery {
 /// Cache key of a memo entry about the *other* operand of a query, as
 /// the caller passed it: its transition table, initial state and
 /// acceptance condition (the alphabet must equal ours; the product
-/// asserts it), plus which question `Q` was asked of it ([`ProductOp`]
-/// for a product, [`OracleQuery`] for a verdict). Equal keys mean the
+/// asserts it), plus which question was asked of it. Equal keys mean the
 /// same automaton, hence the same language, so a hit is answered before
 /// the operand is quotiented, at the cost of hashing the key. Two raw
 /// operands with one quotient take one entry each.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct OperandKey<Q> {
+struct OperandKey {
     delta: Vec<StateId>,
     initial: StateId,
     acceptance: Acceptance,
-    query: Q,
+    query: OracleQuery,
 }
 
-impl<Q> OperandKey<Q> {
-    fn of(other: &OmegaAutomaton, query: Q) -> OperandKey<Q> {
+impl OperandKey {
+    fn of(other: &OmegaAutomaton, query: OracleQuery) -> OperandKey {
         OperandKey {
-            delta: delta_table(other),
+            delta: other.table().to_vec(),
             initial: other.initial(),
             acceptance: other.acceptance().clone(),
             query,
@@ -322,9 +297,10 @@ pub struct Condensation {
     pub status: Vec<Option<bool>>,
 }
 
-/// A memo entry of [`Analysis::live_reachable`]: `(cycles, live)`, the
-/// reachable states on an accepting cycle and those that reach one.
-type LiveSets = (Arc<BitSet>, Arc<BitSet>);
+/// A memo entry of [`Analysis::live`] / [`Analysis::co_live`]:
+/// `(cycles, live)`, the reachable states on an accepting cycle and those
+/// that reach one.
+type LiveSets = (BitSet, Arc<BitSet>);
 
 /// One claimable slot of the per-restriction SCC memo: whoever inserts
 /// the cell computes the decomposition; same-key racers block on it.
@@ -363,15 +339,16 @@ pub struct Analysis {
     /// The deepest `[rejecting, accepting]` nodes of the alternating
     /// cycle decomposition (see [`Analysis::acd_depths`]).
     acd: OnceLock<[Option<usize>; 2]>,
-    /// Per acceptance condition: the reachable states on an accepting
-    /// cycle, and the reachable states that reach one (the live set).
-    live_for: Mutex<HashMap<Acceptance, LiveSets>>,
+    /// The live sets of the automaton's own condition and of its
+    /// negation, `[own, negated]`: the reachable states on an accepting
+    /// cycle, and the reachable states that reach one. No other
+    /// condition is ever asked, since negation is an involution.
+    live: [OnceLock<LiveSets>; 2],
     classification: OnceLock<Classification>,
     counter_freedom: OnceLock<CounterFreedom>,
-    products: Mutex<HashMap<OperandKey<ProductOp>, Arc<OmegaAutomaton>>>,
     /// Memoized verdicts of the direct inclusion/equivalence oracle,
     /// keyed by the other operand as given (never its quotient).
-    inclusions: Mutex<HashMap<OperandKey<OracleQuery>, bool>>,
+    inclusions: Mutex<HashMap<OperandKey, bool>>,
     /// The lasso sample, `[rejected, accepted]` (see
     /// [`Analysis::accepted_lasso`]).
     lassos: [OnceLock<Option<Lasso>>; 2],
@@ -390,10 +367,9 @@ impl Clone for Analysis {
             sccs: Mutex::new(lock_recover(&self.sccs).clone()),
             condensation: self.condensation.clone(),
             acd: self.acd.clone(),
-            live_for: Mutex::new(lock_recover(&self.live_for).clone()),
+            live: self.live.clone(),
             classification: self.classification.clone(),
             counter_freedom: self.counter_freedom.clone(),
-            products: Mutex::new(lock_recover(&self.products).clone()),
             inclusions: Mutex::new(lock_recover(&self.inclusions).clone()),
             lassos: self.lassos.clone(),
         }
@@ -432,10 +408,9 @@ impl Analysis {
             sccs: Mutex::new(HashMap::new()),
             condensation: OnceLock::new(),
             acd: OnceLock::new(),
-            live_for: Mutex::new(HashMap::new()),
+            live: [OnceLock::new(), OnceLock::new()],
             classification: OnceLock::new(),
             counter_freedom: OnceLock::new(),
-            products: Mutex::new(HashMap::new()),
             inclusions: Mutex::new(HashMap::new()),
             lassos: [OnceLock::new(), OnceLock::new()],
         }
@@ -452,9 +427,11 @@ impl Analysis {
     fn graph(&self) -> &FlatGraph {
         self.graph.get_or_init(|| {
             let aut = &self.aut;
-            Arc::new(FlatGraph::from_fn(aut.num_states(), |q| {
-                aut.alphabet().symbols().map(move |s| aut.step(q, s))
-            }))
+            Arc::new(FlatGraph::from_delta(
+                aut.num_states(),
+                aut.alphabet().len(),
+                aut.table(),
+            ))
         })
     }
 
@@ -573,55 +550,59 @@ impl Analysis {
         })
     }
 
-    /// The reachable live states under an arbitrary acceptance condition
-    /// over this automaton's structure: states (restricted to the
-    /// reachable part) from which an `acc`-accepting run can still start.
-    ///
-    /// With `acc = self.automaton().acceptance()` this agrees with
-    /// [`OmegaAutomaton::live_states`] on all reachable states (the
+    /// The live sets of the automaton's own condition (`negated ==
+    /// false`) or of its negation, computed once each: the reachable
+    /// states on an accepting cycle, kept beside the live set they close
+    /// over so the safety and guarantee queries read both without another
+    /// kernel run. The kernel's SCC source is this context's memo, and
+    /// every restriction it asks for is `reachable − (union of acceptance
+    /// atoms)`, so the passes are shared with the classification.
+    fn live_sets(&self, negated: bool) -> &LiveSets {
+        self.live[usize::from(negated)].get_or_init(|| {
+            let own = self.aut.acceptance();
+            let acc = if negated {
+                Cow::Owned(own.negated())
+            } else {
+                Cow::Borrowed(own)
+            };
+            let reachable = self.reachable();
+            let cycles = emptiness::cycle_states(&acc, self.aut.num_states(), reachable, |x| {
+                self.sccs(Some(x))
+            });
+            let mut live = emptiness::backward_closure(&self.aut, cycles.clone());
+            live.intersect_with(reachable);
+            (cycles, Arc::new(live))
+        })
+    }
+
+    /// Whether the language of this structure under its own condition
+    /// (or, with `negated`, under the negation) is closed, the one safety
+    /// query: no state on a reachable rejecting cycle is live. Dead
+    /// states are successor-closed, so a run of the safety closure
+    /// `A(Pref Π)` is accepted iff it stays live forever, and such a run
+    /// escapes `Π` exactly when it settles into a rejecting cycle of live
+    /// states (a cycle meeting the live set lies inside it). Both sets are
+    /// kernel queries.
+    fn is_closed(&self, negated: bool) -> bool {
+        let (_, live) = self.live_sets(negated);
+        let (rejecting, _) = self.live_sets(!negated);
+        !live.intersects(rejecting)
+    }
+
+    /// Reachable live states under the automaton's own acceptance: the
+    /// states from which an accepting run can still start. It agrees with
+    /// [`OmegaAutomaton::live_states`] on every reachable state (the
     /// automaton method also reports unreachable live states, which no
-    /// language question can observe). It is the same kernel function
-    /// with this context's memo as the SCC source, and every restriction
-    /// the kernel asks for is `reachable − (union of acceptance atoms)`,
-    /// so the SCC passes here are shared with the classification.
-    pub fn live_reachable(&self, acc: &Acceptance) -> Arc<BitSet> {
-        self.live_sets(acc).1
-    }
-
-    /// The memo entry behind [`Self::live_reachable`]: the accepting-cycle
-    /// states are kept beside the live set they close over, so the safety
-    /// and guarantee queries read both without another kernel run.
-    fn live_sets(&self, acc: &Acceptance) -> LiveSets {
-        if let Some(hit) = lock_recover(&self.live_for).get(acc) {
-            return hit.clone();
-        }
-        let reachable = self.reachable();
-        let cycles = emptiness::cycle_states(acc, self.aut.num_states(), reachable, |x| {
-            self.sccs(Some(x))
-        });
-        let mut live = emptiness::backward_closure(&self.aut, cycles.clone());
-        live.intersect_with(reachable);
-        let sets = (Arc::new(cycles), Arc::new(live));
-        lock_recover(&self.live_for).insert(acc.clone(), sets.clone());
-        sets
-    }
-
-    /// Whether the language of this structure under `acc` is closed, the
-    /// one safety query: no state on a reachable `acc`-rejecting cycle is
-    /// live. Dead states are successor-closed, so a run of the safety
-    /// closure `A(Pref Π)` is accepted iff it stays live forever, and such
-    /// a run escapes `Π` exactly when it settles into a rejecting cycle of
-    /// live states (a cycle meeting the live set lies inside it). Both
-    /// sets are kernel queries.
-    fn is_closed_under(&self, acc: &Acceptance) -> bool {
-        let (_, live) = self.live_sets(acc);
-        let (rejecting, _) = self.live_sets(&acc.negated());
-        !live.intersects(&rejecting)
-    }
-
-    /// Reachable live states under the automaton's own acceptance.
+    /// language question can observe).
     pub fn live(&self) -> Arc<BitSet> {
-        self.live_reachable(&self.aut.acceptance().clone())
+        Arc::clone(&self.live_sets(false).1)
+    }
+
+    /// Reachable live states of the complement (the same structure under
+    /// the negated acceptance): the states from which some rejected run
+    /// can still start. The reachable states outside it are universal.
+    pub fn co_live(&self) -> Arc<BitSet> {
+        Arc::clone(&self.live_sets(true).1)
     }
 
     /// The **full verdict**: all six class memberships plus the
@@ -707,26 +688,24 @@ impl Analysis {
 
     /// Whether the language is universal (`L = Σ^ω`): the complement —
     /// same structure, negated acceptance — must be empty, i.e. the
-    /// initial state must not be live under the negated condition. The
-    /// restrictions of `live_reachable` are shared with the guarantee
-    /// check of the full verdict, so asking both costs no extra SCC pass.
+    /// initial state must not be in [`Self::co_live`]. That set is shared
+    /// with the guarantee check of the full verdict, so asking both costs
+    /// no extra SCC pass.
     pub fn is_universal(&self) -> bool {
-        !self
-            .live_reachable(&self.aut.acceptance().negated())
-            .contains(self.aut.initial() as usize)
+        !self.co_live().contains(self.aut.initial() as usize)
     }
 
     /// Whether the language is a safety property: no reachable rejecting
     /// cycle lies in the live set. One kernel query on this context's
     /// automaton, shared with [`Self::live`] and [`Self::is_universal`].
     pub fn is_safety(&self) -> bool {
-        self.is_closed_under(self.aut.acceptance())
+        self.is_closed(false)
     }
 
     /// Whether the language is a guarantee property (its complement is
     /// safety): no reachable accepting cycle lies in the co-live set.
     pub fn is_guarantee(&self) -> bool {
-        self.is_closed_under(&self.aut.acceptance().negated())
+        self.is_closed(true)
     }
 
     /// Whether the language is an obligation property.
@@ -795,49 +774,6 @@ impl Analysis {
     pub fn counter_freedom(&self) -> &CounterFreedom {
         self.counter_freedom
             .get_or_init(|| counterfree::check_omega(&self.aut, counterfree::DEFAULT_MONOID_CAP))
-    }
-
-    /// The boolean product of this automaton with `other`, memoized per
-    /// `(other, op)` pair, so repeated inclusion or equivalence queries
-    /// against the same operand build the product automaton once.
-    ///
-    /// The memo is keyed by `other`'s automaton as given, so a hit costs
-    /// the key, not a minimization, and an automaton and a context
-    /// holding it share one entry. On a miss with the quotient-first
-    /// pipeline active, *both* operands are quotiented before the
-    /// product is built (see [`Operand`]: a context lends the quotient it
-    /// already holds). The product is then language-equal to the raw
-    /// one, which is all any consumer observes: every caller asks
-    /// language-level questions (emptiness for inclusion, or wraps the
-    /// product as a new property).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alphabets differ (as the underlying product does).
-    pub fn product_with(&self, other: &impl Operand, op: ProductOp) -> Arc<OmegaAutomaton> {
-        let given = other.given();
-        assert_eq!(
-            self.aut.alphabet(),
-            given.alphabet(),
-            "product operands must share an alphabet"
-        );
-        let key = OperandKey::of(given, op);
-        if let Some(hit) = lock_recover(&self.products).get(&key) {
-            self.stats.product_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Compute outside the lock; a racing duplicate build is harmless
-        // (last write wins, both results are identical).
-        self.stats.products_built.fetch_add(1, Ordering::Relaxed);
-        let lhs = self.effective_automaton();
-        let rhs = self.oracle_operand(other);
-        let built = Arc::new(match op {
-            ProductOp::Intersection => lhs.intersection(&rhs),
-            ProductOp::Union => lhs.union(&rhs),
-            ProductOp::Difference => lhs.difference(&rhs),
-        });
-        lock_recover(&self.products).insert(key, Arc::clone(&built));
-        built
     }
 
     /// The automaton language-level queries actually run on: the
@@ -921,8 +857,6 @@ impl Analysis {
             s.scc_passes += qs.scc_passes;
             s.scc_state_visits += qs.scc_state_visits;
             s.scc_hits += qs.scc_hits;
-            s.products_built += qs.products_built;
-            s.product_hits += qs.product_hits;
             s.inclusion_checks += qs.inclusion_checks;
             s.inclusion_hits += qs.inclusion_hits;
         }
@@ -1102,19 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn product_cache_hits_on_repeat() {
-        let sigma = ab();
-        let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
-        let other = last_sym(&sigma, Acceptance::fin([1]));
-        let p1 = ctx.product_with(&other, ProductOp::Union);
-        let p2 = ctx.product_with(&other, ProductOp::Union);
-        assert!(p1.equivalent(&p2));
-        let s = ctx.stats_total();
-        assert_eq!(s.products_built, 1);
-        assert_eq!(s.product_hits, 1);
-    }
-
-    #[test]
     fn inclusion_memo_hits_on_repeat_and_both_directions_are_checked() {
         let sigma = ab();
         // □◇b and ◇□a are disjoint non-empty languages, so *neither*
@@ -1164,8 +1085,8 @@ mod tests {
 
     /// An operand as an automaton, as a quotienting context and as a raw
     /// context keys one memo entry: the first form asked runs the
-    /// oracle, the others hit, and every verdict and product agrees with
-    /// the complement oracle, for quotienting and raw askers alike.
+    /// oracle, the others hit, and every verdict agrees with the
+    /// complement oracle, for quotienting and raw askers alike.
     #[test]
     fn operand_forms_share_one_memo_entry() {
         let sigma = ab();
@@ -1178,7 +1099,6 @@ mod tests {
             reduced += usize::from(minimize(&b).reduced());
             let subset = a.is_subset_of_via_complement(&b);
             let equal = a.equivalent_via_complement(&b);
-            let meet = a.intersection(&b);
             for ctx in [Analysis::new(a.clone()), Analysis::new_raw(a.clone())] {
                 let (quotienting, raw) = (Analysis::new(b.clone()), Analysis::new_raw(b.clone()));
                 let forms: [&dyn Operand; 3] = [&b, &quotienting, &raw];
@@ -1187,12 +1107,7 @@ mod tests {
                     let form = (i + k) % 3;
                     let operand = forms[form];
                     let (sub, eq) = (ctx.is_subset_of(&operand), ctx.equivalent(&operand));
-                    let product = ctx.product_with(&operand, ProductOp::Intersection);
                     assert_eq!((sub, eq), (subset, equal), "case {i}, form {form}");
-                    assert!(
-                        product.equivalent_via_complement(&meet),
-                        "case {i}, form {form}"
-                    );
                     let s = ctx.stats_total();
                     let hits = k as u64;
                     assert_eq!(
@@ -1200,7 +1115,6 @@ mod tests {
                         (2, 2 * hits),
                         "case {i}, form {form}"
                     );
-                    assert_eq!((s.products_built, s.product_hits), (1, hits), "case {i}");
                 }
             }
         }
@@ -1234,12 +1148,10 @@ mod tests {
         let aut = last_sym(&sigma, Acceptance::inf([1]));
         let ctx = Analysis::new(aut.clone());
 
-        // Poison all three cache mutexes the way a dying worker would:
-        // panic while holding the guard.
+        // Poison both cache mutexes the way a dying worker would: panic
+        // while holding the guard.
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _sccs = lock_recover(&ctx.sccs);
-            let _live = lock_recover(&ctx.live_for);
-            let _products = lock_recover(&ctx.products);
             let _inclusions = lock_recover(&ctx.inclusions);
             panic!("worker dies holding the cache locks");
         }));
@@ -1275,7 +1187,7 @@ mod tests {
                 (None, None) => {}
                 (a, b) => panic!("emptiness disagreement: {a:?} vs {b:?}"),
             }
-            // live_reachable = free live ∩ reachable.
+            // The context's live set = free live ∩ reachable.
             let mut free_live = aut.live_states();
             free_live.intersect_with(ctx.reachable());
             assert_eq!(*ctx.live(), free_live);

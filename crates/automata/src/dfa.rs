@@ -4,11 +4,22 @@
 //! linguistic view — are represented by DFAs. The API provides the boolean
 //! algebra, minimization, and the decision procedures (emptiness, inclusion,
 //! equivalence) that the hierarchy constructions rely on.
+//!
+//! A DFA is the deterministic transition table of an ω-automaton with
+//! another acceptance notion, so it owns no walk of its own: reachability
+//! is the ω side's forward walk, products come from the reachable-product
+//! builder of [`crate::inclusion`], shortest words from
+//! [`crate::emptiness::shortest_path`], and minimization from
+//! [`crate::minimize`] on the `Inf(F)` view.
 
+use crate::acceptance::Acceptance;
 use crate::alphabet::{Alphabet, Symbol};
 use crate::bitset::BitSet;
+use crate::emptiness::shortest_path;
+use crate::inclusion::Product;
+use crate::minimize::minimize;
+use crate::omega::{forward_closure, OmegaAutomaton};
 use crate::{AutomatonError, StateId};
-use std::collections::VecDeque;
 
 /// A complete deterministic finite automaton.
 ///
@@ -189,45 +200,8 @@ impl Dfa {
 
     /// States reachable from the initial state.
     pub fn reachable_states(&self) -> BitSet {
-        let mut seen = BitSet::with_capacity(self.num_states);
-        let mut queue = VecDeque::new();
-        seen.insert(self.initial as usize);
-        queue.push_back(self.initial);
-        while let Some(q) = queue.pop_front() {
-            for sym in self.alphabet.symbols() {
-                let t = self.step(q, sym);
-                if seen.insert(t as usize) {
-                    queue.push_back(t);
-                }
-            }
-        }
-        seen
-    }
-
-    /// States from which an accepting state is reachable (including
-    /// accepting states themselves).
-    pub fn coaccessible_states(&self) -> BitSet {
-        // Reverse reachability from accepting states.
-        let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); self.num_states];
-        for q in 0..self.num_states {
-            for sym in self.alphabet.symbols() {
-                let t = self.step(q as StateId, sym);
-                preds[t as usize].push(q as StateId);
-            }
-        }
-        let mut seen = BitSet::with_capacity(self.num_states);
-        let mut queue: VecDeque<usize> = self.accepting.iter().collect();
-        for q in &queue {
-            seen.insert(*q);
-        }
-        while let Some(q) = queue.pop_front() {
-            for &p in &preds[q] {
-                if seen.insert(p as usize) {
-                    queue.push_back(p as usize);
-                }
-            }
-        }
-        seen
+        let start = BitSet::from_iter([self.initial as usize]);
+        forward_closure(&self.delta, self.alphabet.len(), start)
     }
 
     /// Whether the language is empty.
@@ -240,41 +214,22 @@ impl Dfa {
         self.reachable_states().is_subset(&self.accepting)
     }
 
-    /// A shortest accepted word, if the language is non-empty.
+    /// A shortest accepted word, if the language is non-empty (the
+    /// labelled breadth-first search of [`shortest_path`], which tries
+    /// the symbols in order).
     pub fn shortest_accepted(&self) -> Option<Vec<Symbol>> {
-        // BFS over states, tracking the first-reaching word.
-        let mut prev: Vec<Option<(StateId, Symbol)>> = vec![None; self.num_states];
-        let mut seen = BitSet::with_capacity(self.num_states);
-        let mut queue = VecDeque::new();
-        seen.insert(self.initial as usize);
-        queue.push_back(self.initial);
-        let mut target = if self.is_accepting(self.initial) {
-            Some(self.initial)
-        } else {
-            None
-        };
-        while target.is_none() {
-            let Some(q) = queue.pop_front() else { break };
-            for sym in self.alphabet.symbols() {
-                let t = self.step(q, sym);
-                if seen.insert(t as usize) {
-                    prev[t as usize] = Some((q, sym));
-                    if self.is_accepting(t) {
-                        target = Some(t);
-                        break;
-                    }
-                    queue.push_back(t);
+        let (_, steps) = shortest_path(
+            self.num_states,
+            [self.initial],
+            &self.accepting,
+            None,
+            |q, f| {
+                for sym in self.alphabet.symbols() {
+                    f(sym, self.step(q, sym));
                 }
-            }
-        }
-        let mut word = Vec::new();
-        let mut q = target?;
-        while let Some((p, sym)) = prev[q as usize] {
-            word.push(sym);
-            q = p;
-        }
-        word.reverse();
-        Some(word)
+            },
+        )?;
+        Some(steps.into_iter().map(|(sym, _)| sym).collect())
     }
 
     /// The complement automaton (same structure, accepting set flipped).
@@ -295,28 +250,13 @@ impl Dfa {
             self.alphabet, other.alphabet,
             "product requires identical alphabets"
         );
-        let k = self.alphabet.len();
-        let mut index = std::collections::HashMap::new();
-        let mut states: Vec<(StateId, StateId)> = Vec::new();
-        let mut delta: Vec<StateId> = Vec::new();
-        let start = (self.initial, other.initial);
-        index.insert(start, 0 as StateId);
-        states.push(start);
-        let mut frontier = 0usize;
-        while frontier < states.len() {
-            let (p, q) = states[frontier];
-            for s in 0..k {
-                let sym = Symbol(s as u8);
-                let succ = (self.step(p, sym), other.step(q, sym));
-                let id = *index.entry(succ).or_insert_with(|| {
-                    states.push(succ);
-                    (states.len() - 1) as StateId
-                });
-                delta.push(id);
-            }
-            frontier += 1;
-        }
-        let accepting = states
+        let product = Product::build(
+            self.alphabet.len(),
+            (self.initial, other.initial),
+            |(p, q), sym| (self.step(p, sym), other.step(q, sym)),
+        );
+        let accepting = product
+            .pairs
             .iter()
             .enumerate()
             .filter(|(_, &(p, q))| combine(self.is_accepting(p), other.is_accepting(q)))
@@ -324,10 +264,10 @@ impl Dfa {
             .collect();
         Dfa {
             alphabet: self.alphabet.clone(),
-            num_states: states.len(),
+            num_states: product.num_states(),
             initial: 0,
             accepting,
-            delta,
+            delta: product.delta,
         }
     }
 
@@ -362,68 +302,29 @@ impl Dfa {
         self.product_with(other, |a, b| a != b).shortest_accepted()
     }
 
-    /// The minimal DFA for the same language (Moore's partition refinement
-    /// over the reachable part).
+    /// The minimal DFA for the same language: the Hopcroft refinement of
+    /// [`minimize`] on the DFA read as the ω-automaton `Inf(F)`, whose
+    /// seed partition is accepting versus non-accepting, so its quotient
+    /// is the Myhill–Nerode one. Unreachable states are dropped, and
+    /// states are numbered in the quotient's canonical BFS order.
     pub fn minimize(&self) -> Dfa {
-        let reachable = self.reachable_states();
-        let reach: Vec<StateId> = reachable.iter().map(|q| q as StateId).collect();
-        let mut dense = vec![usize::MAX; self.num_states];
-        for (i, &q) in reach.iter().enumerate() {
-            dense[q as usize] = i;
-        }
-        let n = reach.len();
-        let k = self.alphabet.len();
-        // Initial partition: accepting vs non-accepting.
-        let mut class = vec![0usize; n];
-        for (i, &q) in reach.iter().enumerate() {
-            class[i] = usize::from(self.is_accepting(q));
-        }
-        let mut num_classes = 2;
-        loop {
-            // Signature: (class, class of each successor).
-            let mut sig_to_class = std::collections::HashMap::new();
-            let mut next_class = vec![0usize; n];
-            let mut next_num = 0usize;
-            for i in 0..n {
-                let q = reach[i];
-                let mut sig = Vec::with_capacity(k + 1);
-                sig.push(class[i]);
-                for s in 0..k {
-                    let t = self.step(q, Symbol(s as u8));
-                    sig.push(class[dense[t as usize]]);
-                }
-                let c = *sig_to_class.entry(sig).or_insert_with(|| {
-                    next_num += 1;
-                    next_num - 1
-                });
-                next_class[i] = c;
-            }
-            if next_num == num_classes {
-                break;
-            }
-            class = next_class;
-            num_classes = next_num;
-        }
-        // Build the quotient automaton.
-        let mut delta = vec![0 as StateId; num_classes * k];
-        let mut accepting = BitSet::with_capacity(num_classes);
-        for i in 0..n {
-            let q = reach[i];
-            let c = class[i];
-            for s in 0..k {
-                let t = self.step(q, Symbol(s as u8));
-                delta[c * k + s] = class[dense[t as usize]] as StateId;
-            }
-            if self.is_accepting(q) {
-                accepting.insert(c);
-            }
-        }
+        let aut = OmegaAutomaton::build(
+            &self.alphabet,
+            self.num_states,
+            self.initial,
+            |q, sym| self.step(q, sym),
+            Acceptance::Inf(self.accepting.clone()),
+        );
+        let min = minimize(&aut);
+        let accepting = (0..min.classes.len())
+            .filter(|&c| self.is_accepting(min.classes[c][0]))
+            .collect();
         Dfa {
             alphabet: self.alphabet.clone(),
-            num_states: num_classes,
-            initial: class[dense[self.initial as usize]] as StateId,
+            num_states: min.quotient.num_states(),
+            initial: min.quotient.initial(),
             accepting,
-            delta,
+            delta: min.quotient.table().to_vec(),
         }
     }
 
@@ -571,16 +472,6 @@ mod tests {
         let m = d.minimize();
         assert_eq!(m.num_states(), 1);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn coaccessible() {
-        let sigma = ab();
-        let d = contains_b(&sigma);
-        // Both states can reach the accepting state.
-        assert_eq!(d.coaccessible_states().len(), 2);
-        let e = Dfa::empty(&sigma);
-        assert!(e.coaccessible_states().is_empty());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   memoizing [`SccCache`] for the free functions here, the shared memo
 //!   of [`crate::analysis::Analysis`] for a context, and product graphs
 //!   for [`crate::inclusion`] and the model checker;
-//! * [`shortest_path`] is the one labelled breadth-first path search;
+//! * [`shortest_path`] is the one labelled breadth-first path search:
+//!   the tours below, the model checker's counterexamples and the
+//!   shortest accepted word of a [`crate::dfa::Dfa`] all run it;
 //! * the targeted tour (`Witness::tour`) turns a region into a lasso
 //!   through one waypoint per constraint.
 //!

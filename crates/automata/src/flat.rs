@@ -66,13 +66,14 @@ impl FlatGraph {
 
     /// Builds the deduplicated successor graph of a flattened
     /// deterministic transition table `delta[q·k + s]` over `n` states
-    /// and `k` symbols (the inclusion product of [`crate::inclusion`]
-    /// builds its graph here).
+    /// and `k` symbols: the graph of an automaton's own table for
+    /// [`crate::analysis::Analysis`], and of the inclusion product for
+    /// [`crate::inclusion`].
     pub fn from_delta(n: usize, k: usize, delta: &[StateId]) -> Self {
         debug_assert_eq!(delta.len(), n * k, "delta table has wrong shape");
         FlatGraph::from_fn(n, |q| {
             let base = q as usize * k;
-            delta[base..base + k].to_vec()
+            delta[base..base + k].iter().copied()
         })
     }
 

@@ -158,35 +158,34 @@ fn priorities_of(acc: &Acceptance, n: usize) -> Option<Vec<u32>> {
     }
 }
 
-/// The reachable product of two deterministic automata over one
-/// alphabet: pair states and a flat `delta[id·k + s]` table.
-struct Product {
+/// The reachable product of two deterministic transition structures over
+/// one alphabet: pair states and a flat `delta[id·k + s]` table. It is
+/// the crate's one reachable-product builder: the inclusion oracle walks
+/// it, and the boolean operations of [`OmegaAutomaton`] and
+/// [`crate::dfa::Dfa`] read their automata off it.
+pub(crate) struct Product {
     k: usize,
     /// `pairs[id] = (a_state, b_state)`; id `0` is the initial pair.
-    pairs: Vec<(StateId, StateId)>,
-    delta: Vec<StateId>,
+    pub(crate) pairs: Vec<(StateId, StateId)>,
+    pub(crate) delta: Vec<StateId>,
 }
 
 impl Product {
-    fn build(a: &OmegaAutomaton, b: &OmegaAutomaton) -> Product {
-        assert_eq!(
-            a.alphabet(),
-            b.alphabet(),
-            "inclusion requires identical alphabets"
-        );
-        let k = a.alphabet().len();
+    /// Explores the pairs reachable from `start` over `k` symbols, in
+    /// breadth-first order, `step` giving each pair's successor.
+    pub(crate) fn build(
+        k: usize,
+        start: (StateId, StateId),
+        step: impl Fn((StateId, StateId), Symbol) -> (StateId, StateId),
+    ) -> Product {
         let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
-        let mut pairs: Vec<(StateId, StateId)> = Vec::new();
+        let mut pairs = vec![start];
         let mut delta: Vec<StateId> = Vec::new();
-        let start = (a.initial(), b.initial());
         index.insert(start, 0);
-        pairs.push(start);
         let mut frontier = 0usize;
         while frontier < pairs.len() {
-            let (p, q) = pairs[frontier];
             for s in 0..k {
-                let sym = Symbol(s as u8);
-                let succ = (a.step(p, sym), b.step(q, sym));
+                let succ = step(pairs[frontier], Symbol(s as u8));
                 let id = *index.entry(succ).or_insert_with(|| {
                     pairs.push(succ);
                     (pairs.len() - 1) as StateId
@@ -198,7 +197,25 @@ impl Product {
         Product { k, pairs, delta }
     }
 
-    fn num_states(&self) -> usize {
+    /// The product of two ω-automata.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the alphabets differ.
+    pub(crate) fn of(a: &OmegaAutomaton, b: &OmegaAutomaton) -> Product {
+        assert_eq!(
+            a.alphabet(),
+            b.alphabet(),
+            "product requires identical alphabets"
+        );
+        Product::build(
+            a.alphabet().len(),
+            (a.initial(), b.initial()),
+            |(p, q), s| (a.step(p, s), b.step(q, s)),
+        )
+    }
+
+    pub(crate) fn num_states(&self) -> usize {
         self.pairs.len()
     }
 
@@ -208,7 +225,7 @@ impl Product {
 
     /// Lifts an `A`-side state set to the product states whose first
     /// component lies in it.
-    fn lift_left(&self, set: &BitSet) -> BitSet {
+    pub(crate) fn lift_left(&self, set: &BitSet) -> BitSet {
         let mut out = BitSet::with_capacity(self.pairs.len());
         for (id, &(p, _)) in self.pairs.iter().enumerate() {
             if set.contains(p as usize) {
@@ -220,7 +237,7 @@ impl Product {
 
     /// Lifts a `B`-side state set to the product states whose second
     /// component lies in it.
-    fn lift_right(&self, set: &BitSet) -> BitSet {
+    pub(crate) fn lift_right(&self, set: &BitSet) -> BitSet {
         let mut out = BitSet::with_capacity(self.pairs.len());
         for (id, &(_, q)) in self.pairs.iter().enumerate() {
             if set.contains(q as usize) {
@@ -365,7 +382,7 @@ fn witness(
 ///
 /// Panics if the alphabets differ.
 pub fn included(a: &OmegaAutomaton, b: &OmegaAutomaton) -> bool {
-    let product = Product::build(a, b);
+    let product = Product::of(a, b);
     witness(&product, a, b, &[Side::Left]).is_none()
 }
 
@@ -373,7 +390,7 @@ pub fn included(a: &OmegaAutomaton, b: &OmegaAutomaton) -> bool {
 /// the transition structure is direction-independent; only the lifted
 /// acceptance constraints differ.
 pub fn equivalent(a: &OmegaAutomaton, b: &OmegaAutomaton) -> bool {
-    let product = Product::build(a, b);
+    let product = Product::of(a, b);
     witness(&product, a, b, &[Side::Left, Side::Right]).is_none()
 }
 
@@ -384,7 +401,7 @@ pub(crate) fn separating_lasso(
     b: &OmegaAutomaton,
     sides: &[Side],
 ) -> Option<(Lasso, Witness)> {
-    let product = Product::build(a, b);
+    let product = Product::of(a, b);
     let w = witness(&product, a, b, sides)?;
     let lasso = w.tour(product.num_states(), 0, |q, f| {
         for s in 0..product.k {

@@ -9,7 +9,10 @@
 //! * [`dfa::Dfa`] / [`nfa::Nfa`] — classical automata over finite words, with
 //!   subset construction, minimization, boolean operations, inclusion and
 //!   equivalence. Finite-word languages model the paper's *finitary
-//!   properties* `Φ ⊆ Σ⁺`.
+//!   properties* `Φ ⊆ Σ⁺`. A DFA is the same deterministic table as an
+//!   ω-automaton with another acceptance notion, so it shares the
+//!   reachability walk, the reachable-product builder, the path search
+//!   and the Hopcroft minimizer of the ω side.
 //! * [`omega::OmegaAutomaton`] — complete **deterministic ω-automata** whose
 //!   acceptance condition is an arbitrary boolean combination of
 //!   `Inf(S)`/`Fin(S)` atoms ([`acceptance::Acceptance`], Emerson–Lei style).
@@ -26,7 +29,7 @@
 //!   computes).
 //! * [`analysis::Analysis`] — a per-automaton memoized context that shares
 //!   reachability, restricted SCC decompositions, the condensation DAG,
-//!   pairwise products and inclusion verdicts across all of the above, so
+//!   the live sets and inclusion verdicts across all of the above, so
 //!   a full classification shares every SCC pass with emptiness and
 //!   liveness.
 //! * [`inclusion`] — direct polynomial-time inclusion/equivalence for
@@ -74,7 +77,6 @@ pub mod canonical;
 pub mod classify;
 pub mod counterfree;
 pub mod dfa;
-pub mod dot;
 pub mod emptiness;
 pub mod flat;
 pub mod hoa;
@@ -97,7 +99,7 @@ pub use error::AutomatonError;
 pub mod prelude {
     pub use crate::acceptance::Acceptance;
     pub use crate::alphabet::{Alphabet, Symbol, SymbolSet};
-    pub use crate::analysis::{Analysis, AnalysisStats, ProductOp};
+    pub use crate::analysis::{Analysis, AnalysisStats};
     pub use crate::bitset::BitSet;
     pub use crate::canonical::{hash_bytes, structural_hash, ArtifactHash};
     pub use crate::classify;

@@ -34,6 +34,11 @@
 //! language, so they are invariant under this quotient — which is what
 //! lets [`crate::analysis::Analysis`] run every classification on the
 //! quotient first (the "quotient-first pipeline").
+//!
+//! **Finite words.** [`crate::dfa::Dfa::minimize`] runs the same
+//! refinement on the DFA read as the ω-automaton `Inf(F)`: its one atom
+//! is the accepting set, so the seed partition is accepting versus
+//! non-accepting and the quotient is the Myhill–Nerode one.
 
 use std::collections::HashMap;
 

@@ -151,24 +151,16 @@ impl Nfa {
     /// Whether the NFA accepts the word (decided by explicit subset
     /// simulation; no determinization).
     pub fn accepts<I: IntoIterator<Item = Symbol>>(&self, word: I) -> bool {
-        let mut current = self.epsilon_closure(&self.initial.iter().map(|&q| q as usize).collect());
+        let mut current = self.initial_closure();
         for sym in word {
-            let mut next = BitSet::new();
-            for q in current.iter() {
-                for &t in &self.transitions[q][sym.index()] {
-                    next.insert(t as usize);
-                }
-            }
-            current = self.epsilon_closure(&next);
+            current = self.epsilon_closure(&self.symbol_successors(&current, sym));
         }
         current.intersects(&self.accepting)
     }
 
     /// Subset construction: an equivalent complete DFA (minimized).
     pub fn determinize(&self) -> Dfa {
-        let k = self.alphabet.len();
-        let start =
-            self.epsilon_closure(&self.initial.iter().map(|&q| q as usize).collect::<BitSet>());
+        let start = self.initial_closure();
         let mut index: HashMap<BitSet, StateId> = HashMap::new();
         let mut subsets: Vec<BitSet> = Vec::new();
         let mut delta: Vec<StateId> = Vec::new();
@@ -177,14 +169,8 @@ impl Nfa {
         let mut frontier = 0;
         while frontier < subsets.len() {
             let current = subsets[frontier].clone();
-            for s in 0..k {
-                let mut next = BitSet::new();
-                for q in current.iter() {
-                    for &t in &self.transitions[q][s] {
-                        next.insert(t as usize);
-                    }
-                }
-                let next = self.epsilon_closure(&next);
+            for sym in self.alphabet.symbols() {
+                let next = self.epsilon_closure(&self.symbol_successors(&current, sym));
                 let id = match index.get(&next) {
                     Some(&id) => id,
                     None => {

@@ -10,6 +10,7 @@ use crate::acceptance::Acceptance;
 use crate::alphabet::{Alphabet, Symbol};
 use crate::bitset::BitSet;
 use crate::emptiness;
+use crate::inclusion::Product;
 use crate::lasso::Lasso;
 use crate::scc::{self, Successors};
 use crate::StateId;
@@ -186,6 +187,11 @@ impl OmegaAutomaton {
         self.delta[q as usize * self.alphabet.len() + sym.index()]
     }
 
+    /// The flattened transition table, `table()[q·|Σ| + s]`.
+    pub(crate) fn table(&self) -> &[StateId] {
+        &self.delta
+    }
+
     /// Runs the automaton on a finite word from the initial state.
     pub fn run<I: IntoIterator<Item = Symbol>>(&self, word: I) -> StateId {
         word.into_iter()
@@ -237,19 +243,8 @@ impl OmegaAutomaton {
 
     /// States reachable from the initial state.
     pub fn reachable_states(&self) -> BitSet {
-        let mut seen = BitSet::with_capacity(self.num_states);
-        let mut queue = std::collections::VecDeque::new();
-        seen.insert(self.initial as usize);
-        queue.push_back(self.initial);
-        while let Some(q) = queue.pop_front() {
-            for sym in self.alphabet.symbols() {
-                let t = self.step(q, sym);
-                if seen.insert(t as usize) {
-                    queue.push_back(t);
-                }
-            }
-        }
-        seen
+        let start = BitSet::from_iter([self.initial as usize]);
+        forward_closure(&self.delta, self.alphabet.len(), start)
     }
 
     /// SCC decomposition of (a restriction of) the transition graph.
@@ -296,54 +291,17 @@ impl OmegaAutomaton {
     where
         F: FnOnce(Acceptance, Acceptance) -> Acceptance,
     {
-        assert_eq!(
-            self.alphabet, other.alphabet,
-            "product requires identical alphabets"
-        );
-        let k = self.alphabet.len();
-        let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
-        let mut states: Vec<(StateId, StateId)> = Vec::new();
-        let mut delta: Vec<StateId> = Vec::new();
-        let start = (self.initial, other.initial);
-        index.insert(start, 0);
-        states.push(start);
-        let mut frontier = 0usize;
-        while frontier < states.len() {
-            let (p, q) = states[frontier];
-            for s in 0..k {
-                let sym = Symbol(s as u8);
-                let succ = (self.step(p, sym), other.step(q, sym));
-                let id = *index.entry(succ).or_insert_with(|| {
-                    states.push(succ);
-                    (states.len() - 1) as StateId
-                });
-                delta.push(id);
-            }
-            frontier += 1;
-        }
-        // Rewrite each side's acceptance sets to product-state sets.
-        let left = self.acceptance.map_sets(&|s: &BitSet| {
-            states
-                .iter()
-                .enumerate()
-                .filter(|(_, &(p, _))| s.contains(p as usize))
-                .map(|(i, _)| i)
-                .collect()
-        });
-        let right = other.acceptance.map_sets(&|s: &BitSet| {
-            states
-                .iter()
-                .enumerate()
-                .filter(|(_, &(_, q))| s.contains(q as usize))
-                .map(|(i, _)| i)
-                .collect()
-        });
+        let product = Product::of(self, other);
+        let left = self.acceptance.map_sets(&|s: &BitSet| product.lift_left(s));
+        let right = other
+            .acceptance
+            .map_sets(&|s: &BitSet| product.lift_right(s));
         OmegaAutomaton {
             alphabet: self.alphabet.clone(),
-            num_states: states.len(),
+            num_states: product.num_states(),
             initial: 0,
-            delta,
             acceptance: combine(left, right),
+            delta: product.delta,
         }
         .audited()
     }
@@ -561,6 +519,23 @@ impl OmegaAutomaton {
         let good = emptiness::cycle_states(&self.acceptance, n, &all, emptiness::scc_memo(self));
         emptiness::backward_closure(self, good)
     }
+}
+
+/// The smallest superset of `set` closed under the transitions of a
+/// flattened deterministic table `delta[q·k + s]`: the one forward walk,
+/// behind reachability ([`OmegaAutomaton::reachable_states`],
+/// [`crate::dfa::Dfa::reachable_states`]) and the paper's successor
+/// closure ([`crate::paper_checks::successor_closure`]).
+pub(crate) fn forward_closure(delta: &[StateId], k: usize, mut set: BitSet) -> BitSet {
+    let mut queue: std::collections::VecDeque<usize> = set.iter().collect();
+    while let Some(q) = queue.pop_front() {
+        for &t in &delta[q * k..(q + 1) * k] {
+            if set.insert(t as usize) {
+                queue.push_back(t as usize);
+            }
+        }
+    }
+    set
 }
 
 #[cfg(test)]

@@ -28,11 +28,10 @@ use crate::alphabet::Symbol;
 use crate::analysis::Analysis;
 use crate::bitset::BitSet;
 use crate::emptiness;
-use crate::omega::OmegaAutomaton;
+use crate::omega::{forward_closure, OmegaAutomaton};
 use crate::scc::tarjan_scc;
 use crate::streett::StreettPairs;
 use crate::StateId;
-use std::collections::VecDeque;
 
 /// The paper's good-state set `G = ⋂ᵢ (Rᵢ ∪ Pᵢ)` for a Streett pair list
 /// over `num_states` states. The bad set is its complement.
@@ -47,17 +46,7 @@ pub fn good_states(pairs: &StreettPairs, num_states: usize) -> BitSet {
 /// The successor closure `Â`: the smallest set containing `set` and closed
 /// under transitions (the paper's "closed set of automaton states").
 pub fn successor_closure(aut: &OmegaAutomaton, set: &BitSet) -> BitSet {
-    let mut closed = set.clone();
-    let mut queue: VecDeque<usize> = set.iter().collect();
-    while let Some(q) = queue.pop_front() {
-        for sym in aut.alphabet().symbols() {
-            let t = aut.step(q as StateId, sym) as usize;
-            if closed.insert(t) {
-                queue.push_back(t);
-            }
-        }
-    }
-    closed
+    forward_closure(aut.table(), aut.alphabet().len(), set.clone())
 }
 
 /// §5.1, "checking for a safety property": the automaton specifies a safety
@@ -264,16 +253,16 @@ fn safety_shaped_from_live(aut: &OmegaAutomaton, live: &BitSet) -> OmegaAutomato
 ///
 /// Returns `None` if the language is not a guarantee property. The
 /// verdict and the complement's live set come from one [`Analysis`]
-/// context (`live_reachable` of the negated acceptance, so no complement
-/// automaton is built); unreachable states fold into the sink, which
-/// cannot change the language.
+/// context ([`Analysis::co_live`], so no complement automaton is built);
+/// unreachable states fold into the sink, which cannot change the
+/// language.
 pub fn guarantee_automaton(aut: &OmegaAutomaton) -> Option<OmegaAutomaton> {
     let ctx = Analysis::new(aut.clone());
     if !ctx.is_guarantee() {
         return None;
     }
     // Universal states = dead states of the complement.
-    let co_live = ctx.live_reachable(&aut.acceptance().negated());
+    let co_live = ctx.co_live();
     let universal = co_live.complement(aut.num_states());
     Some(guarantee_shaped_from_universal(aut, &universal))
 }

@@ -1,7 +1,7 @@
 //! The unified [`Property`] type and its classification report.
 
 use hierarchy_automata::alphabet::Alphabet;
-use hierarchy_automata::analysis::{Analysis, AnalysisStats, ProductOp};
+use hierarchy_automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_automata::classify::Classification;
 use hierarchy_automata::counterfree::CounterFreedom;
 use hierarchy_automata::lasso::Lasso;
@@ -138,8 +138,8 @@ impl std::error::Error for PropertyError {
 /// Internally a complete deterministic ω-automaton wrapped in a shared
 /// [`Analysis`] context, so repeated queries — `class()`, `report()`,
 /// `borel` names, decompositions, inclusion tests — are incremental:
-/// the SCC passes, live sets, products, and the full classification are
-/// computed once and reused. Constructors accept any of the paper's
+/// the SCC passes, live sets, inclusion verdicts and the full
+/// classification are computed once and reused. Constructors accept any of the paper's
 /// views (formulas, operator applications, raw automata).
 #[derive(Debug, Clone)]
 pub struct Property {
@@ -265,8 +265,8 @@ impl Property {
     }
 
     /// A snapshot of the analysis-cache counters (SCC passes/hits,
-    /// products built/hits, inclusion checks/hits), including the work
-    /// done on the minimized quotient ([`Analysis::stats_total`]).
+    /// inclusion checks/hits), including the work done on the minimized
+    /// quotient ([`Analysis::stats_total`]).
     pub fn analysis_stats(&self) -> AnalysisStats {
         self.analysis.stats_total()
     }
@@ -321,25 +321,16 @@ impl Property {
         (Property::from_automaton(s), Property::from_automaton(l))
     }
 
-    /// Union of two properties (the product is memoized per operand in
-    /// this property's context).
+    /// Union of two properties (the reachable product of the two
+    /// automata).
     pub fn union(&self, other: &Property) -> Property {
-        Property::from_automaton(
-            (*self
-                .analysis
-                .product_with(&other.analysis, ProductOp::Union))
-            .clone(),
-        )
+        Property::from_automaton(self.automaton().union(other.automaton()))
     }
 
-    /// Intersection of two properties (memoized per operand).
+    /// Intersection of two properties (the reachable product of the two
+    /// automata).
     pub fn intersection(&self, other: &Property) -> Property {
-        Property::from_automaton(
-            (*self
-                .analysis
-                .product_with(&other.analysis, ProductOp::Intersection))
-            .clone(),
-        )
+        Property::from_automaton(self.automaton().intersection(other.automaton()))
     }
 
     /// Complement.
@@ -347,13 +338,17 @@ impl Property {
         Property::from_automaton(self.automaton().complement())
     }
 
-    /// Language equivalence (the forward-inclusion product is memoized).
+    /// Language equivalence, decided by the direct oracle on the two
+    /// quotients; the verdict is memoized per operand in this property's
+    /// context.
     pub fn equivalent(&self, other: &Property) -> bool {
         self.analysis.equivalent(&other.analysis)
     }
 
-    /// Language inclusion (the difference product is memoized, so
-    /// repeated checks against the same operand are cheap).
+    /// Language inclusion, decided by the direct oracle on the two
+    /// quotients; the verdict is memoized per operand in this property's
+    /// context, so repeated checks against the same operand cost a memo
+    /// lookup.
     pub fn is_subset_of(&self, other: &Property) -> bool {
         self.analysis.is_subset_of(&other.analysis)
     }

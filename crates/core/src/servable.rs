@@ -1,5 +1,5 @@
 //! The [`Servable`] trait: what the classification daemon needs from an
-//! artifact — a stable kind tag and a structural content hash.
+//! artifact — a structural content hash.
 //!
 //! The daemon (`crates/serve`) keys its artifact store by
 //! [`ArtifactHash`]; anything that can compute one can be ingested,
@@ -17,31 +17,18 @@ use hierarchy_fts::absint::Program;
 
 /// An artifact the classification service can content-address.
 pub trait Servable {
-    /// A stable kind tag (`"automaton"`, `"program"`, …) — part of the
-    /// service's response schema, and the namespace that keeps hashes of
-    /// different artifact kinds from colliding.
-    fn service_kind(&self) -> &'static str;
-
     /// The structural content hash (see the module docs for what
     /// collides intentionally per kind).
     fn content_hash(&self) -> ArtifactHash;
 }
 
 impl Servable for OmegaAutomaton {
-    fn service_kind(&self) -> &'static str {
-        "automaton"
-    }
-
     fn content_hash(&self) -> ArtifactHash {
         canonical::structural_hash(self)
     }
 }
 
 impl Servable for Property {
-    fn service_kind(&self) -> &'static str {
-        "automaton"
-    }
-
     /// Hashes the canonical quotient already memoized in the property's
     /// [`Analysis`](hierarchy_automata::analysis::Analysis) context —
     /// the partition refinement is not re-run. A `Property` and the bare
@@ -54,10 +41,6 @@ impl Servable for Property {
 }
 
 impl Servable for Program {
-    fn service_kind(&self) -> &'static str {
-        "program"
-    }
-
     fn content_hash(&self) -> ArtifactHash {
         canonical::hash_bytes("program", &self.structural_encoding())
     }
@@ -74,7 +57,6 @@ mod tests {
         let sigma = Alphabet::of_propositions(["p", "q"]).unwrap();
         let p = Property::parse(&sigma, "G (p -> F q)").unwrap();
         assert_eq!(p.content_hash(), p.automaton().content_hash());
-        assert_eq!(p.service_kind(), "automaton");
     }
 
     /// Syntactically different formulas denoting the same language are
@@ -93,7 +75,6 @@ mod tests {
     #[test]
     fn program_hashes_by_structure() {
         let pete = absint::peterson_abs();
-        assert_eq!(pete.service_kind(), "program");
         assert_eq!(pete.content_hash(), absint::peterson_abs().content_hash());
         assert_ne!(
             pete.content_hash(),

@@ -166,7 +166,7 @@ fn semantic_lints(alphabet: &Alphabet, formula: &Formula, ctx: &Analysis) -> Vec
         );
         return out; // Everything below is noise on an empty language.
     }
-    if ctx.automaton().is_universal() && !matches!(formula, Formula::True) {
+    if ctx.is_universal() && !matches!(formula, Formula::True) {
         out.push(
             diag(
                 &registry::LOGIC002,

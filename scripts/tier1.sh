@@ -7,6 +7,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
+# The paper-table binaries each expect() the paper's own claims: Figure 1,
+# the §2 examples, minex, Obl_k, the reactivity index and the §5.1
+# decision procedures, several of them through the DFA substrate. They run
+# from target/, because tab_decision writes BENCH_decision.json into its
+# working directory.
+(
+  cd target
+  for bin in fig1_inclusion tab_examples tab_closure tab_obl_hierarchy \
+    tab_react_hierarchy tab_logic_equiv tab_responsiveness \
+    tab_safety_liveness tab_counterfree tab_decision; do
+    "release/$bin" > /dev/null
+  done
+)
 # The workspace run includes the differential suites: the
 # abstract-interpretation suite `absint_soundness` (value-set +
 # relational domains, paper programs, the parameterized N-process

@@ -9,15 +9,18 @@
 //! on small alphabets, verdict identity between quotient-first and raw
 //! analysis contexts on hundreds of seeded automata (classification,
 //! Rabin index, universality, inclusion, and the full lint report), and
-//! structural idempotence of the minimizer itself.
+//! structural idempotence of the minimizer itself, on ω-automata and on
+//! the DFAs it minimizes as `Inf(F)` views.
 
+use temporal_properties::automata::acceptance::Acceptance;
 use temporal_properties::automata::alphabet::{Alphabet, Symbol};
 use temporal_properties::automata::analysis::Analysis;
+use temporal_properties::automata::dfa::Dfa;
 use temporal_properties::automata::lasso::Lasso;
 use temporal_properties::automata::minimize::minimize;
 use temporal_properties::automata::omega::OmegaAutomaton;
-use temporal_properties::automata::random::random_streett;
 use temporal_properties::automata::random::rng::{SeedableRng, StdRng};
+use temporal_properties::automata::random::{random_dfa, random_streett};
 use temporal_properties::lint::lint_automaton_ctx;
 
 /// Every ultimately-periodic word `u·v^ω` with `|u| <= max_spoke` and
@@ -204,4 +207,47 @@ fn minimization_is_idempotent_and_matches_the_moore_oracle() {
             "seed {seed}: Hopcroft and Moore quotients differ in size"
         );
     }
+    // DFAs minimize through the same refinement, read as `Inf(F)`
+    // ω-automata, so the Moore oracle checks them on that view too: its
+    // seed partition is accepting versus non-accepting, and its class
+    // count is the Myhill–Nerode one.
+    let mut reduced = 0;
+    for sigma in [sigma.clone(), Alphabet::new(["a", "b", "c"]).unwrap()] {
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 1 + (seed % 16) as usize;
+            let p = [0.2f64, 0.5, 0.8][(seed % 3) as usize];
+            let dfa = random_dfa(&mut rng, &sigma, n, p);
+            let min = dfa.minimize();
+            reduced += usize::from(min.num_states() < n);
+            let view = OmegaAutomaton::build(
+                dfa.alphabet(),
+                dfa.num_states(),
+                dfa.initial(),
+                |q, s| dfa.step(q, s),
+                Acceptance::Inf(dfa.accepting().clone()),
+            );
+            assert_eq!(
+                min.num_states(),
+                view.reduce().num_states(),
+                "DFA seed {seed}: Hopcroft and Moore quotients differ in size"
+            );
+            assert!(
+                min.equivalent(&dfa),
+                "DFA seed {seed}: minimization changed the language"
+            );
+            let twice = min.minimize();
+            let table = |d: &Dfa| -> Vec<u32> {
+                (0..d.num_states() as u32)
+                    .flat_map(|q| d.alphabet().symbols().map(move |s| d.step(q, s)))
+                    .collect()
+            };
+            assert_eq!(
+                (twice.initial(), twice.accepting(), table(&twice)),
+                (min.initial(), min.accepting(), table(&min)),
+                "DFA seed {seed}: minimize∘minimize differs from minimize"
+            );
+        }
+    }
+    assert!(reduced > 300, "only {reduced} DFAs exercised a merge");
 }
