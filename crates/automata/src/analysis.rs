@@ -39,10 +39,18 @@
 //!   above. [`Analysis::rabin_index`] reads the same two depths. None of
 //!   them limits the number of acceptance atoms.
 //! * [`Analysis::is_subset_of`] / [`Analysis::equivalent`] — verdicts
-//!   of the direct inclusion oracle, memoized per other operand as given,
-//!   so a repeat query costs the key. A miss quotients the operand: a
-//!   plain automaton is minimized, and a context lends the quotient it
-//!   already holds (see [`Operand`]).
+//!   of the direct inclusion oracle, memoized per other operand as given:
+//!   the operand's 64-bit fingerprint picks a slot, and the slot compares
+//!   the operand's table, initial state and acceptance exactly, so a
+//!   repeat query costs a lookup and one comparison (a context keeps its
+//!   fingerprint). A miss quotients the operand: a plain automaton is
+//!   minimized, and a context lends the quotient it already holds (see
+//!   [`Operand`]).
+//! * [`Analysis::canonical_hash`] — the structural content hash, taken
+//!   once from the memoized minimization: the serve store keys an entry
+//!   by it and the suite audit's prefilter reads it.
+//! * [`Analysis::complement`] — the context of the complement automaton,
+//!   built once: the operand of a disjointness query (`SUITE003`).
 //! * [`Analysis::accepted_lasso`] / [`Analysis::rejected_lasso`] — the
 //!   lasso sample: one word in the language and one outside it, each
 //!   drawn once. A lasso that one automaton accepts and another rejects
@@ -78,6 +86,7 @@
 
 use crate::acceptance::Acceptance;
 use crate::bitset::BitSet;
+use crate::canonical::{self, ArtifactHash};
 use crate::classify::{self, Classification};
 use crate::counterfree::{self, CounterFreedom};
 use crate::emptiness;
@@ -89,6 +98,7 @@ use crate::scc::SccDecomposition;
 use crate::StateId;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -197,11 +207,13 @@ impl StatCells {
 /// and a language-equal automaton for the oracle of a quotienting context
 /// to run on.
 ///
-/// A plain [`OmegaAutomaton`] is minimized on each memo miss. An
-/// [`Analysis`] lends the quotient its context already holds (the one
-/// its own queries and the canonical hash use), so a miss costs no
-/// partition refinement; a [`Analysis::new_raw`] context lends its raw
-/// automaton. Both forms of one automaton share one memo entry.
+/// A plain [`OmegaAutomaton`] is minimized on each memo miss and
+/// fingerprinted on each query. An [`Analysis`] lends the quotient its
+/// context already holds (the one its own queries and the canonical hash
+/// use), so a miss costs no partition refinement, and keeps its
+/// fingerprint, so a hit costs no pass over its table; a
+/// [`Analysis::new_raw`] context lends its raw automaton. Both forms of
+/// one automaton share one memo entry.
 pub trait Operand {
     /// The automaton as given: the memo key.
     fn given(&self) -> &OmegaAutomaton;
@@ -209,6 +221,14 @@ pub trait Operand {
     /// A language-equal automaton, minimal where this operand can make
     /// it so.
     fn quotient(&self) -> Cow<'_, OmegaAutomaton>;
+
+    /// The memo slot of [`Self::given`]: a 64-bit fingerprint of its
+    /// transition table, initial state and acceptance condition. Equal
+    /// automata have equal fingerprints; unequal ones may share one, and
+    /// the memo tells them apart by comparing the automata themselves.
+    fn fingerprint(&self) -> u64 {
+        fingerprint(self.given())
+    }
 }
 
 impl Operand for OmegaAutomaton {
@@ -234,6 +254,10 @@ impl Operand for Analysis {
     fn quotient(&self) -> Cow<'_, OmegaAutomaton> {
         Cow::Borrowed(self.effective_automaton())
     }
+
+    fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| fingerprint(&self.aut))
+    }
 }
 
 impl<T: Operand + ?Sized> Operand for &T {
@@ -243,6 +267,52 @@ impl<T: Operand + ?Sized> Operand for &T {
 
     fn quotient(&self) -> Cow<'_, OmegaAutomaton> {
         (**self).quotient()
+    }
+
+    fn fingerprint(&self) -> u64 {
+        (**self).fingerprint()
+    }
+}
+
+/// The fingerprint of [`Operand::fingerprint`]: the automaton's table,
+/// initial state and acceptance condition through a word-at-a-time
+/// multiplicative hash (the `FxHash` step), finished by splitmix64.
+fn fingerprint(aut: &OmegaAutomaton) -> u64 {
+    let mut h = WordHasher(0);
+    aut.table().hash(&mut h);
+    aut.initial().hash(&mut h);
+    aut.acceptance().hash(&mut h);
+    h.finish()
+}
+
+/// A [`Hasher`] that mixes eight bytes per multiplication: a transition
+/// table is a few hundred words, and the memo compares the automaton
+/// itself after the fingerprint, so speed matters here and collisions
+/// only cost a comparison.
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(last));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        canonical::splitmix64(self.0)
     }
 }
 
@@ -256,31 +326,40 @@ enum OracleQuery {
     Equivalent,
 }
 
-/// Cache key of a memo entry about the *other* operand of a query, as
-/// the caller passed it: its transition table, initial state and
-/// acceptance condition (the alphabet must equal ours; the product
-/// asserts it), plus which question was asked of it. Equal keys mean the
-/// same automaton, hence the same language, so a hit is answered before
-/// the operand is quotiented, at the cost of hashing the key. Two raw
-/// operands with one quotient take one entry each.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The *other* operand of a memo entry, as the caller passed it: its
+/// transition table, initial state and acceptance condition (the
+/// alphabet must equal ours; the product asserts it). An entry answers a
+/// query about an automaton exactly when the automaton matches its key,
+/// which is the same automaton, hence the same language, so a hit is
+/// answered before the operand is quotiented. Two raw operands with one
+/// quotient take one entry each.
+#[derive(Debug, Clone)]
 struct OperandKey {
     delta: Vec<StateId>,
     initial: StateId,
     acceptance: Acceptance,
-    query: OracleQuery,
 }
 
 impl OperandKey {
-    fn of(other: &OmegaAutomaton, query: OracleQuery) -> OperandKey {
+    fn of(other: &OmegaAutomaton) -> OperandKey {
         OperandKey {
             delta: other.table().to_vec(),
             initial: other.initial(),
             acceptance: other.acceptance().clone(),
-            query,
         }
     }
+
+    /// Whether `other` is the automaton this key was taken from.
+    fn matches(&self, other: &OmegaAutomaton) -> bool {
+        self.initial == other.initial()
+            && self.delta == other.table()
+            && self.acceptance == *other.acceptance()
+    }
 }
+
+/// One slot of the inclusion memo: the entries whose operands share a
+/// fingerprint, each with its verdict, for one question.
+type MemoSlot = Vec<(OperandKey, bool)>;
 
 /// The condensation DAG of the reachable part of the automaton, with the
 /// acceptance status of every component.
@@ -321,8 +400,18 @@ pub struct Analysis {
     /// The deduplicated successor graph — built once, walked by every
     /// Tarjan pass in place of the automaton's per-symbol enumeration.
     graph: OnceLock<Arc<FlatGraph>>,
+    /// The same graph reversed, built once: both live sets close their
+    /// cycle states backwards over it.
+    predecessors: OnceLock<Arc<FlatGraph>>,
     /// The partition-refinement minimization of `aut` (lazy).
     minimization: OnceLock<Arc<Minimization>>,
+    /// The canonical hash of the minimization's quotient (lazy).
+    canonical_hash: OnceLock<ArtifactHash>,
+    /// The automaton's [`Operand::fingerprint`] (lazy).
+    fingerprint: OnceLock<u64>,
+    /// The context of the complement automaton (lazy; see
+    /// [`Analysis::complement`]).
+    complement: OnceLock<Box<Analysis>>,
     /// The analysis context of the quotient automaton, when quotienting
     /// is enabled *and* actually shrank the automaton (`None` otherwise).
     /// The inner context is always a raw one, so the recursion stops
@@ -346,9 +435,11 @@ pub struct Analysis {
     live: [OnceLock<LiveSets>; 2],
     classification: OnceLock<Classification>,
     counter_freedom: OnceLock<CounterFreedom>,
-    /// Memoized verdicts of the direct inclusion/equivalence oracle,
-    /// keyed by the other operand as given (never its quotient).
-    inclusions: Mutex<HashMap<OperandKey, bool>>,
+    /// Memoized verdicts of the direct inclusion/equivalence oracle, in
+    /// slots keyed by the other operand's fingerprint and the question;
+    /// inside a slot each entry holds the operand as given (never its
+    /// quotient) and is compared with it exactly.
+    inclusions: Mutex<HashMap<(u64, OracleQuery), MemoSlot>>,
     /// The lasso sample, `[rejected, accepted]` (see
     /// [`Analysis::accepted_lasso`]).
     lassos: [OnceLock<Option<Lasso>>; 2],
@@ -361,7 +452,11 @@ impl Clone for Analysis {
             quotient_enabled: self.quotient_enabled,
             stats: StatCells::from_snapshot(self.stats.snapshot()),
             graph: self.graph.clone(),
+            predecessors: self.predecessors.clone(),
             minimization: self.minimization.clone(),
+            canonical_hash: self.canonical_hash.clone(),
+            fingerprint: self.fingerprint.clone(),
+            complement: self.complement.clone(),
             quotient: self.quotient.clone(),
             reachable: self.reachable.clone(),
             sccs: Mutex::new(lock_recover(&self.sccs).clone()),
@@ -402,7 +497,11 @@ impl Analysis {
             quotient_enabled,
             stats: StatCells::default(),
             graph: OnceLock::new(),
+            predecessors: OnceLock::new(),
             minimization: OnceLock::new(),
+            canonical_hash: OnceLock::new(),
+            fingerprint: OnceLock::new(),
+            complement: OnceLock::new(),
             quotient: OnceLock::new(),
             reachable: OnceLock::new(),
             sccs: Mutex::new(HashMap::new()),
@@ -435,12 +534,46 @@ impl Analysis {
         })
     }
 
+    /// The reversed successor graph (built on first use from
+    /// [`Self::graph`]).
+    fn predecessors(&self) -> &FlatGraph {
+        self.predecessors
+            .get_or_init(|| Arc::new(self.graph().reversed()))
+    }
+
     /// The partition-refinement minimization of the automaton (computed
     /// on first use). Exposed so consumers like lint rule `AUT004` can
     /// report the exact quotient classes.
     pub fn minimization(&self) -> &Minimization {
         self.minimization
             .get_or_init(|| Arc::new(minimize(&self.aut)))
+    }
+
+    /// The automaton's structural content hash, computed once:
+    /// [`canonical::hash_canonical`] of [`Self::minimization`]'s quotient,
+    /// which equals [`canonical::structural_hash`] of the automaton. The
+    /// serve store keys an entry by it at ingest, and the suite audit's
+    /// prefilter reads it, so a warm audit hashes nothing.
+    pub fn canonical_hash(&self) -> ArtifactHash {
+        *self
+            .canonical_hash
+            .get_or_init(|| canonical::hash_canonical(&self.minimization().quotient))
+    }
+
+    /// The context of the complement automaton (same structure, negated
+    /// acceptance, quotienting as this context does), built on first
+    /// use. As an [`Operand`] it keys the inclusion memo as
+    /// `automaton().complement()` would and lends a quotient built once,
+    /// so `ctx.is_subset_of(other.complement())` asks whether the two
+    /// languages are disjoint at the price of a memo lookup when warm.
+    /// Its counters are its own: [`Self::stats_total`] does not add them.
+    pub fn complement(&self) -> &Analysis {
+        self.complement.get_or_init(|| {
+            Box::new(Self::with_quotient(
+                self.aut.complement(),
+                self.quotient_enabled,
+            ))
+        })
     }
 
     /// The analysis context of the quotient automaton — `Some` only when
@@ -569,7 +702,7 @@ impl Analysis {
             let cycles = emptiness::cycle_states(&acc, self.aut.num_states(), reachable, |x| {
                 self.sccs(Some(x))
             });
-            let mut live = emptiness::backward_closure(&self.aut, cycles.clone());
+            let mut live = emptiness::backward_closure(self.predecessors(), cycles.clone());
             live.intersect_with(reachable);
             (cycles, Arc::new(live))
         })
@@ -818,10 +951,21 @@ impl Analysis {
         self.inclusion_verdict(other, OracleQuery::Equivalent)
     }
 
+    /// The memo finds a verdict by the operand's fingerprint, then
+    /// compares the operand with each entry of that slot exactly, so a
+    /// hit copies and hashes nothing. A miss runs the oracle outside the
+    /// lock and re-checks the slot before it stores the full key, so
+    /// racing misses on one operand leave one entry.
     fn inclusion_verdict(&self, other: &impl Operand, query: OracleQuery) -> bool {
         let given = other.given();
-        let key = OperandKey::of(given, query);
-        if let Some(&hit) = lock_recover(&self.inclusions).get(&key) {
+        let slot = (other.fingerprint(), query);
+        let find = |entries: &MemoSlot| {
+            entries
+                .iter()
+                .find(|(key, _)| key.matches(given))
+                .map(|&(_, verdict)| verdict)
+        };
+        if let Some(hit) = lock_recover(&self.inclusions).get(&slot).and_then(find) {
             self.stats.inclusion_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
@@ -841,7 +985,11 @@ impl Analysis {
             "inclusion-oracle tripwire: direct verdict on the (quotiented) \
              operands differs from the complement oracle on the raw ones"
         );
-        lock_recover(&self.inclusions).insert(key, res);
+        let mut memo = lock_recover(&self.inclusions);
+        let entries = memo.entry(slot).or_default();
+        if find(entries).is_none() {
+            entries.push((OperandKey::of(given), res));
+        }
         res
     }
 
@@ -1081,6 +1229,70 @@ mod tests {
         let s = ctx.stats_total();
         assert_eq!(s.inclusion_checks, 4);
         assert_eq!(s.inclusion_hits, 3);
+    }
+
+    /// A verdict planted for operand Y in the slot of operand X's
+    /// fingerprint does not answer X: the exact comparison misses, the
+    /// oracle runs for X, X's own verdict comes back, and the slot keeps
+    /// both entries, so a repeat hits.
+    #[test]
+    fn a_verdict_in_the_slot_answers_only_its_own_operand() {
+        let sigma = ab();
+        let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1]))); // □◇b
+        let x = last_sym(&sigma, Acceptance::inf([0, 1])); // Σ^ω
+        let y = last_sym(&sigma, Acceptance::fin([1])); // ◇□a
+        let want = ctx.automaton().is_subset_of_via_complement(&x);
+        assert!(want && !ctx.automaton().is_subset_of_via_complement(&y));
+        let slot = (x.fingerprint(), OracleQuery::Included);
+        assert_ne!(
+            slot.0,
+            y.fingerprint(),
+            "Y is planted, not a real collision"
+        );
+        lock_recover(&ctx.inclusions).insert(slot, vec![(OperandKey::of(&y), !want)]);
+        assert_eq!(ctx.is_subset_of(&x), want);
+        let s = ctx.stats_total();
+        assert_eq!((s.inclusion_checks, s.inclusion_hits), (1, 0));
+        assert_eq!(lock_recover(&ctx.inclusions)[&slot].len(), 2);
+        assert_eq!(ctx.is_subset_of(&x), want);
+        let s = ctx.stats_total();
+        assert_eq!((s.inclusion_checks, s.inclusion_hits), (1, 1));
+    }
+
+    /// Misses that race on one operand leave one entry: eight threads
+    /// released together ask one question of a fresh context, each query
+    /// counts one oracle run or one hit, and the memo ends with one
+    /// entry, whichever threads missed.
+    #[test]
+    fn racing_misses_leave_one_entry() {
+        let sigma = ab();
+        let mut rng = StdRng::seed_from_u64(0x4ACE);
+        for round in 0..12 {
+            let (a, _) = random_streett(&mut rng, &sigma, 24, 2, 0.3);
+            let (b, _) = random_streett(&mut rng, &sigma, 24, 2, 0.3);
+            let ctx = Analysis::new(a);
+            let gate = std::sync::Barrier::new(8);
+            let verdicts: Vec<bool> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..8)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            gate.wait();
+                            ctx.is_subset_of(&b)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert!(verdicts.iter().all(|&v| v == verdicts[0]), "round {round}");
+            let s = ctx.stats_total();
+            assert_eq!(s.inclusion_checks + s.inclusion_hits, 8, "round {round}");
+            let entries: usize = lock_recover(&ctx.inclusions).values().map(Vec::len).sum();
+            assert_eq!(
+                entries, 1,
+                "round {round}: {} racers missed",
+                s.inclusion_checks
+            );
+        }
     }
 
     /// An operand as an automaton, as a quotienting context and as a raw

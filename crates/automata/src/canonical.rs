@@ -37,7 +37,13 @@
 //! FNV-1a lanes finalized with splitmix64) over an unambiguous byte
 //! encoding of alphabet, transitions, and acceptance. It is stable
 //! across runs and platforms — suitable for content addressing inside
-//! one trust domain, not for adversarial inputs.
+//! one trust domain, not for adversarial inputs. An [`Analysis`]
+//! memoizes the hash of its quotient
+//! ([`Analysis::canonical_hash`](crate::analysis::Analysis::canonical_hash)),
+//! so the serve store and the suite audit hash a context once, and
+//! [`ArtifactHash`] prints its 32 hex digits from a table in one write,
+//! since the daemon prints one per stored entry in every `stats`
+//! response.
 
 use crate::acceptance::Acceptance;
 use crate::analysis::Analysis;
@@ -55,11 +61,16 @@ use std::fmt;
 pub struct ArtifactHash(pub [u8; 16]);
 
 impl fmt::Display for ArtifactHash {
+    /// The 32 digits come from a table into one buffer and go out in one
+    /// `write_str`: a `stats` response renders one hash per entry.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in self.0 {
-            write!(f, "{b:02x}")?;
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = [0u8; 32];
+        for (pair, b) in text.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xf)];
         }
-        Ok(())
+        f.write_str(std::str::from_utf8(&text).expect("hex digits are ASCII"))
     }
 }
 
@@ -90,7 +101,7 @@ struct Digest {
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -304,6 +315,21 @@ mod tests {
         assert_eq!(ArtifactHash::parse(&text), Some(h));
         assert_eq!(ArtifactHash::parse("zz"), None);
         assert_eq!(ArtifactHash::parse(&text[..31]), None);
+    }
+
+    /// The table rendering equals the `{:02x}` one, and `parse` inverts
+    /// it, on seeded digests and on all-zero and all-0xff.
+    #[test]
+    fn display_is_the_two_digit_hex_rendering() {
+        let mut rng = StdRng::seed_from_u64(0x4E5);
+        let mut digests = vec![ArtifactHash([0; 16]), ArtifactHash([0xff; 16])];
+        digests
+            .extend((0..200).map(|_| ArtifactHash(std::array::from_fn(|_| rng.next_u64() as u8))));
+        for h in digests {
+            let want: String = h.0.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(h.to_string(), want);
+            assert_eq!(ArtifactHash::parse(&want), Some(h));
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@
 use crate::acceptance::Acceptance;
 use crate::alphabet::Symbol;
 use crate::bitset::BitSet;
+use crate::flat::FlatGraph;
 use crate::lasso::Lasso;
 use crate::omega::OmegaAutomaton;
 use crate::scc::{SccCache, SccDecomposition};
@@ -456,19 +457,13 @@ pub(crate) fn scc_memo(aut: &OmegaAutomaton) -> impl FnMut(&BitSet) -> Arc<SccDe
 }
 
 /// The set of states from which `targets` is reachable (including the
-/// targets themselves).
-pub fn backward_closure(aut: &OmegaAutomaton, targets: BitSet) -> BitSet {
-    let n = aut.num_states();
-    let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
-    for q in 0..n as StateId {
-        for sym in aut.alphabet().symbols() {
-            preds[aut.step(q, sym) as usize].push(q);
-        }
-    }
+/// targets themselves), walked over `predecessors`, the reversed
+/// transition graph ([`FlatGraph::reversed`]).
+pub fn backward_closure(predecessors: &FlatGraph, targets: BitSet) -> BitSet {
     let mut closed = targets;
     let mut queue: VecDeque<usize> = closed.iter().collect();
     while let Some(q) = queue.pop_front() {
-        for &p in &preds[q] {
+        for &p in predecessors.successors(q as StateId) {
             if closed.insert(p as usize) {
                 queue.push_back(p as usize);
             }

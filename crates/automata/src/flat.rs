@@ -77,6 +77,30 @@ impl FlatGraph {
         })
     }
 
+    /// The reverse graph: `q` is a successor of `t` in it exactly when
+    /// `t` is a successor of `q` here. Each reversed list is in
+    /// increasing source order and, like every list here, free of
+    /// duplicates. The live sets close backwards over it.
+    pub fn reversed(&self) -> FlatGraph {
+        let n = self.num_states();
+        let mut offsets = vec![0u32; n + 1];
+        for &t in &self.targets {
+            offsets[t as usize + 1] += 1;
+        }
+        for q in 0..n {
+            offsets[q + 1] += offsets[q];
+        }
+        let mut next = offsets.clone();
+        let mut targets = vec![0; self.targets.len()];
+        for q in 0..n as StateId {
+            for &t in self.successors(q) {
+                targets[next[t as usize] as usize] = q;
+                next[t as usize] += 1;
+            }
+        }
+        FlatGraph { offsets, targets }
+    }
+
     /// The successors of `q` as a contiguous slice.
     pub fn successors(&self, q: StateId) -> &[StateId] {
         &self.targets[self.offsets[q as usize] as usize..self.offsets[q as usize + 1] as usize]
@@ -118,6 +142,13 @@ mod tests {
         assert_eq!(flat.successors(2), &[] as &[StateId]);
         assert_eq!(flat.successors(3), &[3]);
         assert_eq!(flat.num_edges(), 4);
+        let back = flat.reversed();
+        assert_eq!(back.num_states(), 4);
+        assert_eq!(back.successors(0), &[1]);
+        assert_eq!(back.successors(1), &[0]);
+        assert_eq!(back.successors(2), &[0]);
+        assert_eq!(back.successors(3), &[3]);
+        assert_eq!(back.reversed(), flat);
     }
 
     #[test]

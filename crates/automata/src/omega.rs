@@ -10,6 +10,7 @@ use crate::acceptance::Acceptance;
 use crate::alphabet::{Alphabet, Symbol};
 use crate::bitset::BitSet;
 use crate::emptiness;
+use crate::flat::FlatGraph;
 use crate::inclusion::Product;
 use crate::lasso::Lasso;
 use crate::scc::{self, Successors};
@@ -517,7 +518,8 @@ impl OmegaAutomaton {
         let n = self.num_states;
         let all = BitSet::all(n);
         let good = emptiness::cycle_states(&self.acceptance, n, &all, emptiness::scc_memo(self));
-        emptiness::backward_closure(self, good)
+        let predecessors = FlatGraph::from_delta(n, self.alphabet.len(), &self.delta).reversed();
+        emptiness::backward_closure(&predecessors, good)
     }
 }
 

@@ -29,14 +29,14 @@ impl Servable for OmegaAutomaton {
 }
 
 impl Servable for Property {
-    /// Hashes the canonical quotient already memoized in the property's
+    /// Reads the canonical hash memoized in the property's
     /// [`Analysis`](hierarchy_automata::analysis::Analysis) context —
-    /// the partition refinement is not re-run. A `Property` and the bare
-    /// automaton it wraps hash identically (both are automaton-kind
-    /// artifacts to the service; formulas and regexes are addressed by
-    /// the language they denote, not their syntax).
+    /// neither the partition refinement nor the hash is re-run. A
+    /// `Property` and the bare automaton it wraps hash identically (both
+    /// are automaton-kind artifacts to the service; formulas and regexes
+    /// are addressed by the language they denote, not their syntax).
     fn content_hash(&self) -> ArtifactHash {
-        canonical::hash_canonical(&self.analysis().minimization().quotient)
+        self.analysis().canonical_hash()
     }
 }
 

@@ -2,6 +2,10 @@
 //! locations inside the linted artifact, and the [`Diagnostic`] record
 //! itself, with a hand-rolled JSON rendering (the workspace carries no
 //! serialization dependency).
+//!
+//! [`json_escape_into`] is the workspace's one JSON string escaper: the
+//! reports here, `spec-lint`'s output and the `spec-serve` daemon's
+//! response writer all go through it.
 
 use std::fmt;
 
@@ -21,13 +25,19 @@ pub enum Severity {
     Error,
 }
 
+impl Severity {
+    fn as_str(self) -> &'static str {
+        match self {
+            Severity::Info => "info",
+            Severity::Warning => "warning",
+            Severity::Error => "error",
+        }
+    }
+}
+
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Info => write!(f, "info"),
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -118,19 +128,26 @@ impl Diagnostic {
 
     /// The JSON object for this diagnostic.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"code\": \"{}\", ", self.code));
-        out.push_str(&format!("\"severity\": \"{}\", ", self.severity));
-        out.push_str(&format!(
-            "\"location\": \"{}\", ",
-            json_escape(&self.location.to_string())
-        ));
-        out.push_str(&format!("\"message\": \"{}\"", json_escape(&self.message)));
-        if let Some(s) = &self.suggestion {
-            out.push_str(&format!(", \"suggestion\": \"{}\"", json_escape(s)));
-        }
-        out.push('}');
+        let mut out = String::new();
+        self.write_json(&mut out);
         out
+    }
+
+    /// Appends [`Self::to_json`] to `out`.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"code\": \"");
+        out.push_str(self.code);
+        out.push_str("\", \"severity\": \"");
+        out.push_str(self.severity.as_str());
+        out.push_str("\", \"location\": \"");
+        json_escape_into(out, &self.location.to_string());
+        out.push_str("\", \"message\": \"");
+        json_escape_into(out, &self.message);
+        if let Some(s) = &self.suggestion {
+            out.push_str("\", \"suggestion\": \"");
+            json_escape_into(out, s);
+        }
+        out.push_str("\"}");
     }
 }
 
@@ -151,18 +168,38 @@ impl fmt::Display for Diagnostic {
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    json_escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` escaped for a JSON string literal (without the
+/// quotes): `"` and `\` get a backslash, `\n`, `\r` and `\t` their
+/// two-character escapes, the other control characters below U+0020 a
+/// `\u00XX` escape, and everything else is copied. The bytes to escape
+/// are all ASCII, so the text between two of them is copied as one run.
+pub fn json_escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 /// Renders a diagnostic list as a JSON array.
@@ -172,7 +209,7 @@ pub fn report_to_json(diagnostics: &[Diagnostic]) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&d.to_json());
+        d.write_json(&mut out);
     }
     out.push(']');
     out

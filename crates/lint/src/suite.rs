@@ -58,7 +58,7 @@ use crate::diagnostic::{Diagnostic, Location, Severity};
 use crate::registry;
 use hierarchy_automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_automata::bitset::BitSet;
-use hierarchy_automata::canonical::{hash_canonical, ArtifactHash, LassoBank};
+use hierarchy_automata::canonical::{ArtifactHash, LassoBank};
 use hierarchy_automata::classify::Classification;
 use hierarchy_automata::minimize::minimize;
 use hierarchy_automata::omega::OmegaAutomaton;
@@ -249,11 +249,9 @@ pub fn audit_suite_ctx(
     }
     let baselines: Vec<AnalysisStats> = items.iter().map(|(_, c)| c.stats_total()).collect();
 
-    // Canonical hashes ride the memoized minimization — no fresh
-    // partition refinement on a warm context.
-    let hashes: Vec<ArtifactHash> = par::map_with(jobs, items, |(_, c)| {
-        hash_canonical(&c.minimization().quotient)
-    });
+    // Canonical hashes are memoized per context: a warm context neither
+    // minimizes nor hashes again.
+    let hashes: Vec<ArtifactHash> = par::map_with(jobs, items, |(_, c)| c.canonical_hash());
     let oracle_calls = AtomicU64::new(0);
     let lasso_decided = AtomicU64::new(0);
 
@@ -346,7 +344,9 @@ pub fn audit_suite_ctx(
     // Comparable non-empty pairs cannot conflict (the intersection is
     // the smaller language), and neither can a pair that both accept a
     // bank lasso, so only the incomparable pairs left reach the oracle —
-    // as `L_a ⊆ ¬L_b`, which rides the inclusion memo.
+    // as `L_a ⊆ ¬L_b`, which rides the inclusion memo. The operand is
+    // `b`'s complement context: built once per member, it keys the memo
+    // as the complement automaton and lends a quotient built once.
     let mut conflict_pairs: Vec<(usize, usize)> = Vec::new();
     for (k, &a) in reps.iter().enumerate() {
         for &b in &reps[k + 1..] {
@@ -361,9 +361,7 @@ pub fn audit_suite_ctx(
     }
     let conflicts: Vec<bool> = par::map_with(jobs, &conflict_pairs, |&(a, b)| {
         oracle_calls.fetch_add(1, Ordering::Relaxed);
-        items[a]
-            .1
-            .is_subset_of(&items[b].1.automaton().complement())
+        items[a].1.is_subset_of(items[b].1.complement())
     });
     let mut suite_diagnostics = Vec::new();
     for (&(a, b), &clash) in conflict_pairs.iter().zip(&conflicts) {

@@ -11,8 +11,15 @@
 //! (lone surrogates are rejected). Arrays and objects nest at most
 //! [`MAX_DEPTH`] deep, so a hostile line cannot exhaust the stack of the
 //! thread that parses it.
+//!
+//! The writer renders a value into one buffer, sized by a walk over the
+//! value first. Strings go through the workspace's one escaper
+//! ([`json_escape_into`]), which copies each run of bytes that need no
+//! escape in one piece, and integers are written from a stack buffer, so
+//! a response costs no temporary string per field.
 
-use std::fmt;
+use hierarchy_core::lint::diagnostic::json_escape_into;
+use std::fmt::{self, Write as _};
 
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts:
 /// far beyond any request or response of the protocol, and shallow
@@ -114,44 +121,75 @@ impl Json {
 
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    json_escape_into(out, s);
+    out.push('"');
+}
+
+/// Appends the decimal form of `n`, as `n.to_string()` writes it.
+fn push_int(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    out.push('"');
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 impl fmt::Display for Json {
     /// Compact serialization: no whitespace, insertion-ordered keys.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write_into(&mut out);
-        f.write_str(&out)
+        f.write_str(&self.to_line())
     }
 }
 
 impl Json {
+    /// The compact serialization in one buffer, with room left for the
+    /// newline that ends a response line.
+    pub(crate) fn to_line(&self) -> String {
+        let mut out = String::with_capacity(self.len_hint() + 1);
+        self.write_into(&mut out);
+        out
+    }
+
+    /// About the length of the compact serialization: exact for
+    /// everything but numbers (taken at their widest) and strings that
+    /// need escapes.
+    fn len_hint(&self) -> usize {
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Int(_) | Json::Num(_) => 20,
+            Json::Str(s) | Json::Raw(s) => s.len() + 2,
+            Json::Arr(xs) => 2 + xs.iter().map(|x| x.len_hint() + 1).sum::<usize>(),
+            Json::Obj(pairs) => {
+                2 + pairs
+                    .iter()
+                    .map(|(k, v)| k.len() + 4 + v.len_hint())
+                    .sum::<usize>()
+            }
+        }
+    }
+
     fn write_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Int(n) => push_int(out, *n),
             Json::Num(x) => {
                 // Integral floats print as integers so output never
                 // depends on how a count was computed.
                 if x.fract() == 0.0 && x.abs() < 9e15 {
-                    out.push_str(&format!("{}", *x as i64));
+                    push_int(out, *x as i64);
                 } else {
-                    out.push_str(&format!("{x}"));
+                    write!(out, "{x}").expect("writing to a String cannot fail");
                 }
             }
             Json::Str(s) => escape_into(out, s),
@@ -524,5 +562,62 @@ mod tests {
         assert_eq!(Json::Str("\u{1}".into()).to_string(), "\"\\u0001\"");
         let back = Json::parse("\"\\u0001\"").unwrap();
         assert_eq!(back, Json::Str("\u{1}".into()));
+    }
+
+    /// A reference escaper that works one character at a time.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Seeded strings over every control character, DEL, the quote, the
+    /// backslash, multibyte characters and plain letters render as the
+    /// character-by-character reference does, as values and as keys, and
+    /// parse back to themselves.
+    #[test]
+    fn run_copying_escaper_matches_the_reference_and_round_trips() {
+        use hierarchy_core::automata::random::rng::{Rng, SeedableRng, StdRng};
+        let pool: Vec<char> = (0u8..0x20)
+            .map(char::from)
+            .chain(['\u{7f}', '"', '\\', 'é', '😀', '□', '◇', 'a', 'Z', ' ', '/'])
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x5E21A1);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..400 {
+            let len = rng.gen_range(0..24usize);
+            let s: String = (0..len)
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            seen.extend(s.chars());
+            let want = reference_escape(&s);
+            let value = Json::Str(s.clone());
+            assert_eq!(value.to_string(), want, "{s:?}");
+            assert_eq!(Json::parse(&want), Ok(value), "{s:?}");
+            let keyed = Json::Obj(vec![(s.clone(), Json::Null)]);
+            assert_eq!(keyed.to_string(), format!("{{{want}:null}}"), "{s:?}");
+        }
+        assert_eq!(seen.len(), pool.len(), "every character was drawn");
+    }
+
+    #[test]
+    fn integers_render_as_to_string_does() {
+        for n in [i64::MIN, -1, 0, 7, 10, i64::MAX] {
+            assert_eq!(Json::Int(n).to_string(), n.to_string());
+            assert_eq!(Json::parse(&n.to_string()), Ok(Json::Int(n)));
+        }
+        assert_eq!(Json::Num(-3.0).to_string(), "-3");
+        assert_eq!(Json::Num(0.25).to_string(), "0.25");
     }
 }

@@ -5,8 +5,8 @@
 //! The paper's decision procedures — hierarchy classification,
 //! inclusion, linting, invariant-first model checking — are all cheap
 //! *after* their [`Analysis`] context has warmed up: SCC decompositions,
-//! products and inclusion verdicts are memoized per automaton. A
-//! one-shot CLI throws that context away between queries. This crate
+//! the canonical hash and inclusion verdicts are memoized per automaton.
+//! A one-shot CLI throws that context away between queries. This crate
 //! keeps it alive: a daemon speaking **line-delimited JSON-RPC** over
 //! stdin/stdout (or TCP, see [`listen`](Service::listen)) that ingests
 //! artifacts once and answers every later query against the warm
@@ -684,7 +684,7 @@ fn response_line(id: Json, outcome: RpcResult) -> String {
             ]),
         ),
     };
-    Json::obj([("id", id), (body.0, body.1)]).to_string()
+    Json::obj([("id", id), (body.0, body.1)]).to_line()
 }
 
 fn ingest_result(ingested: &Ingested, detail: Json) -> Json {

@@ -6,14 +6,14 @@
 //! automata (so α-equivalent submissions collide by construction), the
 //! exact structural encoding for programs. An automaton is hashed
 //! through the [`Analysis`] context built for it at ingest, which
-//! becomes the entry when the artifact is new, so its minimization runs
-//! once. On top of the hash key the store runs an **equivalence sweep**
-//! at automaton ingest: a new hash whose language equals an
-//! already-stored same-alphabet artifact is recorded as an *alias* of
-//! the stored entry instead of a new entry — near-duplicate submissions
-//! across users converge on one warm context even when their canonical
-//! forms differ (e.g. a Büchi and an equivalent one-pair Streett
-//! condition).
+//! becomes the entry when the artifact is new, so its minimization and
+//! its hash run once ([`Analysis::canonical_hash`]). On top of the hash
+//! key the store runs an **equivalence sweep** at automaton ingest: a
+//! new hash whose language equals an already-stored same-alphabet
+//! artifact is recorded as an *alias* of the stored entry instead of a
+//! new entry — near-duplicate submissions across users converge on one
+//! warm context even when their canonical forms differ (e.g. a Büchi and
+//! an equivalent one-pair Streett condition).
 //!
 //! The sweep refutes before it proves. One [`LassoBank`] per ingest
 //! holds the lasso samples of the newcomer and of every stored entry
@@ -29,7 +29,7 @@
 //! entry); the clock ticks on every resolve and ingest touch.
 
 use hierarchy_core::automata::analysis::Analysis;
-use hierarchy_core::automata::canonical::{hash_canonical, ArtifactHash, LassoBank};
+use hierarchy_core::automata::canonical::{ArtifactHash, LassoBank};
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::fts::absint::Program;
 use hierarchy_core::lint::{lint_abstract_program, lint_automaton_ctx, report_to_json};
@@ -59,8 +59,8 @@ pub struct StoreStats {
 /// What an entry holds.
 pub enum Payload {
     /// A deterministic ω-automaton wrapped in its live [`Analysis`]
-    /// context (classification, SCCs, products, inclusion verdicts all
-    /// memoized across requests).
+    /// context (classification, SCCs, canonical hash, inclusion verdicts
+    /// all memoized across requests).
     Automaton(Box<Analysis>),
     /// A declarative guarded-command program.
     Program(Box<Program>),
@@ -261,9 +261,9 @@ impl Store {
     pub fn ingest_automaton(&mut self, aut: OmegaAutomaton, origin: &'static str) -> Ingested {
         self.stats.ingests += 1;
         // The newcomer's own context hashes it, so a fresh entry keeps
-        // the minimization its hash took.
+        // the minimization and the hash, and an audit reads both.
         let ctx = Analysis::new(aut);
-        let hash = hash_canonical(&ctx.minimization().quotient);
+        let hash = ctx.canonical_hash();
         let canonical = *self.aliases.get(&hash).unwrap_or(&hash);
         if let Some((entry, _)) = self.entries.get(&canonical) {
             let entry = Arc::clone(entry);

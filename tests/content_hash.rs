@@ -157,3 +157,16 @@ fn hoa_round_trip_preserves_the_address() {
         assert_eq!(structural_hash(&parsed), structural_hash(&aut));
     }
 }
+
+/// The canonical hash an `Analysis` memoizes is the structural hash, for
+/// quotienting and raw contexts alike, and a repeat reads the same value.
+#[test]
+fn analysis_canonical_hash_is_the_structural_hash() {
+    for aut in seeded_suite() {
+        let want = structural_hash(&aut);
+        for ctx in [Analysis::new(aut.clone()), Analysis::new_raw(aut.clone())] {
+            assert_eq!(ctx.canonical_hash(), want);
+            assert_eq!(ctx.canonical_hash(), want);
+        }
+    }
+}

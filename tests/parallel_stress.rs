@@ -137,6 +137,71 @@ fn stats_snapshots_race_safely() {
     assert_eq!(warm.scc_passes, 0, "the memo tables answer a warm query");
 }
 
+/// Eight threads race `is_subset_of` and `equivalent` over every ordered
+/// pair of five shared contexts, passing the other operand as its shared
+/// context or as its automaton (both key one memo entry). Every verdict
+/// equals a sequential context's, each query is one oracle run or one
+/// memo hit, and a second pass over the same queries is all hits: racing
+/// misses on one operand leave one entry behind.
+#[test]
+fn racing_inclusion_queries_agree_and_leave_one_entry_per_operand() {
+    let mut rng = StdRng::seed_from_u64(0x1C1D);
+    let auts: Vec<OmegaAutomaton> = (0..5)
+        .map(|_| {
+            let n = rng.gen_range(8..=32usize);
+            rand_streett(&mut rng, n, 2)
+        })
+        .collect();
+    let n = auts.len();
+    let reference: Vec<Analysis> = auts.iter().map(|a| Analysis::new(a.clone())).collect();
+    let want: Vec<Vec<(bool, bool)>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| {
+                    let (a, b) = (&reference[i], &reference[j]);
+                    (a.is_subset_of(b), a.equivalent(b))
+                })
+                .collect()
+        })
+        .collect();
+    let shared: Vec<Analysis> = auts.iter().map(|a| Analysis::new(a.clone())).collect();
+    const WORKERS: usize = 8;
+    let pass = || {
+        std::thread::scope(|scope| {
+            for worker in 0..WORKERS {
+                let (shared, auts, want) = (&shared, &auts, &want);
+                scope.spawn(move || {
+                    // Each worker walks the pairs in its own order.
+                    for k in 0..n * n {
+                        let cell = (7 * k + 3 * worker) % (n * n);
+                        let (i, j) = (cell / n, cell % n);
+                        let ctx = &shared[i];
+                        let got = if (k + worker) % 2 == 0 {
+                            (ctx.is_subset_of(&shared[j]), ctx.equivalent(&shared[j]))
+                        } else {
+                            (ctx.is_subset_of(&auts[j]), ctx.equivalent(&auts[j]))
+                        };
+                        assert_eq!(got, want[i][j], "worker {worker}, pair ({i}, {j})");
+                    }
+                });
+            }
+        });
+        shared
+            .iter()
+            .map(Analysis::stats_total)
+            .fold((0, 0), |(c, h), s| {
+                (c + s.inclusion_checks, h + s.inclusion_hits)
+            })
+    };
+    let queries = (WORKERS * n * n * 2) as u64;
+    let (checks, hits) = pass();
+    assert_eq!(checks + hits, queries, "one run or one hit per query");
+    assert!(checks >= (n * n * 2) as u64, "every entry ran once");
+    let (again, hits_again) = pass();
+    assert_eq!(again, checks, "the second pass ran the oracle");
+    assert_eq!(hits_again - hits, queries, "the second pass is all hits");
+}
+
 /// The same mixed workload through `Property` handles sharing one
 /// underlying automaton each: clones of an `Analysis`-backed value run on
 /// distinct contexts, so this pins down that nothing in the crate relies
